@@ -8,103 +8,4 @@ optimal two-copy distillation layout together with a numerical no-go
 certification harness over its local-symplectic parameters.
 """
 
-from .channels import (
-    GaussianChannel,
-    LoccChannelSpec,
-    apply,
-    attenuation_channel,
-    choi_from_truncated_epr,
-    conditional_displacement,
-    conditional_output_mean,
-    filter_channel,
-    make_separable_channel,
-    random_locc_spec,
-    tensor_channels,
-    transposition_matrix,
-)
-from .entanglement import (
-    BipartiteSplit,
-    EntanglementReport,
-    log_negativity,
-    partial_transpose_cov,
-    ppt_separable,
-)
-from .errors import (
-    CvdistError,
-    DegenerateQuadrature,
-    DimensionError,
-    DimensionMismatch,
-    EmptyKeepSet,
-    InvalidSplit,
-    NotPhysical,
-    NotPhysicalWitness,
-    NotPositiveDefinite,
-    NotPure,
-    NotSymplectic,
-    NotThreeMode,
-    ParamOutOfRange,
-    SingularConditioning,
-    TooManyModes,
-    UnknownKind,
-)
-from .measurements import (
-    DyneKind,
-    DyneSpec,
-    MeasurementRecord,
-    bell_measure,
-    condition,
-    oracle_condition,
-    outcome_law,
-    sample_outcome,
-)
-from .nogo import (
-    NogoCertificate,
-    SymplecticParams,
-    certificates_csv,
-    objective,
-    optimize,
-    sweep,
-)
-from .protocols import (
-    AliceMapDecomposition,
-    Fig1Run,
-    Fig2Protocol,
-    ThreeModeCanonicalForm,
-    build_fig2,
-    canonicalize_pure_3mode,
-    decompose_alice_map,
-    run_fig1,
-)
-from .states import (
-    GaussianState,
-    apply_symplectic,
-    partial_trace,
-    random_pure_state,
-    random_state,
-    tensor,
-    thermal,
-    tmsv,
-    vacuum,
-)
-from .symplectic import (
-    BlochMessiahDecomp,
-    WilliamsonDecomp,
-    beamsplitter,
-    bloch_messiah,
-    embed,
-    is_symplectic,
-    mode_permutation,
-    omega,
-    orthogonal_symplectic_from_unitary,
-    phase_rotation,
-    random_symplectic,
-    squeezer,
-    standard_symplectic,
-    symplectic_eigenvalues,
-    two_mode_squeezer,
-    williamson,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
-
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .errors import (
     ParamOutOfRange,
     SingularConditioning,
 )
-from .states import GaussianState, tmsv
+from .states import PHYSICALITY_TOL, GaussianState, tmsv
 from .symplectic import omega, quad_indices, symplectic_eigenvalues
 
 #: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
@@ -44,11 +44,16 @@ MIN_SINGULAR_VALUE = 1e-12
 MAX_CONDITION_NUMBER = 1e12
 
 
-def transposition_matrix(n_modes: int) -> np.ndarray:
-    """Phase-space transposition R = diag(1, -1, 1, -1, ...)."""
+def _transposition_signs(n_modes: int) -> np.ndarray:
+    """Diagonal of the phase-space transposition R = diag(1, -1, 1, -1, ...)."""
     r = np.ones(2 * n_modes)
     r[1::2] = -1.0
-    return np.diag(r)
+    return r
+
+
+def transposition_matrix(n_modes: int) -> np.ndarray:
+    """Phase-space transposition R = diag(1, -1, 1, -1, ...)."""
+    return np.diag(_transposition_signs(n_modes))
 
 
 def _require_physical_choi(cov: np.ndarray) -> None:
@@ -186,14 +191,18 @@ class GaussianChannel:
 # ---------------------------------------------------------------------------
 
 
-def _conditioning_solve(ch: GaussianChannel, state: GaussianState, rhs: np.ndarray):
-    """Solve (A + R Gamma R) x = rhs with an explicit conditioning check."""
+def _conditioning_matrix(ch: GaussianChannel, state: GaussianState):
+    """(A + R Gamma R) and the signs of R, for a state that fits the channel.
+
+    This is the one place the channel action checks the input-mode count, and
+    it refuses matrices too ill-conditioned to solve against.
+    """
     if state.modes != ch.n_in:
         raise DimensionMismatch(
             f"channel expects {ch.n_in} input modes, state has {state.modes}"
         )
-    r = transposition_matrix(ch.n_in)
-    m = ch.a_block + r @ state.cov @ r
+    r = _transposition_signs(ch.n_in)
+    m = ch.a_block + state.cov * np.outer(r, r)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] < MIN_SINGULAR_VALUE or sv[0] / sv[-1] > MAX_CONDITION_NUMBER:
         raise SingularConditioning(
@@ -201,7 +210,14 @@ def _conditioning_solve(ch: GaussianChannel, state: GaussianState, rhs: np.ndarr
             f"(condition number {sv[0] / sv[-1]:.3e}); the channel is "
             "over-idealized, increase the approximation squeezing"
         )
-    return np.linalg.solve(m, rhs)
+    return m, r
+
+
+def _bell_outcome(ch: GaussianChannel, r_d) -> np.ndarray:
+    r_d = np.asarray(r_d, dtype=float).reshape(-1)
+    if r_d.size != 2 * ch.n_in:
+        raise DimensionMismatch(f"outcome length {r_d.size} != {2 * ch.n_in}")
+    return r_d
 
 
 def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -210,14 +226,9 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     The mean propagates as m_B + C^T (A + R Gamma R)^{-1} (R d - m_A), which
     is zero for zero channel displacement and zero input mean.
     """
-    if state.modes != ch.n_in:
-        raise DimensionMismatch(
-            f"channel expects {ch.n_in} input modes, state has {state.modes}"
-        )
+    m, r = _conditioning_matrix(ch, state)
     c = ch.c_block
-    r = transposition_matrix(ch.n_in)
-    rhs = np.column_stack([c, r @ state.mean - ch.mean_in()])
-    solved = _conditioning_solve(ch, state, rhs)
+    solved = np.linalg.solve(m, np.column_stack([c, r * state.mean - ch.mean_in()]))
     cov_out = ch.b_block - c.T @ solved[:, :-1]
     mean_out = ch.mean_out() + c.T @ solved[:, -1]
     return GaussianState(mean=mean_out, cov=(cov_out + cov_out.T) / 2.0)
@@ -227,10 +238,9 @@ def conditional_displacement(
     ch: GaussianChannel, state: GaussianState, r_d: np.ndarray
 ) -> np.ndarray:
     """Displacement C^T (A + R Gamma R)^{-1} r_d induced by Bell outcome r_d."""
-    r_d = np.asarray(r_d, dtype=float).reshape(-1)
-    if r_d.size != 2 * ch.n_in:
-        raise DimensionMismatch(f"outcome length {r_d.size} != {2 * ch.n_in}")
-    return ch.c_block.T @ _conditioning_solve(ch, state, r_d)
+    r_d = _bell_outcome(ch, r_d)
+    m, _ = _conditioning_matrix(ch, state)
+    return ch.c_block.T @ np.linalg.solve(m, r_d)
 
 
 def conditional_output_mean(
@@ -242,16 +252,10 @@ def conditional_output_mean(
     the displacement correction that makes the protocol deterministic. For
     zero means it reduces to :func:`conditional_displacement`.
     """
-    r_d = np.asarray(r_d, dtype=float).reshape(-1)
-    if r_d.size != 2 * ch.n_in:
-        raise DimensionMismatch(f"outcome length {r_d.size} != {2 * ch.n_in}")
-    if state.modes != ch.n_in:
-        raise DimensionMismatch(
-            f"channel expects {ch.n_in} input modes, state has {state.modes}"
-        )
-    r = transposition_matrix(ch.n_in)
-    rhs = r @ state.mean + r_d - ch.mean_in()
-    return ch.mean_out() + ch.c_block.T @ _conditioning_solve(ch, state, rhs)
+    r_d = _bell_outcome(ch, r_d)
+    m, r = _conditioning_matrix(ch, state)
+    rhs = r * state.mean + r_d - ch.mean_in()
+    return ch.mean_out() + ch.c_block.T @ np.linalg.solve(m, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +370,7 @@ def make_separable_channel(spec: LoccChannelSpec) -> GaussianChannel:
         if gamma.shape != (2 * len(party), 2 * len(party)):
             raise NotPhysicalWitness(f"{name} shape {gamma.shape} does not fit {party}")
         nu_min = symplectic_eigenvalues(gamma)[-1]
-        if nu_min < 1.0 - 1e-9:
+        if nu_min < 1.0 - PHYSICALITY_TOL:
             raise NotPhysicalWitness(f"{name} unphysical: nu_min = {nu_min:.12g}")
     if spec.noise.shape != (2 * n, 2 * n):
         raise NotPhysicalWitness(f"noise shape {spec.noise.shape} != {(2 * n, 2 * n)}")

@@ -10,8 +10,9 @@ fig2 run                 one two-copy protocol evaluation, transcript JSON
 nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
-Exit codes: 0 ok, 2 usage/parse problem, 3 unphysical input, 4 dimension
-mismatch, 5 claim violation (verification failure or an apparent distillation
+Exit codes: 0 ok, 2 usage/parse problem or malformed numeric input (NaN/inf
+entries, asymmetric covariance), 3 unphysical input, 4 dimension mismatch,
+5 claim violation (verification failure or an apparent distillation
 gap, which CI should treat as an alarm, not a crash).
 
 All file writes are atomic (temp file + rename). Every command is
@@ -50,7 +51,6 @@ from .errors import (
     NotPositiveDefinite,
     NotPure,
     NotThreeMode,
-    TooManyModes,
     UnknownKind,
 )
 from .protocols import build_fig2, canonicalize_pure_3mode, run_fig1
@@ -66,7 +66,7 @@ EXIT_DIMENSION = 4
 EXIT_CLAIM = 5
 
 _DIMENSION_ERRORS = (DimensionError, DimensionMismatch, EmptyKeepSet,
-                     InvalidSplit, NotThreeMode, TooManyModes)
+                     InvalidSplit, NotThreeMode)
 _UNPHYSICAL_ERRORS = (NotPhysical, NotPositiveDefinite, NotPure)
 
 
@@ -126,13 +126,7 @@ def _cmd_state(args) -> int:
         state = _load_state(args.input)
     else:  # argparse choices guard this
         raise UnknownKind(args.kind)
-    nus = state.symplectic_spectrum()
-    if nus[-1] < 1.0 - 1e-9:
-        print(
-            f"unphysical state: min symplectic eigenvalue {nus[-1]:.12g} < 1",
-            file=sys.stderr,
-        )
-        return EXIT_UNPHYSICAL
+    state.require_physical()
     write_text_atomic(args.out, state.to_json())
     print(f"wrote {args.kind} state ({state.modes} modes) to {args.out}")
     return EXIT_OK

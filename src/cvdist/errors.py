@@ -10,6 +10,10 @@ class CvdistError(Exception):
     """Base class for all toolkit errors."""
 
 
+class MalformedInput(CvdistError, ValueError):
+    """Numeric input is malformed: non-finite entries or an asymmetric covariance."""
+
+
 class DimensionError(CvdistError):
     """A dimension is structurally invalid (e.g. zero modes)."""
 
@@ -44,10 +48,6 @@ class SingularConditioning(CvdistError):
 
 class DegenerateQuadrature(CvdistError):
     """Homodyne measurement of a quadrature with (numerically) zero variance."""
-
-
-class TooManyModes(CvdistError):
-    """Brute-force integration oracle asked for an infeasible grid."""
 
 
 class InvalidSplit(CvdistError):

@@ -94,9 +94,6 @@ class SymplecticParams:
             raise DimensionMismatch(f"parameter vector must have length {N_PARAMS}")
         return cls(alice=x[:PARAMS_PER_PARTY], bob=x[PARAMS_PER_PARTY:])
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.alice, self.bob])
-
     def realize(self):
         return _party_symplectic(self.alice), _party_symplectic(self.bob)
 

@@ -13,10 +13,10 @@ two-mode symplectics on each party's pair of modes, eight-port homodyne
 (heterodyne) of the second mode on each side, and a displacement correction.
 It returns the remaining two-mode state with its entanglement report.
 
-``canonicalize_pure_3mode`` and ``decompose_alice_map`` implement the
-canonical-form machinery behind the protocol: any pure three-mode party map
-reduces, after local symplectics, to a two-mode-squeezed-type correlation
-with one decoupled vacuum input.
+``canonicalize_pure_3mode`` implements the canonical-form reduction behind
+the protocol: any pure three-mode party map reduces, after local
+symplectics, to a two-mode-squeezed-type correlation with one decoupled
+vacuum input.
 """
 
 from __future__ import annotations
@@ -26,16 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .channels import (
-    GaussianChannel,
-    apply as apply_channel,
-    conditional_output_mean,
-    transposition_matrix,
-)
+from .channels import GaussianChannel, apply as apply_channel, conditional_output_mean
 from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPure, NotThreeMode
 from .measurements import DyneKind, DyneSpec, bell_measure, condition, sample_outcome
-from .states import GaussianState, apply_symplectic, partial_trace, tensor
+from .states import GaussianState, apply_symplectic, tensor
 from .symplectic import mode_permutation, williamson
 
 #: Purity gate: all symplectic eigenvalues within this of 1.
@@ -43,12 +38,6 @@ PURITY_TOL = 1e-7
 
 _FIG2_PERM = mode_permutation((0, 2, 1, 3), 4)  # (A1, B1, A2, B2) -> (A1, A2, B1, B2)
 _FIG2_SPEC = DyneSpec(modes=(1, 3), kind=DyneKind.HETERODYNE)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +80,8 @@ def run_fig1(
     ``correction_scale`` rescales the displacement correction and exists only
     as a negative control for verification tooling (1.0 is the protocol).
     """
-    if input_state.modes != channel.n_in:
-        raise DimensionMismatch(
-            f"channel expects {channel.n_in} input modes, state has {input_state.modes}"
-        )
-    rng = _as_rng(seed)
-    reference = apply_channel(channel, input_state)
+    reference = apply_channel(channel, input_state)  # checks the input-mode count
+    rng = np.random.default_rng(seed)
     joint0 = tensor(input_state, channel.choi_state)
     n_in = channel.n_in
     choi_in = [n_in + m for m in channel.input_modes]
@@ -166,10 +151,6 @@ class ThreeModeCanonicalForm:
     input_symplectic: np.ndarray
     output_symplectic: np.ndarray
     canonical_state: GaussianState
-
-    @property
-    def local_symplectics(self) -> tuple:
-        return (self.input_symplectic, self.output_symplectic)
 
     def pattern_cov(self) -> np.ndarray:
         """Covariance rebuilt from the eight parameters alone."""
@@ -280,7 +261,6 @@ class Fig2Protocol:
 
     s_a: np.ndarray
     s_b: np.ndarray
-    input_pair: tuple
     outcomes: np.ndarray
     correction: np.ndarray
     output: GaussianState
@@ -318,7 +298,7 @@ def build_fig2(
 
     spec = _FIG2_SPEC
     if sample_heterodyne:
-        rec = sample_outcome(state, spec, _as_rng(seed))
+        rec = sample_outcome(state, spec, seed)
         outcomes = rec.outcome
         conditioned = rec.conditioned_state
     else:
@@ -331,80 +311,9 @@ def build_fig2(
     return Fig2Protocol(
         s_a=s_a,
         s_b=s_b,
-        input_pair=(copy1, copy2),
         outcomes=outcomes,
         correction=correction,
         output=output,
         report=report,
     )
 
-
-# ---------------------------------------------------------------------------
-# reduction of a party map to (symplectic, vacuum ancilla, single-mode map)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AliceMapDecomposition:
-    """Three-step factorization of a pure 2-in/1-out party map.
-
-    Replay: (i) apply ``input_symplectic`` to the two-mode input state,
-    (ii) project the second mode onto vacuum (heterodyne, outcome 0),
-    (iii) apply ``single_mode_channel`` to the remaining mode. This must
-    reproduce the original channel's action.
-    """
-
-    input_symplectic: np.ndarray
-    single_mode_channel: GaussianChannel
-
-
-def decompose_alice_map(chi: GaussianChannel) -> AliceMapDecomposition:
-    """Factor a pure 2-in/1-out channel through a vacuum ancilla.
-
-    The Choi state's two-input marginal is brought to Williamson form; purity
-    forces the second input into vacuum, decoupled from everything else, so
-    the channel is a two-mode input symplectic followed by a vacuum
-    projection and a residual single-mode map. The returned input symplectic
-    is the one to pre-apply to input states (it absorbs the phase-space
-    transposition bookkeeping).
-    """
-    if chi.n_in != 2 or chi.n_out != 1:
-        raise DimensionMismatch("decomposition defined for 2-in/1-out channels")
-    choi = chi.choi_state
-    nus = choi.symplectic_spectrum()
-    if np.abs(nus - 1.0).max() > PURITY_TOL:
-        raise NotPure(f"Choi state symplectic eigenvalues {nus} not all 1")
-
-    # reorder Choi modes to (in1, in2, out)
-    perm = mode_permutation((*chi.input_modes, *chi.output_modes), 3)
-    work = apply_symplectic(choi, perm)
-
-    win = williamson(work.cov[:4, :4])
-    if abs(win.nus[1] - 1.0) > 1e-6:
-        raise NotPure(
-            f"two-input marginal has thermal parameters {win.nus}; a pure "
-            "three-mode Choi state must have a vacuum input direction"
-        )
-    s_in = np.linalg.inv(win.s)
-    work = apply_symplectic(work, block_diag(s_in, np.eye(2)))
-
-    # input 2 must now be decoupled vacuum
-    cross = max(
-        float(np.abs(work.cov[2:4, 0:2]).max()),
-        float(np.abs(work.cov[2:4, 4:6]).max()),
-    )
-    if cross > 1e-6 or np.abs(work.cov[2:4, 2:4] - np.eye(2)).max() > 1e-6:
-        raise NotPure(
-            "second input direction did not decouple into vacuum; Choi state "
-            "is not of the pure party-map class"
-        )
-
-    keep = partial_trace(work, keep=(0, 2))
-    chi_a0 = GaussianChannel(n_in=1, n_out=1, choi_cov=keep.cov, choi_mean=keep.mean)
-    # chi = (S + identity on the output) chi_canon (...)^T with S = inv(s_in);
-    # the replayed input-side transformation is then R S^{-1} R = R s_in R
-    r4 = transposition_matrix(2)
-    return AliceMapDecomposition(
-        input_symplectic=r4 @ s_in @ r4,
-        single_mode_channel=chi_a0,
-    )

@@ -17,6 +17,7 @@ from .errors import (
     DimensionError,
     DimensionMismatch,
     EmptyKeepSet,
+    MalformedInput,
     NotPhysical,
     ParamOutOfRange,
 )
@@ -55,10 +56,15 @@ class GaussianState:
             raise DimensionMismatch(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
             )
+        if not np.isfinite(mean).all():
+            raise MalformedInput("mean has non-finite (NaN or inf) entries")
         scale = max(1.0, float(np.abs(cov).max()))
         asym = float(np.abs(cov - cov.T).max())
-        if asym > SYMMETRY_RTOL * scale:
-            raise ValueError(f"covariance not symmetric: max asymmetry {asym:.3e}")
+        # NaN or inf entries make asym NaN, so this one test also catches them
+        if not asym <= SYMMETRY_RTOL * scale:
+            if not np.isfinite(cov).all():
+                raise MalformedInput("covariance has non-finite (NaN or inf) entries")
+            raise MalformedInput(f"covariance not symmetric: max asymmetry {asym:.3e}")
         cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "cov", _freeze(cov))
@@ -78,10 +84,6 @@ class GaussianState:
         if nu_min < 1.0 - tol:
             raise NotPhysical(f"min symplectic eigenvalue {nu_min:.12g} < 1")
         return self
-
-    def is_pure(self, tol: float = 1e-7) -> bool:
-        nus = self.symplectic_spectrum()
-        return bool(np.all(np.abs(nus - 1.0) <= tol))
 
     def with_mean(self, mean) -> "GaussianState":
         return GaussianState(mean=np.asarray(mean, dtype=float), cov=self.cov)
@@ -197,11 +199,3 @@ def random_state(
     cov = (s * np.repeat(nus, 2)[None, :]) @ s.T
     mean = rng.normal(0.0, mean_scale, size=2 * n) if mean_scale > 0 else np.zeros(2 * n)
     return GaussianState(mean=mean, cov=cov)
-
-
-def random_pure_state(
-    n: int, rng: np.random.Generator, symplectic_scale: float = 0.4
-) -> GaussianState:
-    """Random pure state: vacuum pushed through a random symplectic."""
-    s = random_symplectic(n, rng, scale=symplectic_scale)
-    return GaussianState(mean=np.zeros(2 * n), cov=s @ s.T)

@@ -22,7 +22,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymplectic,
     ParamOutOfRange,
-    UnknownKind,
 )
 
 #: Tolerance on ||S Omega S^T - Omega||_max for a matrix to count as symplectic.
@@ -57,13 +56,6 @@ def symplectic_error(s: np.ndarray) -> float:
     n = s.shape[0] // 2
     om = omega(n)
     return float(np.abs(s @ om @ s.T - om).max())
-
-
-def is_symplectic(s: np.ndarray, atol: float = SYMPLECTIC_ATOL) -> bool:
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
-        return False
-    return symplectic_error(s) <= atol
 
 
 def assert_symplectic(s: np.ndarray, atol: float = SYMPLECTIC_ATOL) -> np.ndarray:
@@ -110,29 +102,6 @@ def beamsplitter(transmittance: float) -> np.ndarray:
     t = np.sqrt(transmittance)
     rf = np.sqrt(1.0 - transmittance)
     return np.block([[t * _I2, rf * _I2], [-rf * _I2, t * _I2]])
-
-
-_STANDARD_KINDS = {
-    "phase_rotation": phase_rotation,
-    "squeezer": squeezer,
-    "two_mode_squeezer": two_mode_squeezer,
-    "beamsplitter": beamsplitter,
-}
-
-
-def standard_symplectic(kind: str, *params: float) -> np.ndarray:
-    """Dispatch to one of the standard constructors by name.
-
-    Kinds: ``phase_rotation``, ``squeezer``, ``two_mode_squeezer``,
-    ``beamsplitter``.
-    """
-    try:
-        builder = _STANDARD_KINDS[kind]
-    except KeyError:
-        raise UnknownKind(
-            f"unknown symplectic kind {kind!r}; choose from {sorted(_STANDARD_KINDS)}"
-        ) from None
-    return builder(*params)
 
 
 def embed(s: np.ndarray, modes, n_modes: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from cvdist.measurements import (
     DyneSpec,
     bell_measure,
     condition,
-    oracle_condition,
     sample_outcome,
 )
 from cvdist.nogo import GAP_TOL, SymplecticParams, optimize, sweep
@@ -51,6 +50,7 @@ from cvdist.symplectic import (
     williamson,
 )
 from scipy.linalg import block_diag
+from wigner_oracle import oracle_condition
 
 SPLIT01 = BipartiteSplit((0,), (1,))
 

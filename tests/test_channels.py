@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from cvdist.channels import (
 )
 from cvdist.errors import (
     DimensionMismatch,
+    MalformedInput,
     NotPhysicalWitness,
     ParamOutOfRange,
     SingularConditioning,
@@ -283,3 +286,10 @@ def test_channel_json_roundtrip(rng):
     assert np.array_equal(back.choi_cov, ch.choi_cov)
     assert back.partition == ch.partition
     assert back.to_json() == ch.to_json()
+
+
+def test_channel_json_rejects_non_finite_choi_cov():
+    data = filter_channel(0.5).to_dict()
+    data["choi_cov"][0][0] = float("nan")
+    with pytest.raises(MalformedInput, match="covariance has non-finite"):
+        GaussianChannel.from_json(json.dumps(data))

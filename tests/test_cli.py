@@ -43,6 +43,17 @@ def test_state_custom_unphysical_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_state_custom_non_finite_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"modes": 1, "mean": [0.0, 0.0], "cov": [[NaN, 0.0], [0.0, 1.0]]}')
+    out = tmp_path / "out.json"
+    code = run_cli(["state", "--kind", "custom-json", "--input", str(bad),
+                    "--out", str(out)])
+    assert code == 2
+    assert "covariance has non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_bad_params_exit_2(tmp_path):
     code = run_cli(["state", "--kind", "thermal", "--nbar", "-1.0",
                     "--out", str(tmp_path / "x.json")])

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cvdist.errors import DegenerateQuadrature, DimensionMismatch, TooManyModes
+from wigner_oracle import TooManyModes, oracle_condition
+
+from cvdist.errors import DegenerateQuadrature, DimensionMismatch
 from cvdist.measurements import (
     DyneKind,
     DyneSpec,
     bell_measure,
     condition,
     observable_map,
-    oracle_condition,
     outcome_law,
     sample_outcome,
 )

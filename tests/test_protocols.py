@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+from wigner_oracle import oracle_condition
+
 from cvdist.channels import (
     GaussianChannel,
     apply,
@@ -13,13 +15,8 @@ from cvdist.channels import (
 )
 from cvdist.entanglement import BipartiteSplit
 from cvdist.errors import DimensionMismatch, NotPure, NotThreeMode
-from cvdist.measurements import DyneKind, DyneSpec, condition, oracle_condition
-from cvdist.protocols import (
-    build_fig2,
-    canonicalize_pure_3mode,
-    decompose_alice_map,
-    run_fig1,
-)
+from cvdist.measurements import DyneKind, DyneSpec, condition
+from cvdist.protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from cvdist.states import (
     apply_symplectic,
     random_state,
@@ -33,11 +30,10 @@ from cvdist.symplectic import beamsplitter, mode_permutation, random_symplectic
 SPLIT01 = BipartiteSplit((0,), (1,))
 
 
-def _eq12_state(rng, r=0.7, s_i=None):
+def _eq12_state(rng, r=0.7):
     """Pure three-mode state: tmsv(r) on (input1, output), vacuum ancilla on
-    input2, then an input-side two-mode symplectic."""
-    if s_i is None:
-        s_i = random_symplectic(2, rng, scale=0.5)
+    input2, then a random input-side two-mode symplectic."""
+    s_i = random_symplectic(2, rng, scale=0.5)
     state = tensor(tmsv(r), vacuum(1))  # (in1, out, in2)
     state = apply_symplectic(state, mode_permutation((0, 2, 1), 3))  # (in1, in2, out)
     return apply_symplectic(state, block_diag(s_i, np.eye(2)))
@@ -187,32 +183,7 @@ def test_fig2_validation(rng):
         build_fig2(np.diag([2.0, 1.0, 1.0, 1.0]), np.eye(4), tmsv(0.2), tmsv(0.2))
 
 
-# -- party-map decomposition -----------------------------------------------------
-
-
-def _party_channel(rng, r=0.6, s_i=None):
-    state = _eq12_state(rng, r=r, s_i=s_i)
-    return GaussianChannel(n_in=2, n_out=1, choi_cov=state.cov,
-                           partition=("in", "in", "out"))
-
-
-def test_decompose_identity_construction(rng):
-    chi = _party_channel(rng, r=0.6, s_i=np.eye(4))
-    dec = decompose_alice_map(chi)
-    assert_allclose(dec.input_symplectic, np.eye(4), atol=1e-8)
-    assert np.abs(dec.single_mode_channel.choi_cov - tmsv(0.6).cov).max() <= 1e-8
-
-
-def test_decompose_roundtrip_matches_apply(rng):
-    for _ in range(20):
-        chi = _party_channel(rng)
-        dec = decompose_alice_map(chi)
-        state = random_state(2, rng, nu_spread=0.9, symplectic_scale=0.4)
-        direct = apply(chi, state)
-        step1 = apply_symplectic(state, dec.input_symplectic)
-        step2 = condition(step1, DyneSpec((1,), DyneKind.HETERODYNE), [0.0, 0.0])
-        step3 = apply(dec.single_mode_channel, step2)
-        assert np.abs(step3.cov - direct.cov).max() <= 1e-7
+# -- vacuum projection -----------------------------------------------------------
 
 
 def test_vacuum_projection_matches_oracle(rng):
@@ -223,11 +194,3 @@ def test_vacuum_projection_matches_oracle(rng):
     grid = oracle_condition(state, spec, [0.0, 0.0])
     assert np.abs(closed.cov - grid.cov).max() <= 1e-6
     assert np.abs(closed.mean - grid.mean).max() <= 1e-6
-
-
-def test_decompose_rejects_mixed_choi(rng):
-    mixed = tensor(thermal(0.4), tmsv(0.4))
-    chi = GaussianChannel(n_in=2, n_out=1, choi_cov=mixed.cov,
-                          partition=("in", "in", "out"))
-    with pytest.raises(NotPure):
-        decompose_alice_map(chi)

@@ -10,6 +10,7 @@ from cvdist.errors import (
     DimensionError,
     DimensionMismatch,
     EmptyKeepSet,
+    MalformedInput,
     NotSymplectic,
     ParamOutOfRange,
 )
@@ -154,6 +155,17 @@ def test_state_rejects_asymmetric_cov():
     cov[0, 1] = 1e-6
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(2), cov=cov)
+
+
+@pytest.mark.parametrize("mean, cov, what", [
+    ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "covariance"),
+    pytest.param([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "covariance",
+                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+    ([np.inf, 0.0], np.eye(2), "mean"),
+])
+def test_state_rejects_non_finite_input(mean, cov, what):
+    with pytest.raises(MalformedInput, match=f"{what} has non-finite"):
+        GaussianState(mean=mean, cov=cov)
 
 
 def test_state_shape_mismatch():

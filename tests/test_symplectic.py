@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cvdist.errors import NotPositiveDefinite, NotSymplectic, ParamOutOfRange, UnknownKind
+from cvdist.errors import NotPositiveDefinite, NotSymplectic, ParamOutOfRange
 from cvdist.symplectic import (
     beamsplitter,
     bloch_messiah,
@@ -15,9 +15,9 @@ from cvdist.symplectic import (
     phase_rotation,
     random_symplectic,
     squeezer,
-    standard_symplectic,
     symplectic_eigenvalues,
     symplectic_error,
+    two_mode_squeezer,
     williamson,
 )
 
@@ -51,19 +51,13 @@ def test_beamsplitter_transmittance_out_of_range():
         beamsplitter(1.2)
 
 
-def test_standard_symplectic_dispatch_and_unknown_kind():
-    assert_allclose(standard_symplectic("squeezer", 0.3), squeezer(0.3))
-    with pytest.raises(UnknownKind):
-        standard_symplectic("kerr", 0.1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["phase_rotation", "squeezer", "two_mode_squeezer"]),
+    constructor=st.sampled_from([phase_rotation, squeezer, two_mode_squeezer]),
     param=st.floats(min_value=-2.5, max_value=2.5, allow_nan=False),
 )
-def test_standard_constructors_are_symplectic(kind, param):
-    s = standard_symplectic(kind, param)
+def test_standard_constructors_are_symplectic(constructor, param):
+    s = constructor(param)
     assert symplectic_error(s) <= SYMP_TOL
     assert abs(np.linalg.det(s) - 1.0) <= 1e-8
 
