@@ -58,12 +58,13 @@ class GaussianState:
             )
         if not np.isfinite(mean).all():
             raise MalformedInput("mean has non-finite (NaN or inf) entries")
-        scale = max(1.0, float(np.abs(cov).max()))
+        cov_max = float(np.abs(cov).max())
+        # NaN or inf entries fail this one test, before cov - cov.T could
+        # compute inf - inf
+        if not cov_max < np.inf:
+            raise MalformedInput("covariance has non-finite (NaN or inf) entries")
         asym = float(np.abs(cov - cov.T).max())
-        # NaN or inf entries make asym NaN, so this one test also catches them
-        if not asym <= SYMMETRY_RTOL * scale:
-            if not np.isfinite(cov).all():
-                raise MalformedInput("covariance has non-finite (NaN or inf) entries")
+        if not asym <= SYMMETRY_RTOL * max(1.0, cov_max):
             raise MalformedInput(f"covariance not symmetric: max asymmetry {asym:.3e}")
         cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "mean", _freeze(mean))

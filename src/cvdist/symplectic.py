@@ -148,15 +148,16 @@ def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     """Orthogonal symplectic (passive transformation) realizing a mode unitary.
 
     With a_k = (x_k + i p_k)/sqrt(2) and a' = u a, the quadratures transform by
-    the returned 2N x 2N matrix (xpxp ordering).
+    the returned 2N x 2N matrix (xpxp ordering). A stack of unitaries
+    (..., N, N) gives a stack of matrices (..., 2N, 2N).
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    s = np.empty((2 * n, 2 * n))
-    s[0::2, 0::2] = u.real
-    s[0::2, 1::2] = -u.imag
-    s[1::2, 0::2] = u.imag
-    s[1::2, 1::2] = u.real
+    n = u.shape[-1]
+    s = np.empty(u.shape[:-2] + (2 * n, 2 * n))
+    s[..., 0::2, 0::2] = u.real
+    s[..., 0::2, 1::2] = -u.imag
+    s[..., 1::2, 0::2] = u.imag
+    s[..., 1::2, 1::2] = u.real
     return s
 
 

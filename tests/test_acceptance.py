@@ -137,7 +137,7 @@ def test_criterion_4_two_copy_nogo_certification():
     gaps["mixed"] = cert_mixed.gap
     elapsed = time.monotonic() - start
     worst = min(gaps.values())
-    ok = worst >= -GAP_TOL and elapsed < 600.0
+    ok = worst >= -GAP_TOL and elapsed < 120.0
     detail = ", ".join(f"{k}: {v:.2e}" for k, v in gaps.items())
     _report(4, "two-copy no-go certification",
             ok, f"gaps {detail}, {elapsed:.0f}s")

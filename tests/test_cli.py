@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvdist
 from cvdist.cli import DEFAULT_SEED, main
 from cvdist.states import GaussianState, tmsv
 
@@ -133,6 +138,15 @@ def test_nogo_sweep_csv(tmp_path, capsys):
 
 def test_nogo_empty_rs_exit_2(capsys):
     assert run_cli(["nogo", "--rs", "", "--starts", "1"]) == 2
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # the no-go search has its own Nelder-Mead; scipy.optimize costs ~0.2 s
+    code = "import sys, cvdist.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cvdist.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_canon_command(tmp_path, capsys):

@@ -157,10 +157,10 @@ def test_state_rejects_asymmetric_cov():
         GaussianState(mean=np.zeros(2), cov=cov)
 
 
+@pytest.mark.filterwarnings("error")  # the named error, with no warning first
 @pytest.mark.parametrize("mean, cov, what", [
     ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "covariance"),
-    pytest.param([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "covariance",
-                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")),
+    ([0.0, 0.0], [[1.0, np.inf], [np.inf, 1.0]], "covariance"),
     ([np.inf, 0.0], np.eye(2), "mean"),
 ])
 def test_state_rejects_non_finite_input(mean, cov, what):
