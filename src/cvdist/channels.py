@@ -12,7 +12,8 @@ correlations. Acting on an input state with covariance G the output is
 
 where R = diag(1, -1, ...) is the phase-space transposition of the input
 modes. Conditioned on a Bell measurement outcome r_d, the output picks up the
-displacement C^T (A + R G R)^{-1} r_d; subtracting it re-centers the output.
+displacement C^T (A + R G R)^{-1} r_d; subtracting it leaves the channel's own
+action on the mean, m_B + C^T (A + R G R)^{-1} (R d - m_A).
 
 Normalization (success probability of trace-decreasing maps) is not tracked:
 at covariance level the probabilistic and deterministic versions of a map act
@@ -214,9 +215,12 @@ def _conditioning_matrix(ch: GaussianChannel, state: GaussianState):
 
 
 def _bell_outcome(ch: GaussianChannel, r_d) -> np.ndarray:
-    r_d = np.asarray(r_d, dtype=float).reshape(-1)
-    if r_d.size != 2 * ch.n_in:
-        raise DimensionMismatch(f"outcome length {r_d.size} != {2 * ch.n_in}")
+    """One outcome as a (2 n_in,) vector, or a (K, 2 n_in) stack of them."""
+    r_d = np.asarray(r_d, dtype=float)
+    if r_d.ndim != 2:
+        r_d = r_d.reshape(-1)
+    if r_d.shape[-1] != 2 * ch.n_in:
+        raise DimensionMismatch(f"outcome length {r_d.shape[-1]} != {2 * ch.n_in}")
     return r_d
 
 
@@ -237,10 +241,15 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
 def conditional_displacement(
     ch: GaussianChannel, state: GaussianState, r_d: np.ndarray
 ) -> np.ndarray:
-    """Displacement C^T (A + R Gamma R)^{-1} r_d induced by Bell outcome r_d."""
+    """Displacement C^T (A + R Gamma R)^{-1} r_d induced by Bell outcome r_d.
+
+    ``r_d`` may be a (K, 2 n_in) stack of outcomes: the conditioning matrix
+    is then built and checked once and solved against all K, and the result
+    is (K, 2 n_out).
+    """
     r_d = _bell_outcome(ch, r_d)
     m, _ = _conditioning_matrix(ch, state)
-    return ch.c_block.T @ np.linalg.solve(m, r_d)
+    return np.linalg.solve(m, r_d.T).T @ ch.c_block
 
 
 def conditional_output_mean(
@@ -250,12 +259,13 @@ def conditional_output_mean(
 
     Equals m_B + C^T (A + R Gamma R)^{-1} (R d + r_d - m_A); subtracting it is
     the displacement correction that makes the protocol deterministic. For
-    zero means it reduces to :func:`conditional_displacement`.
+    zero means it reduces to :func:`conditional_displacement`. Accepts a
+    stack of outcomes as :func:`conditional_displacement` does.
     """
     r_d = _bell_outcome(ch, r_d)
     m, r = _conditioning_matrix(ch, state)
     rhs = r * state.mean + r_d - ch.mean_in()
-    return ch.mean_out() + ch.c_block.T @ np.linalg.solve(m, rhs)
+    return ch.mean_out() + np.linalg.solve(m, rhs.T).T @ ch.c_block
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch, NotPhysical
-from .states import PHYSICALITY_TOL, GaussianState, apply_symplectic
+from .states import PHYSICALITY_TOL, GaussianState
 from .symplectic import beamsplitter, embed, quad_indices, symplectic_eigenvalues
 
 
@@ -194,6 +194,72 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     )
 
 
+def _homodyne_step(cov, means, mode: int, quad: int, xi=None, draws=None,
+                   keep_rest: bool = True):
+    """Homodyne of quadrature ``quad`` (0 = x, 1 = p) of ``mode``.
+
+    ``means`` is a (K, 2N) stack of states that share ``cov``. Outcomes are
+    ``xi`` (K,) if given, else the mean plus the outcome's standard deviation
+    times ``draws`` (K,). The covariance update and the gain do not depend on
+    the outcome, so they are computed once and all K means move by array
+    arithmetic. Returns (cov, means, xi) of the remaining modes, with
+    cov = means = None when ``keep_rest`` is false.
+    """
+    i = 2 * mode + quad
+    var = cov[i, i]
+    if keep_rest and var < 1e-12:
+        raise DegenerateQuadrature(
+            "measured quadrature variance below 1e-12; conditioning is singular"
+        )
+    if xi is None:
+        # probability-unit variance var / 2 plus the jitter sample_outcome adds
+        xi = means[:, i] + np.sqrt(var / 2.0 + 1e-300) * draws
+    if not keep_rest:
+        return None, None, xi
+    keep = np.delete(np.arange(cov.shape[0]), [2 * mode, 2 * mode + 1])
+    cross = cov[keep, i]
+    gain = cross / var
+    cov_out = cov[np.ix_(keep, keep)] - np.outer(gain, cross)
+    means_out = means[:, keep] + np.outer(xi - means[:, i], gain)
+    return (cov_out + cov_out.T) / 2.0, means_out, xi
+
+
+def _bell_step(cov, means, pair, draws=None, outcomes=None):
+    """Bell measurement of ``pair`` on K states that share one covariance.
+
+    ``means`` is a (K, 2N) stack. Pass standard normal ``draws`` (K, 2), one
+    for the x and one for the p homodyne of each state, to sample; or
+    ``outcomes`` (K, 2) of (x_d, p_d) to condition on chosen values. Returns
+    the (K, 2) outcomes, then the covariance and (K, 2N - 4) means of the
+    remaining modes (both None when the pair was the whole state).
+    """
+    a, b = pair
+    n = cov.shape[0] // 2
+    # balanced beamsplitter: mode a -> (r_a + r_b)/sqrt2, mode b -> (r_b - r_a)/sqrt2
+    s = embed(beamsplitter(0.5), (a, b), n)
+    cov = s @ cov @ s.T
+    cov = (cov + cov.T) / 2.0
+    means = means @ s.T
+
+    root2 = np.sqrt(2.0)
+    fixed = outcomes is not None
+    # the raw homodyne readings carry a 1/sqrt(2) from the beamsplitter, and
+    # the x reading a sign
+    cov, means, xi_x = _homodyne_step(
+        cov, means, b, 0,
+        xi=-outcomes[:, 0] / root2 if fixed else None,
+        draws=None if fixed else draws[:, 0],
+    )
+    a_shifted = a if a < b else a - 1
+    cov, means, xi_p = _homodyne_step(
+        cov, means, a_shifted, 1,
+        xi=outcomes[:, 1] / root2 if fixed else None,
+        draws=None if fixed else draws[:, 1],
+        keep_rest=n > 2,
+    )
+    return np.column_stack([-root2 * xi_x, root2 * xi_p]), cov, means
+
+
 def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementRecord:
     """Bell measurement of x_a - x_b and p_a + p_b on the mode pair (a, b).
 
@@ -210,33 +276,14 @@ def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementR
         raise DimensionMismatch("bell measurement needs two distinct modes")
     if min(a, b) < 0 or max(a, b) >= state.modes:
         raise DimensionMismatch(f"pair {pair} outside 0..{state.modes - 1}")
-    rng = np.random.default_rng(seed) if outcome is None else None
-
-    # balanced beamsplitter: mode a -> (r_a + r_b)/sqrt2, mode b -> (r_b - r_a)/sqrt2
-    mixed = apply_symplectic(state, embed(beamsplitter(0.5), (a, b), state.modes))
-
-    spec_x = DyneSpec(modes=(b,), kind=DyneKind.HOMODYNE_X)
     if outcome is None:
-        rec_x = sample_outcome(mixed, spec_x, rng)
-        xi_x = float(rec_x.outcome[0])
-        after_x = rec_x.conditioned_state
+        draws = np.random.default_rng(seed).standard_normal((1, 2))
+        forced = None
     else:
-        xi_x = -float(outcome[0]) / np.sqrt(2.0)
-        after_x = condition(mixed, spec_x, [xi_x])
-
-    a_shifted = a if a < b else a - 1
-    spec_p = DyneSpec(modes=(a_shifted,), kind=DyneKind.HOMODYNE_P)
-    consumed = after_x.modes == 1  # the pair was the entire state
-    if outcome is None:
-        rec_p = sample_outcome(after_x, spec_p, rng)
-        xi_p = float(rec_p.outcome[0])
-        final = rec_p.conditioned_state
-    else:
-        xi_p = float(outcome[1]) / np.sqrt(2.0)
-        final = None if consumed else condition(after_x, spec_p, [xi_p])
-
-    x_d = -np.sqrt(2.0) * xi_x
-    p_d = np.sqrt(2.0) * xi_p
+        draws = None
+        forced = np.array([[float(outcome[0]), float(outcome[1])]])
+    rec, cov, means = _bell_step(state.cov, state.mean[None, :], (a, b),
+                                 draws=draws, outcomes=forced)
 
     m = np.zeros((2, 2 * state.modes))
     m[0, 2 * a] = 1.0
@@ -244,8 +291,7 @@ def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementR
     m[1, 2 * a + 1] = 1.0
     m[1, 2 * b + 1] = 1.0
     return MeasurementRecord(
-        outcome=np.array([x_d, p_d]),
+        outcome=rec[0],
         observable_map=m,
-        conditioned_state=final,
+        conditioned_state=None if cov is None else GaussianState(mean=means[0], cov=cov),
     )
-

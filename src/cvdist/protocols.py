@@ -5,8 +5,8 @@ distillation.
 prepare the channel's Choi state, Bell-measure each input mode against the
 corresponding Choi input mode, and undo the outcome-dependent displacement.
 For Gaussian inputs the corrected output must match the closed-form channel
-action for every sampled outcome; the run records the worst deviations so the
-equivalence can be asserted.
+action, covariance and mean, for every sampled outcome; the run records the
+worst deviations so the equivalence can be asserted.
 
 ``build_fig2`` implements the optimal two-copy distillation layout: local
 two-mode symplectics on each party's pair of modes, eight-port homodyne
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .channels import GaussianChannel, apply as apply_channel, conditional_output_mean
+from .channels import GaussianChannel, apply as apply_channel, conditional_displacement
 from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
-from .errors import DimensionMismatch, NotPure, NotThreeMode
-from .measurements import DyneKind, DyneSpec, bell_measure, condition, sample_outcome
+from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
+from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
 from .states import GaussianState, apply_symplectic, tensor
 from .symplectic import mode_permutation, williamson
 
@@ -49,9 +49,12 @@ _FIG2_SPEC = DyneSpec(modes=(1, 3), kind=DyneKind.HETERODYNE)
 class Fig1Run:
     """Record of a teleportation-equivalence run.
 
-    ``max_cov_deviation`` and ``max_mean_abs`` are worst cases over all
-    sampled outcomes of |corrected cov - reference cov| and of the corrected
-    mean's distance from the reference mean.
+    ``max_cov_deviation`` and ``max_mean_deviation`` are worst cases over all
+    sampled outcomes of |corrected cov - reference cov| and |corrected mean -
+    reference mean|, the reference being the closed-form channel action.
+    The conditioned covariance does not depend on the outcome, so it is
+    computed once per run and shared by every sample; ``corrected_output``
+    is the last sample's state.
     """
 
     channel: GaussianChannel
@@ -60,7 +63,7 @@ class Fig1Run:
     corrected_output: GaussianState
     reference_output: GaussianState
     max_cov_deviation: float  # worst |corrected cov - closed-form cov|
-    max_mean_abs: float  # worst |corrected mean|; the protocol zeroes it
+    max_mean_deviation: float  # worst |corrected mean - closed-form mean|
 
 
 def run_fig1(
@@ -73,44 +76,47 @@ def run_fig1(
     """Simulate the deterministic teleportation protocol for ``channel``.
 
     Per sample: tensor the input with the Choi state, Bell-measure every
-    (Choi input mode, input mode) pair, then subtract the conditional output
-    mean computed from the measurement record. The corrected output is
-    compared against the closed-form channel action.
+    (Choi input mode, input mode) pair, then subtract the outcome-dependent
+    displacement C^T (A + R Gamma R)^{-1} r_d. What remains must be the
+    closed-form channel action, covariance and mean.
+
+    The covariance updates, homodyne gains and outcome standard deviations
+    do not depend on the outcomes, so they are computed once per call; the
+    ``n_samples`` states are carried as one (n_samples, 2N) stack of means,
+    and the displacement is one solve against all outcomes. The normal
+    draws come from one ``standard_normal((n_samples, n_in, 2))`` call, the
+    same stream, in the same order, as one draw per homodyne per sample.
 
     ``correction_scale`` rescales the displacement correction and exists only
     as a negative control for verification tooling (1.0 is the protocol).
     """
+    if n_samples < 1:
+        raise ParamOutOfRange(f"n_samples must be >= 1, got {n_samples}")
     reference = apply_channel(channel, input_state)  # checks the input-mode count
     rng = np.random.default_rng(seed)
-    joint0 = tensor(input_state, channel.choi_state)
+    joint = tensor(input_state, channel.choi_state)
     n_in = channel.n_in
     choi_in = [n_in + m for m in channel.input_modes]
     choi_out = [n_in + m for m in channel.output_modes]
 
-    outcomes = []
-    corrected = None
-    max_cov = 0.0
-    max_mean = 0.0
-    for _ in range(n_samples):
-        state = joint0
-        live = list(range(joint0.modes))
-        r_d = np.empty(2 * n_in)
-        for j in range(n_in):
-            pair = (live.index(choi_in[j]), live.index(j))
-            rec = bell_measure(state, pair, rng)
-            state = rec.conditioned_state
-            r_d[2 * j:2 * j + 2] = rec.outcome
-            live.remove(choi_in[j])
-            live.remove(j)
-        # remaining modes are the Choi outputs, in Choi order
-        assert live == choi_out
-        correction = correction_scale * conditional_output_mean(
-            channel, input_state, r_d
+    draws = rng.standard_normal((n_samples, n_in, 2))
+    cov = joint.cov
+    means = np.broadcast_to(joint.mean, (n_samples, joint.mean.size))
+    outcomes = np.empty((n_samples, 2 * n_in))
+    live = list(range(joint.modes))
+    for j in range(n_in):
+        pair = (live.index(choi_in[j]), live.index(j))
+        outcomes[:, 2 * j:2 * j + 2], cov, means = _bell_step(
+            cov, means, pair, draws=draws[:, j]
         )
-        corrected = state.with_mean(state.mean - correction)
-        outcomes.append(r_d)
-        max_cov = max(max_cov, float(np.abs(corrected.cov - reference.cov).max()))
-        max_mean = max(max_mean, float(np.abs(corrected.mean).max()))
+        live.remove(choi_in[j])
+        live.remove(j)
+    # remaining modes are the Choi outputs, in Choi order
+    assert live == choi_out
+    means = means - correction_scale * conditional_displacement(
+        channel, input_state, outcomes
+    )
+    corrected = GaussianState(mean=means[-1], cov=cov)
 
     return Fig1Run(
         channel=channel,
@@ -118,8 +124,8 @@ def run_fig1(
         sampled_outcomes=tuple(outcomes),
         corrected_output=corrected,
         reference_output=reference,
-        max_cov_deviation=max_cov,
-        max_mean_abs=max_mean,
+        max_cov_deviation=float(np.abs(corrected.cov - reference.cov).max()),
+        max_mean_deviation=float(np.abs(means - reference.mean).max()),
     )
 
 

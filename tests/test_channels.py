@@ -117,6 +117,22 @@ def test_conditional_displacement_is_linear(a, b, ux, up, vx, vp):
     del state
 
 
+def test_conditional_displacement_accepts_a_stack(rng):
+    ch = GaussianChannel(
+        n_in=2, n_out=1,
+        choi_cov=random_state(3, rng, nu_spread=0.7, symplectic_scale=0.35).cov,
+    )
+    state = random_state(2, rng, mean_scale=0.5)
+    stack = rng.normal(size=(7, 4))
+    rows = np.array([conditional_displacement(ch, state, r) for r in stack])
+    assert conditional_displacement(ch, state, stack).shape == (7, 2)
+    assert np.abs(conditional_displacement(ch, state, stack) - rows).max() <= 1e-14
+    means = np.array([conditional_output_mean(ch, state, r) for r in stack])
+    assert np.abs(conditional_output_mean(ch, state, stack) - means).max() <= 1e-14
+    with pytest.raises(DimensionMismatch):
+        conditional_displacement(ch, state, rng.normal(size=(7, 2)))
+
+
 def test_conditional_output_mean_reduces_to_displacement(rng):
     ch = filter_channel(0.6)
     state = vacuum(1)  # zero mean

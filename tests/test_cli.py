@@ -115,6 +115,37 @@ def test_fig1_verify_pass_and_negative_control(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_fig1_verify_reports_mean_deviation(tmp_path, capsys):
+    ch = tmp_path / "ch.json"
+    st = tmp_path / "st.json"
+    report = tmp_path / "report.json"
+    run_cli(["channel", "make", "--kind", "attenuation", "--eta", "0.4",
+             "--out", str(ch)])
+    st.write_text(GaussianState(mean=[0.7, -0.3], cov=np.eye(2)).to_json())
+    assert run_cli(["fig1", "verify", "--channel", str(ch), "--state", str(st),
+                    "--samples", "10", "--seed", "7", "--out", str(report)]) == 0
+    assert "max mean deviation:" in capsys.readouterr().out
+    payload = json.loads(report.read_text())
+    assert payload["pass"] is True
+    assert payload["max_mean_deviation"] <= 1e-9
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fig1", "verify", "--channel", "c.json", "--state", "s.json",
+      "--samples", "0"], "--samples"),
+    (["fig1", "verify", "--channel", "c.json", "--state", "s.json",
+      "--samples", "-4"], "--samples"),
+    (["nogo", "--rs", "0.5", "--starts", "-3", "--budget", "5"], "--starts"),
+    (["nogo", "--rs", "0.5", "--starts", "2", "--budget", "-5"], "--budget"),
+    (["nogo", "--rs", "0.5", "--starts", "2", "--budget", "0"], "--budget"),
+])
+def test_non_positive_counts_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
 def test_fig2_run(tmp_path, capsys):
     out = tmp_path / "transcript.json"
     assert run_cli(["fig2", "run", "--r", "0.4", "--out", str(out)]) == 0
