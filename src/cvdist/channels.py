@@ -6,14 +6,16 @@ covariance matrix of its Choi state, partitioned into blocks
     Gamma = [[A, C], [C^T, B]]
 
 with A on the input modes, B on the output modes and C the input-output
-correlations. Acting on an input state with covariance G the output is
+correlations. The action on an input state (covariance G, mean d) is
+general-dyne conditioning of the Choi input modes, by the same update as every
+measurement in :mod:`cvdist.measurements`, with detection noise R G R and
+outcome R d (R = diag(1, -1, ...) transposes the input modes):
 
-    Gamma_out = B - C^T (A + R G R)^{-1} C
+    Gamma_out = B - C^T (A + R G R)^{-1} C,
+    d_out     = m_B + C^T (A + R G R)^{-1} (R d - m_A).
 
-where R = diag(1, -1, ...) is the phase-space transposition of the input
-modes. Conditioned on a Bell measurement outcome r_d, the output picks up the
-displacement C^T (A + R G R)^{-1} r_d; subtracting it leaves the channel's own
-action on the mean, m_B + C^T (A + R G R)^{-1} (R d - m_A).
+A Bell outcome r_d adds to the dyne outcome: the output picks up the
+displacement C^T (A + R G R)^{-1} r_d.
 
 Normalization (success probability of trace-decreasing maps) is not tracked:
 at covariance level the probabilistic and deterministic versions of a map act
@@ -37,12 +39,22 @@ from .errors import (
     ParamOutOfRange,
     SingularConditioning,
 )
+from .measurements import _gaussian_update
 from .states import PHYSICALITY_TOL, GaussianState, tmsv
 from .symplectic import omega, quad_indices, symplectic_eigenvalues
 
 #: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
 MIN_SINGULAR_VALUE = 1e-12
 MAX_CONDITION_NUMBER = 1e12
+
+#: min eig(Gamma + i Omega) of a Choi state may reach -(PHYSICALITY_TOL + this
+#: * dim * max|Gamma|): eigvalsh errs in proportion to the norm, and near-ideal
+#: Choi states have entries ~e^{2 r_approx} on the pure-state boundary.
+CHOI_PHYSICALITY_RTOL = 1e-13
+
+#: Most negative eigenvalue accepted in an LOCC witness's noise matrix: a
+#: PSD G G^T rounds to about -1e-16 |G|^2, while below this it is invalid.
+WITNESS_NOISE_TOL = 1e-10
 
 
 def _transposition_signs(n_modes: int) -> np.ndarray:
@@ -69,7 +81,8 @@ def _require_physical_choi(cov: np.ndarray) -> None:
     n = cov.shape[0] // 2
     herm = cov + 1j * omega(n)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
-    tol = 1e-9 + 1e-13 * cov.shape[0] * float(np.abs(cov).max())
+    scale = cov.shape[0] * float(np.abs(cov).max())
+    tol = PHYSICALITY_TOL + CHOI_PHYSICALITY_RTOL * scale
     if min_eig < -tol:
         raise NotPhysical(
             f"Choi covariance violates Gamma + i Omega >= 0 "
@@ -145,18 +158,8 @@ class GaussianChannel:
         return self.choi_cov[np.ix_(q, q)]
 
     @property
-    def c_block(self) -> np.ndarray:
-        return self.choi_cov[np.ix_(self._in_q(), self._out_q())]
-
-    @property
     def choi_state(self) -> GaussianState:
         return GaussianState(mean=self.choi_mean, cov=self.choi_cov)
-
-    def mean_in(self) -> np.ndarray:
-        return self.choi_mean[self._in_q()]
-
-    def mean_out(self) -> np.ndarray:
-        return self.choi_mean[self._out_q()]
 
     # -- serialization --------------------------------------------------------
 
@@ -192,26 +195,41 @@ class GaussianChannel:
 # ---------------------------------------------------------------------------
 
 
-def _conditioning_matrix(ch: GaussianChannel, state: GaussianState):
-    """(A + R Gamma R) and the signs of R, for a state that fits the channel.
+def _choi_dyne(ch: GaussianChannel, state: GaussianState):
+    """V = A + R Gamma R and the outcome R d of the channel's action on ``state``.
 
-    This is the one place the channel action checks the input-mode count, and
-    it refuses matrices too ill-conditioned to solve against.
+    This is the one place the channel action checks the input-mode count,
+    and it refuses V too ill-conditioned to solve against.
     """
     if state.modes != ch.n_in:
         raise DimensionMismatch(
             f"channel expects {ch.n_in} input modes, state has {state.modes}"
         )
     r = _transposition_signs(ch.n_in)
-    m = ch.a_block + state.cov * np.outer(r, r)
-    sv = np.linalg.svd(m, compute_uv=False)
+    v = ch.a_block + state.cov * np.outer(r, r)
+    sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] < MIN_SINGULAR_VALUE or sv[0] / sv[-1] > MAX_CONDITION_NUMBER:
         raise SingularConditioning(
             f"conditioning matrix has smallest singular value {sv[-1]:.3e} "
             f"(condition number {sv[0] / sv[-1]:.3e}); the channel is "
             "over-idealized, increase the approximation squeezing"
         )
-    return m, r
+    return v, r * state.mean
+
+
+def _condition_choi(ch: GaussianChannel, v, outcome, r_d=()):
+    """Condition the Choi inputs once for the action and every Bell outcome.
+
+    One update over the stacked outcomes [R d; r_d], with Choi means
+    [m; 0, ...], gives the output covariance, the output mean (row 0) and the
+    displacements C^T (A + R Gamma R)^{-1} r_d (the other rows, shaped as r_d).
+    """
+    stack = np.reshape(r_d, (-1, outcome.size))
+    means = np.zeros((1 + len(stack), ch.choi_mean.size))
+    means[0] = ch.choi_mean
+    _, cov, out = _gaussian_update(ch.choi_cov, means, ch._out_q(), ch._in_q(), v,
+                                   outcomes=np.vstack([outcome, stack]))
+    return cov, out[0], out[1:].reshape(np.shape(r_d)[:-1] + (-1,))
 
 
 def _bell_outcome(ch: GaussianChannel, r_d) -> np.ndarray:
@@ -230,12 +248,8 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     The mean propagates as m_B + C^T (A + R Gamma R)^{-1} (R d - m_A), which
     is zero for zero channel displacement and zero input mean.
     """
-    m, r = _conditioning_matrix(ch, state)
-    c = ch.c_block
-    solved = np.linalg.solve(m, np.column_stack([c, r * state.mean - ch.mean_in()]))
-    cov_out = ch.b_block - c.T @ solved[:, :-1]
-    mean_out = ch.mean_out() + c.T @ solved[:, -1]
-    return GaussianState(mean=mean_out, cov=(cov_out + cov_out.T) / 2.0)
+    cov, mean, _ = _condition_choi(ch, *_choi_dyne(ch, state))
+    return GaussianState(mean=mean, cov=cov)
 
 
 def conditional_displacement(
@@ -248,8 +262,7 @@ def conditional_displacement(
     is (K, 2 n_out).
     """
     r_d = _bell_outcome(ch, r_d)
-    m, _ = _conditioning_matrix(ch, state)
-    return np.linalg.solve(m, r_d.T).T @ ch.c_block
+    return _condition_choi(ch, *_choi_dyne(ch, state), r_d)[2]
 
 
 def conditional_output_mean(
@@ -263,9 +276,8 @@ def conditional_output_mean(
     stack of outcomes as :func:`conditional_displacement` does.
     """
     r_d = _bell_outcome(ch, r_d)
-    m, r = _conditioning_matrix(ch, state)
-    rhs = r * state.mean + r_d - ch.mean_in()
-    return ch.mean_out() + np.linalg.solve(m, rhs.T).T @ ch.c_block
+    _, mean, shift = _condition_choi(ch, *_choi_dyne(ch, state), r_d)
+    return mean + shift
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +397,7 @@ def make_separable_channel(spec: LoccChannelSpec) -> GaussianChannel:
     if spec.noise.shape != (2 * n, 2 * n):
         raise NotPhysicalWitness(f"noise shape {spec.noise.shape} != {(2 * n, 2 * n)}")
     y_min = float(np.linalg.eigvalsh((spec.noise + spec.noise.T) / 2.0)[0])
-    if y_min < -1e-10:
+    if y_min < -WITNESS_NOISE_TOL:
         raise NotPhysicalWitness(f"noise matrix has eigenvalue {y_min:.3e} < 0")
 
     cov = (spec.noise + spec.noise.T) / 2.0

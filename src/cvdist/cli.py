@@ -59,6 +59,11 @@ from .states import GaussianState, thermal, tmsv, vacuum
 #: Fixed default seed so default invocations are reproducible.
 DEFAULT_SEED = 20120521
 
+#: ``fig1 verify`` pass bound on the corrected covariance and mean: rounding
+#: stays near 1e-11 even at r_approx = 6 (entries ~e^12), while a 10% error
+#: in the correction gain shows near 1e-2.
+FIG1_TOL = 1e-9
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNPHYSICAL = 3
@@ -187,7 +192,7 @@ def _cmd_fig1_verify(args) -> int:
     state = _load_state(args.state)
     run = run_fig1(ch, state, args.samples, np.random.default_rng(args.seed),
                    correction_scale=args.corrupt_correction_gain)
-    ok = run.max_cov_deviation < 1e-9 and run.max_mean_deviation < 1e-9
+    ok = run.max_cov_deviation < FIG1_TOL and run.max_mean_deviation < FIG1_TOL
     print(f"samples: {args.samples}")
     print(f"max covariance deviation: {run.max_cov_deviation:.3e}")
     print(f"max mean deviation:       {run.max_mean_deviation:.3e}")

@@ -9,13 +9,20 @@ Supported measurements on a subset of modes:
   restricted to the measured quadrature,
 * general dyne with an arbitrary physical measurement covariance,
 * the Bell measurement of a mode pair (x difference and p sum), realized as a
-  balanced beamsplitter followed by two homodyne detectors.
+  balanced beamsplitter followed by homodyne x on one output and homodyne p
+  on the other, taken together as one two-quadrature homodyne.
 
-Outcome statistics live in probability units: the covariance of the sampled
-outcomes is (M Gamma M^T)/2 plus the detection noise (I/2 per heterodyne
-pair, Gamma_m/2 for general dyne, nothing for ideal homodyne), because Gamma
-doubles the covariance. All conditioning formulas are independent of that
-factor.
+All of them, and the channel action in :mod:`cvdist.channels`, go through
+one update (``_gaussian_update``). With b the measured quadratures, a the
+kept ones and V = Gamma_bb + N (N = I per heterodyne mode, Gamma_m for
+general dyne, 0 for ideal homodyne):
+
+    Gamma' = Gamma_aa - Gamma_ab V^{-1} Gamma_ab^T,
+    d'     = d_a + Gamma_ab V^{-1} (outcome - d_b).
+
+Outcome statistics live in probability units: the outcomes are distributed
+as N(d_b, V/2), because Gamma doubles the covariance. The conditioning
+formulas are independent of that factor.
 """
 
 from __future__ import annotations
@@ -29,12 +36,19 @@ from .errors import DegenerateQuadrature, DimensionMismatch, NotPhysical
 from .states import PHYSICALITY_TOL, GaussianState
 from .symplectic import beamsplitter, embed, quad_indices, symplectic_eigenvalues
 
+#: Measured quadrature variance below which ideal homodyne conditioning is
+#: refused: the gain divides by it, so rounding would grow by over 1e12.
+DEGENERATE_VARIANCE = 1e-12
+
 
 class DyneKind(enum.Enum):
     HETERODYNE = "heterodyne"
     HOMODYNE_X = "homodyne_x"
     HOMODYNE_P = "homodyne_p"
     GENERAL = "general_dyne"
+
+
+_HOMODYNES = (DyneKind.HOMODYNE_X, DyneKind.HOMODYNE_P)
 
 
 @dataclass(frozen=True)
@@ -75,9 +89,7 @@ class DyneSpec:
                 raise NotPhysical("gamma_m must be a physical covariance matrix")
 
     def outcome_dim(self) -> int:
-        if self.kind in (DyneKind.HETERODYNE, DyneKind.GENERAL):
-            return 2 * len(self.modes)
-        return len(self.modes)
+        return len(self.modes) if self.kind in _HOMODYNES else 2 * len(self.modes)
 
 
 @dataclass(frozen=True)
@@ -94,39 +106,61 @@ class MeasurementRecord:
     conditioned_state: GaussianState | None
 
 
-def _split_indices(state: GaussianState, modes):
-    keep_modes = [m for m in range(state.modes) if m not in set(modes)]
-    return quad_indices(keep_modes), quad_indices(modes)
+def _require_resolvable(variance) -> None:
+    """Refuse to condition on a measured variance below DEGENERATE_VARIANCE."""
+    if variance < DEGENERATE_VARIANCE:
+        raise DegenerateQuadrature("measured quadrature variance below "
+                                   f"{DEGENERATE_VARIANCE:g}; conditioning is singular")
 
 
-def _measured_rows(spec: DyneSpec) -> np.ndarray:
-    """Row indices (within the measured block) that carry the outcome."""
-    m = len(spec.modes)
-    if spec.kind is DyneKind.HOMODYNE_X:
-        return np.arange(0, 2 * m, 2)
-    if spec.kind is DyneKind.HOMODYNE_P:
-        return np.arange(1, 2 * m, 2)
-    return np.arange(2 * m)
+def _gaussian_update(cov, means, keep, meas, v, outcomes=None, draws=None):
+    """Measure quadratures ``meas`` of K states that share ``cov``.
+
+    ``means`` is a (K, 2N) stack and ``v`` = cov[meas, meas] + N. Pass
+    ``outcomes`` (K, len(meas)) to condition on them, or standard normal
+    ``draws`` of that shape to sample them from N(means[:, meas], v / 2).
+    One solve serves all K. Returns the outcomes, then the covariance and
+    (K, len(keep)) means of quadratures ``keep`` (None if nothing is kept).
+    """
+    mean_b = means[:, meas]
+    if outcomes is None:
+        # the tiny jitter keeps an exactly zero measured variance factorable
+        chol = np.linalg.cholesky(v / 2.0 + 1e-300 * np.eye(len(meas)))
+        outcomes = mean_b + draws @ chol.T
+    if len(keep) == 0:
+        return outcomes, None, None
+    cross = cov[np.ix_(keep, meas)]
+    gain = np.linalg.solve(v, cross.T).T
+    cov_out = cov[np.ix_(keep, keep)] - gain @ cross.T
+    means_out = means[:, keep] + (outcomes - mean_b) @ gain.T
+    return outcomes, (cov_out + cov_out.T) / 2.0, means_out
+
+
+def _dyne_blocks(state: GaussianState, spec: DyneSpec):
+    """Kept and measured quadratures of a validated ``spec``, and V = Gamma_bb + N."""
+    keep = quad_indices(np.setdiff1d(np.arange(state.modes), spec.modes))
+    meas = quad_indices(spec.modes)
+    if spec.kind in _HOMODYNES:
+        meas = meas[0::2] if spec.kind is DyneKind.HOMODYNE_X else meas[1::2]
+    v = state.cov[np.ix_(meas, meas)]
+    if spec.kind is DyneKind.HETERODYNE:
+        v = v + np.eye(meas.size)
+    elif spec.kind is DyneKind.GENERAL:
+        v = v + spec.gamma_m
+    return keep, meas, v
 
 
 def observable_map(state: GaussianState, spec: DyneSpec) -> np.ndarray:
     """Selector matrix M with m = M r for the measured observables."""
     spec.validate_for(state)
-    _, q_meas = _split_indices(state, spec.modes)
-    rows = q_meas[_measured_rows(spec)]
-    m = np.zeros((rows.size, 2 * state.modes))
-    m[np.arange(rows.size), rows] = 1.0
-    return m
+    return np.eye(2 * state.modes)[_dyne_blocks(state, spec)[1]]
 
 
 def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     """State of the unmeasured modes conditioned on a dyne outcome.
 
-    Heterodyne / general dyne on block b:
-        Gamma' = Gamma_a - Gamma_ab (Gamma_b + N)^{-1} Gamma_ab^T,  N = I or
-        Gamma_m, with the mean shifted by the same gain applied to
-        (outcome - mean_b). Ideal homodyne uses the exact rank-deficient
-        form: the inverse is restricted to the measured quadrature(s).
+    The update of the module docstring; ideal homodyne has no noise to
+    regularize V, so a (nearly) singular V raises DegenerateQuadrature.
     """
     spec.validate_for(state)
     if len(spec.modes) == state.modes:
@@ -136,45 +170,19 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
         raise DimensionMismatch(
             f"outcome length {outcome.size} != {spec.outcome_dim()}"
         )
-    q_keep, q_meas = _split_indices(state, spec.modes)
-    cov_aa = state.cov[np.ix_(q_keep, q_keep)]
-    cov_ab = state.cov[np.ix_(q_keep, q_meas)]
-    cov_bb = state.cov[np.ix_(q_meas, q_meas)]
-    mean_a = state.mean[q_keep]
-    mean_b = state.mean[q_meas]
-
-    if spec.kind in (DyneKind.HETERODYNE, DyneKind.GENERAL):
-        noise = np.eye(cov_bb.shape[0]) if spec.kind is DyneKind.HETERODYNE \
-            else spec.gamma_m
-        gain = np.linalg.solve((cov_bb + noise).T, cov_ab.T).T
-        cov_out = cov_aa - gain @ cov_ab.T
-        mean_out = mean_a + gain @ (outcome - mean_b)
-    else:
-        sel = _measured_rows(spec)
-        v = cov_bb[np.ix_(sel, sel)]
-        if np.linalg.eigvalsh(v)[0] < 1e-12:
-            raise DegenerateQuadrature(
-                "measured quadrature variance below 1e-12; conditioning is singular"
-            )
-        cross = cov_ab[:, sel]
-        gain = np.linalg.solve(v.T, cross.T).T
-        cov_out = cov_aa - gain @ cross.T
-        mean_out = mean_a + gain @ (outcome - mean_b[sel])
-
-    return GaussianState(mean=mean_out, cov=(cov_out + cov_out.T) / 2.0)
+    keep, meas, v = _dyne_blocks(state, spec)
+    if spec.kind in _HOMODYNES:
+        _require_resolvable(np.linalg.eigvalsh(v)[0])
+    _, cov, means = _gaussian_update(state.cov, state.mean[None, :], keep, meas, v,
+                                     outcomes=outcome[None, :])
+    return GaussianState(mean=means[0], cov=cov)
 
 
 def outcome_law(state: GaussianState, spec: DyneSpec):
     """Mean and covariance (probability units) of the outcome distribution."""
     spec.validate_for(state)
-    m = observable_map(state, spec)
-    mean = m @ state.mean
-    cov = (m @ state.cov @ m.T) / 2.0
-    if spec.kind is DyneKind.HETERODYNE:
-        cov = cov + np.eye(cov.shape[0]) / 2.0
-    elif spec.kind is DyneKind.GENERAL:
-        cov = cov + spec.gamma_m / 2.0
-    return mean, cov
+    _, meas, v = _dyne_blocks(state, spec)
+    return state.mean[meas], v / 2.0
 
 
 def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRecord:
@@ -183,55 +191,29 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     Deterministic for a fixed seed; pass a Generator to chain several draws.
     """
     rng = np.random.default_rng(seed)
-    mean, cov = outcome_law(state, spec)
-    chol = np.linalg.cholesky(cov + 1e-300 * np.eye(cov.shape[0]))
-    outcome = mean + chol @ rng.standard_normal(mean.size)
-    remaining = len(spec.modes) < state.modes
+    spec.validate_for(state)
+    keep, meas, v = _dyne_blocks(state, spec)
+    draws = rng.standard_normal((1, meas.size))
+    if len(keep) and spec.kind in _HOMODYNES:
+        _require_resolvable(np.linalg.eigvalsh(v)[0])
+    outcome, cov, means = _gaussian_update(state.cov, state.mean[None, :], keep, meas,
+                                           v, draws=draws)
     return MeasurementRecord(
-        outcome=outcome,
-        observable_map=observable_map(state, spec),
-        conditioned_state=condition(state, spec, outcome) if remaining else None,
+        outcome=outcome[0],
+        observable_map=np.eye(2 * state.modes)[meas],
+        conditioned_state=None if cov is None else GaussianState(mean=means[0], cov=cov),
     )
-
-
-def _homodyne_step(cov, means, mode: int, quad: int, xi=None, draws=None,
-                   keep_rest: bool = True):
-    """Homodyne of quadrature ``quad`` (0 = x, 1 = p) of ``mode``.
-
-    ``means`` is a (K, 2N) stack of states that share ``cov``. Outcomes are
-    ``xi`` (K,) if given, else the mean plus the outcome's standard deviation
-    times ``draws`` (K,). The covariance update and the gain do not depend on
-    the outcome, so they are computed once and all K means move by array
-    arithmetic. Returns (cov, means, xi) of the remaining modes, with
-    cov = means = None when ``keep_rest`` is false.
-    """
-    i = 2 * mode + quad
-    var = cov[i, i]
-    if keep_rest and var < 1e-12:
-        raise DegenerateQuadrature(
-            "measured quadrature variance below 1e-12; conditioning is singular"
-        )
-    if xi is None:
-        # probability-unit variance var / 2 plus the jitter sample_outcome adds
-        xi = means[:, i] + np.sqrt(var / 2.0 + 1e-300) * draws
-    if not keep_rest:
-        return None, None, xi
-    keep = np.delete(np.arange(cov.shape[0]), [2 * mode, 2 * mode + 1])
-    cross = cov[keep, i]
-    gain = cross / var
-    cov_out = cov[np.ix_(keep, keep)] - np.outer(gain, cross)
-    means_out = means[:, keep] + np.outer(xi - means[:, i], gain)
-    return (cov_out + cov_out.T) / 2.0, means_out, xi
 
 
 def _bell_step(cov, means, pair, draws=None, outcomes=None):
     """Bell measurement of ``pair`` on K states that share one covariance.
 
-    ``means`` is a (K, 2N) stack. Pass standard normal ``draws`` (K, 2), one
-    for the x and one for the p homodyne of each state, to sample; or
-    ``outcomes`` (K, 2) of (x_d, p_d) to condition on chosen values. Returns
-    the (K, 2) outcomes, then the covariance and (K, 2N - 4) means of the
-    remaining modes (both None when the pair was the whole state).
+    ``means`` is a (K, 2N) stack. Pass standard normal ``draws`` (K, 2) to
+    sample, or ``outcomes`` (K, 2) of (x_d, p_d) to condition on them. After
+    the beamsplitter, x of b and p of a are one two-quadrature homodyne, whose
+    Cholesky factor reproduces homodyne x then homodyne p, draw for draw.
+    Returns the (K, 2) outcomes and what ``_gaussian_update`` returns for the
+    remaining modes.
     """
     a, b = pair
     n = cov.shape[0] // 2
@@ -241,23 +223,22 @@ def _bell_step(cov, means, pair, draws=None, outcomes=None):
     cov = (cov + cov.T) / 2.0
     means = means @ s.T
 
-    root2 = np.sqrt(2.0)
-    fixed = outcomes is not None
+    meas = np.array([2 * b, 2 * a + 1])
+    keep = np.delete(np.arange(2 * n), [2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
+    v = cov[np.ix_(meas, meas)]
+    # the Cholesky pivots of v: the x variance, then the p variance given x;
+    # the latter only matters when modes remain to be conditioned
+    _require_resolvable(v[0, 0])
+    if n > 2:
+        _require_resolvable(v[1, 1] - v[0, 1] ** 2 / v[0, 0])
     # the raw homodyne readings carry a 1/sqrt(2) from the beamsplitter, and
     # the x reading a sign
-    cov, means, xi_x = _homodyne_step(
-        cov, means, b, 0,
-        xi=-outcomes[:, 0] / root2 if fixed else None,
-        draws=None if fixed else draws[:, 0],
+    scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)])
+    raw, cov, means = _gaussian_update(
+        cov, means, keep, meas, v,
+        outcomes=None if outcomes is None else outcomes / scale, draws=draws,
     )
-    a_shifted = a if a < b else a - 1
-    cov, means, xi_p = _homodyne_step(
-        cov, means, a_shifted, 1,
-        xi=outcomes[:, 1] / root2 if fixed else None,
-        draws=None if fixed else draws[:, 1],
-        keep_rest=n > 2,
-    )
-    return np.column_stack([-root2 * xi_x, root2 * xi_p]), cov, means
+    return raw * scale, cov, means
 
 
 def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementRecord:
@@ -277,19 +258,14 @@ def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementR
     if min(a, b) < 0 or max(a, b) >= state.modes:
         raise DimensionMismatch(f"pair {pair} outside 0..{state.modes - 1}")
     if outcome is None:
-        draws = np.random.default_rng(seed).standard_normal((1, 2))
-        forced = None
+        draws, forced = np.random.default_rng(seed).standard_normal((1, 2)), None
     else:
-        draws = None
-        forced = np.array([[float(outcome[0]), float(outcome[1])]])
+        draws, forced = None, np.array([[float(outcome[0]), float(outcome[1])]])
     rec, cov, means = _bell_step(state.cov, state.mean[None, :], (a, b),
                                  draws=draws, outcomes=forced)
 
     m = np.zeros((2, 2 * state.modes))
-    m[0, 2 * a] = 1.0
-    m[0, 2 * b] = -1.0
-    m[1, 2 * a + 1] = 1.0
-    m[1, 2 * b + 1] = 1.0
+    m[[0, 0, 1, 1], [2 * a, 2 * b, 2 * a + 1, 2 * b + 1]] = [1.0, -1.0, 1.0, 1.0]
     return MeasurementRecord(
         outcome=rec[0],
         observable_map=m,

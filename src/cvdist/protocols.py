@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .channels import GaussianChannel, apply as apply_channel, conditional_displacement
+from .channels import GaussianChannel, _choi_dyne, _condition_choi
 from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
@@ -80,11 +80,10 @@ def run_fig1(
     displacement C^T (A + R Gamma R)^{-1} r_d. What remains must be the
     closed-form channel action, covariance and mean.
 
-    The covariance updates, homodyne gains and outcome standard deviations
-    do not depend on the outcomes, so they are computed once per call; the
-    ``n_samples`` states are carried as one (n_samples, 2N) stack of means,
-    and the displacement is one solve against all outcomes. The normal
-    draws come from one ``standard_normal((n_samples, n_in, 2))`` call, the
+    Only the means depend on the outcomes, so each Bell step, and the Choi
+    conditioning that gives the closed-form reference and every sample's
+    displacement, runs once per call on an (n_samples, 2N) stack of means.
+    The normals come from one ``standard_normal((n_samples, n_in, 2))``: the
     same stream, in the same order, as one draw per homodyne per sample.
 
     ``correction_scale`` rescales the displacement correction and exists only
@@ -92,7 +91,7 @@ def run_fig1(
     """
     if n_samples < 1:
         raise ParamOutOfRange(f"n_samples must be >= 1, got {n_samples}")
-    reference = apply_channel(channel, input_state)  # checks the input-mode count
+    dyne = _choi_dyne(channel, input_state)  # checks the input-mode count
     rng = np.random.default_rng(seed)
     joint = tensor(input_state, channel.choi_state)
     n_in = channel.n_in
@@ -113,9 +112,10 @@ def run_fig1(
         live.remove(j)
     # remaining modes are the Choi outputs, in Choi order
     assert live == choi_out
-    means = means - correction_scale * conditional_displacement(
-        channel, input_state, outcomes
-    )
+
+    ref_cov, ref_mean, shifts = _condition_choi(channel, *dyne, outcomes)
+    reference = GaussianState(mean=ref_mean, cov=ref_cov)
+    means = means - correction_scale * shifts
     corrected = GaussianState(mean=means[-1], cov=cov)
 
     return Fig1Run(

@@ -143,6 +143,21 @@ def test_sample_outcome_deterministic_for_fixed_seed(rng):
     assert np.array_equal(rec1.conditioned_state.cov, rec2.conditioned_state.cov)
 
 
+@pytest.mark.parametrize("call", [
+    lambda st, sp: condition(st, sp, [0.1, -0.2]),
+    lambda st, sp: outcome_law(st, sp),
+    lambda st, sp: observable_map(st, sp),
+    lambda st, sp: sample_outcome(st, sp, 5),
+], ids=["condition", "outcome_law", "observable_map", "sample_outcome"])
+def test_public_calls_validate_the_spec_once(monkeypatch, call):
+    calls = []
+    validate = DyneSpec.validate_for
+    monkeypatch.setattr(DyneSpec, "validate_for",
+                        lambda self, state: calls.append(1) or validate(self, state))
+    call(tmsv(0.3), HET1)
+    assert len(calls) == 1
+
+
 def test_record_observable_map():
     m = observable_map(tmsv(0.3), HOMX1)
     assert m.shape == (1, 4)
@@ -204,6 +219,30 @@ def test_bell_forced_outcome():
     assert np.array_equal(rec.conditioned_state.cov, rec2.conditioned_state.cov)
 
 
+def _squeezed_pair(r, third_mode):
+    """Vacuum with both modes of the Bell pair squeezed by ``squeezer(r)``."""
+    n = 3 if third_mode else 2
+    state = vacuum(n)
+    for mode in (0, 1):
+        state = apply_symplectic(state, embed(squeezer(r), (mode,), n))
+    return state
+
+
+@pytest.mark.parametrize("r, third_mode", [(-14.5, True), (-14.5, False), (14.5, True)],
+                         ids=["x-diff-three-modes", "x-diff-pair-only", "p-sum-three-modes"])
+def test_bell_degenerate_quadrature_raises(r, third_mode):
+    # x squeezing makes x_a - x_b degenerate, p squeezing p_a + p_b
+    with pytest.raises(DegenerateQuadrature):
+        bell_measure(_squeezed_pair(r, third_mode), (0, 1), 1)
+
+
+def test_bell_degenerate_p_sum_samples_when_pair_is_whole_state():
+    # nothing remains to condition, so the degenerate p sum is only sampled
+    rec = bell_measure(_squeezed_pair(14.5, False), (0, 1), 1)
+    assert rec.conditioned_state is None
+    assert np.isfinite(rec.outcome).all()
+
+
 def test_bell_rejects_bad_pairs():
     with pytest.raises(DimensionMismatch):
         bell_measure(tmsv(0.3), (0, 0), 1)
@@ -236,6 +275,17 @@ def test_oracle_homodyne(rng):
         out = oracle_condition(state, spec, outcome)
         assert np.abs(out.cov - ref.cov).max() <= 1e-6
         assert np.abs(out.mean - ref.mean).max() <= 1e-6
+
+
+def test_oracle_general_dyne(rng):
+    state = random_state(2, rng, nu_spread=1.0, symplectic_scale=0.4, mean_scale=0.4)
+    gamma_m = random_state(1, rng, nu_spread=0.8, symplectic_scale=0.5).cov
+    spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=gamma_m)
+    outcome = rng.normal(0.0, 0.7, size=2)
+    ref = condition(state, spec, outcome)
+    out = oracle_condition(state, spec, outcome)
+    assert np.abs(out.cov - ref.cov).max() <= 1e-6
+    assert np.abs(out.mean - ref.mean).max() <= 1e-6
 
 
 def test_oracle_rejects_large_states(rng):

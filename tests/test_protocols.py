@@ -86,6 +86,16 @@ def test_fig1_corrupted_correction_is_detected(rng):
     assert run.max_mean_deviation > 1e-3  # negative control
 
 
+def test_fig1_checks_the_conditioning_matrix_once(rng, monkeypatch):
+    # the reference and every correction share one (A + R G R) and its check
+    ch, state = make_separable_channel(random_locc_spec(rng)), tmsv(0.5)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    run_fig1(ch, state, 10, rng)
+    assert len(calls) == 1
+
+
 def test_fig1_dimension_check(rng):
     with pytest.raises(DimensionMismatch):
         run_fig1(filter_channel(0.3), vacuum(2), 2, rng)

@@ -9,8 +9,9 @@ grid, independently of the closed-form Schur complements in
 import numpy as np
 
 from cvdist.errors import CvdistError, DimensionMismatch
-from cvdist.measurements import DyneKind, DyneSpec, _measured_rows, _split_indices
+from cvdist.measurements import DyneKind, DyneSpec
 from cvdist.states import GaussianState
+from cvdist.symplectic import quad_indices
 
 
 class TooManyModes(CvdistError):
@@ -91,14 +92,15 @@ def oracle_condition(
         )
 
     dim_total = 2 * state.modes
-    q_keep, q_meas = _split_indices(state, spec.modes)
+    q_keep = quad_indices([m for m in range(state.modes) if m not in spec.modes])
+    q_meas = quad_indices(spec.modes)
     prec = np.linalg.inv(state.cov)  # Wigner exponent: -(r-d)^T prec (r-d)
 
     # delta-fixed coordinates (ideal homodyne) are substituted, the rest stay
     fixed_mask = np.zeros(dim_total, dtype=bool)
     fixed_vals = np.zeros(dim_total)
     if spec.kind in (DyneKind.HOMODYNE_X, DyneKind.HOMODYNE_P):
-        rows = q_meas[_measured_rows(spec)]
+        rows = q_meas[0::2] if spec.kind is DyneKind.HOMODYNE_X else q_meas[1::2]
         fixed_mask[rows] = True
         fixed_vals[rows] = outcome
     free = np.flatnonzero(~fixed_mask)
