@@ -153,11 +153,6 @@ class GaussianChannel:
         return self.choi_cov[np.ix_(q, q)]
 
     @property
-    def b_block(self) -> np.ndarray:
-        q = self._out_q()
-        return self.choi_cov[np.ix_(q, q)]
-
-    @property
     def choi_state(self) -> GaussianState:
         return GaussianState(mean=self.choi_mean, cov=self.choi_cov)
 
@@ -184,10 +179,6 @@ class GaussianChannel:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianChannel":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +320,6 @@ def attenuation_channel(eta: float, r_approx: float) -> GaussianChannel:
         [np.sqrt(eta) * sh2 * z, (eta * ch2 + 1.0 - eta) * i2],
     ])
     return GaussianChannel(n_in=1, n_out=1, choi_cov=cov)
-
-
-def tensor_channels(a: GaussianChannel, b: GaussianChannel) -> GaussianChannel:
-    """Parallel composition; Choi covariances combine block-diagonally."""
-    return GaussianChannel(
-        n_in=a.n_in + b.n_in,
-        n_out=a.n_out + b.n_out,
-        choi_cov=block_diag(a.choi_cov, b.choi_cov),
-        choi_mean=np.concatenate([a.choi_mean, b.choi_mean]),
-        partition=a.partition + b.partition,
-    )
 
 
 # ---------------------------------------------------------------------------

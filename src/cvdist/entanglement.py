@@ -95,8 +95,3 @@ def log_negativity(state: GaussianState, split: BipartiteSplit) -> EntanglementR
         ppt=nu_min >= 1.0 - PPT_TOL,
         ppt_conclusive=len(split.alice) == 1 and len(split.bob) == 1,
     )
-
-
-def ppt_separable(state: GaussianState, split: BipartiteSplit) -> bool:
-    """PPT check; exact separability criterion only for 1-vs-1 mode splits."""
-    return log_negativity(state, split).ppt

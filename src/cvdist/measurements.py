@@ -150,12 +150,6 @@ def _dyne_blocks(state: GaussianState, spec: DyneSpec):
     return keep, meas, v
 
 
-def observable_map(state: GaussianState, spec: DyneSpec) -> np.ndarray:
-    """Selector matrix M with m = M r for the measured observables."""
-    spec.validate_for(state)
-    return np.eye(2 * state.modes)[_dyne_blocks(state, spec)[1]]
-
-
 def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     """State of the unmeasured modes conditioned on a dyne outcome.
 
@@ -176,13 +170,6 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     _, cov, means = _gaussian_update(state.cov, state.mean[None, :], keep, meas, v,
                                      outcomes=outcome[None, :])
     return GaussianState(mean=means[0], cov=cov)
-
-
-def outcome_law(state: GaussianState, spec: DyneSpec):
-    """Mean and covariance (probability units) of the outcome distribution."""
-    spec.validate_for(state)
-    _, meas, v = _dyne_blocks(state, spec)
-    return state.mean[meas], v / 2.0
 
 
 def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRecord:

@@ -10,7 +10,9 @@ derivative-free search never leaves the manifold.
 The objective is the log-negativity of the protocol output, computed by a
 fused batched kernel: ``objective`` maps parameter vectors (K, 20) to output
 log-negativities (K,) with array arithmetic alone, with no state objects and
-no re-validation. It realizes both parties' symplectics, forms S G0 S^T from
+no re-validation. It realizes both parties' symplectics in real arithmetic
+(each passive entry is a cos or sin of a summed phase times a cos or sin of
+the mixing angle, laid out by fixed gathers), forms S G0 S^T from
 the 8x8 joint covariance G0 of the two copies (``joint_covariance``, built
 once per certificate), takes the heterodyne Schur complement
 G = A - C (B + I)^{-1} C^T on modes A2 and B2, and applies the closed form
@@ -19,7 +21,9 @@ state, nu~_-^2 = (D~ - sqrt(D~^2 - 4 det G)) / 2 with
 D~ = det A + det B - 2 det C (Serafini, Illuminati and De Siena,
 quant-ph/0307073), giving E_N = max(0, -ln nu~_-). ``protocols.build_fig2``
 runs the same protocol through validated states and stays the reference
-the kernel is tested against.
+the kernel is tested against. Array-wide steps (the three 2x2 determinants,
+the two adjugates) are taken in one stacked operation each, so a kernel call
+costs a fixed number of numpy calls per block of up to 256 rows.
 
 The objective has max(0, .) kinks where partially transposed symplectic
 eigenvalues cross 1, which makes finite-difference gradients unreliable;
@@ -29,9 +33,14 @@ lockstep and evaluates each phase's points (reflect, then expand or
 contract, then shrink) across all starts in one kernel call, while each
 start takes exactly the steps of scipy's adaptive Nelder-Mead (Gao and Han,
 Comput. Optim. Appl. 51, 2012) with the same initial simplex, stopping
-tolerances and evaluation budget. A certificate records the best value found
-and the gap to the input entanglement; the no-go claim is that the gap never
-goes below -1e-6.
+tolerances and evaluation budget. The search carries only the live starts:
+the stopping test looks at the value spread first and at the simplex spread
+only where that passes, and each start's moved worst vertex is inserted
+among its sorted others, with an argsort only where that leaves the values
+not strictly increasing (after a shrink, or on a tie or a NaN, since
+argsort's order among equal values is not emulated). A certificate records
+the best value found and the gap to the input entanglement; the no-go claim
+is that the gap never goes below -1e-6.
 
 Certificates are scoped to protocols built from pure Choi states (the build_fig2
 class); mixing over displacements cannot help since entanglement ignores
@@ -43,13 +52,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .entanglement import BipartiteSplit, log_negativity
 from .errors import DimensionMismatch
 from .states import tmsv
-from .symplectic import orthogonal_symplectic_from_unitary
 
 #: Squeezing clamp per squeezer; beyond this, covariance entries reach ~e^6
 #: and the heterodyne conditioning starts to lose digits.
@@ -73,17 +82,50 @@ FATOL = 1e-10
 _SPLIT = BipartiteSplit((0,), (1,))
 
 
-#: Signs of alpha, beta, beta, alpha in the phases of u's entries (see _passive).
+#: The phases of u's entries are phi + sign * (alpha, beta, beta, alpha): the
+#: signs, and the indices of alpha, beta, beta, alpha among the angles.
 _PHASE_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_PHASE_ANGLES = np.array([2, 3, 3, 2])
+
+
+#: With trig = (cos, sin, -sin) of (theta, phi_00, phi_01, phi_10, phi_11),
+#: entry (r, c) of a passive symplectic is trig[_PASSIVE_PHASE[r, c]] *
+#: trig[_PASSIVE_MODULUS[r, c]]. u_ij = m_ij e^{i phi_ij} with
+#: m = [[c, s], [-s, c]] and (c, s) the cos and sin of theta; with
+#: a_k = (x_k + i p_k)/sqrt(2) and a' = u a, the 2x2 block at modes (i, j) is
+#: [[Re u_ij, -Im u_ij], [Im u_ij, Re u_ij]]. The sign of -Im sits on the
+#: phase factor (-sin, entries 11-14), the sign of m_10 on the modulus (-s,
+#: entry 10).
+_PASSIVE_PHASE = np.array([[1, 11, 2, 12],
+                           [6, 1, 7, 2],
+                           [3, 13, 4, 14],
+                           [8, 3, 9, 4]]).ravel()
+_PASSIVE_MODULUS = np.array([[0, 0, 5, 5],
+                             [0, 0, 5, 5],
+                             [10, 10, 0, 0],
+                             [10, 10, 0, 0]]).ravel()
 
 
 def _passive(angles: np.ndarray) -> np.ndarray:
-    """Two-mode passive symplectics from (..., 4) angles (a U(2) parametrization)."""
-    c, s = np.cos(angles[..., 0]), np.sin(angles[..., 0])
-    # u = e^{i phi} [[e^{i alpha} c, e^{i beta} s], [-e^{-i beta} s, e^{-i alpha} c]]
-    phases = angles[..., 1:2] + _PHASE_SIGNS * angles[..., [2, 3, 3, 2]]
-    u = np.exp(1j * phases) * np.stack([c, s, -s, c], axis=-1)
-    return orthogonal_symplectic_from_unitary(u.reshape(angles.shape[:-1] + (2, 2)))
+    """Two-mode passive symplectics from (..., 4) angles (a U(2) parametrization).
+
+    u = e^{i phi} [[e^{i alpha} c, e^{i beta} s], [-e^{-i beta} s, e^{-i alpha} c]]
+    with (c, s) the cos and sin of theta, for angles (theta, phi, alpha,
+    beta), in real arithmetic: each entry of the symplectic is a cos or sin
+    of a phase times c or s, signed (see _PASSIVE_PHASE).
+    """
+    phases = angles[..., 1:2] + _PHASE_SIGNS * angles[..., _PHASE_ANGLES]
+    args = np.concatenate([angles[..., :1], phases], axis=-1)
+    sin = np.sin(args)
+    trig = np.concatenate([np.cos(args), sin, -sin], axis=-1)
+    entries = trig[..., _PASSIVE_PHASE] * trig[..., _PASSIVE_MODULUS]
+    return entries.reshape(angles.shape[:-1] + (4, 4))
+
+
+#: Per party: the squeezers r1, r1, r2, r2 and the angles of the inner
+#: (0-3) and outer (6-9) passive, and the signs of the squeezing exponents.
+_PARTY_GATHER = np.array([4, 4, 5, 5, 0, 1, 2, 3, 6, 7, 8, 9])
+_SQUEEZE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _party_symplectic(p: np.ndarray) -> np.ndarray:
@@ -92,10 +134,10 @@ def _party_symplectic(p: np.ndarray) -> np.ndarray:
     S = passive(p[6:10]) diag(e^r1, e^-r1, e^r2, e^-r2) passive(p[0:4]), with
     r = p[4:6] clamped to |r| <= SQUEEZE_CLAMP.
     """
-    rs = np.clip(p[..., 4:6], -SQUEEZE_CLAMP, SQUEEZE_CLAMP)
-    sq = np.exp(np.stack([rs[..., 0], -rs[..., 0], rs[..., 1], -rs[..., 1]], axis=-1))
-    inner, outer = np.moveaxis(_passive(p[..., [[0, 1, 2, 3], [6, 7, 8, 9]]]), -3, 0)
-    return (outer * sq[..., None, :]) @ inner
+    q = p[..., _PARTY_GATHER]
+    sq = np.exp(_SQUEEZE_SIGNS * np.clip(q[..., :4], -SQUEEZE_CLAMP, SQUEEZE_CLAMP))
+    passive = _passive(q[..., 4:].reshape(p.shape[:-1] + (2, 4)))
+    return (passive[..., 1, :, :] * sq[..., None, :]) @ passive[..., 0, :, :]
 
 
 @dataclass(frozen=True)
@@ -140,6 +182,20 @@ def joint_covariance(copies) -> np.ndarray:
     return g0
 
 
+#: Flat slots of the joint 8x8 symplectic that the parties' 4x4 entries fill,
+#: in (party, row, col) order. Joint index 4 m + 2 party + quadrature: Alice
+#: acts on rows 0, 1, 4, 5 (modes A1, A2), Bob on rows 2, 3, 6, 7 (B1, B2).
+_JOINT_ROWS = np.array([[0, 1, 4, 5], [2, 3, 6, 7]])
+_JOINT_SLOTS = (8 * _JOINT_ROWS[:, :, None] + _JOINT_ROWS[:, None, :]).ravel()
+_EYE4 = np.eye(4)
+
+#: Rows the kernel evaluates at a time. Its temporaries grow with the rows,
+#: while a few hundred rows already spread the fixed cost of a call thin, so
+#: a longer batch (the initial simplices, starts x 21 rows) is evaluated in
+#: blocks of this many rows: the same bits in a quarter of the memory.
+_BLOCK_ROWS = 256
+
+
 def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
     """Output log-negativities of the two-copy protocol, one per row of ``x``.
 
@@ -150,22 +206,28 @@ def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
     a batch gives the same bits as its rows one at a time.
     """
     x = np.asarray(x, dtype=float).reshape(-1, N_PARAMS)
+    if len(x) <= _BLOCK_ROWS:
+        return _kernel(x, g0)
+    return np.concatenate([_kernel(x[i:i + _BLOCK_ROWS], g0)
+                           for i in range(0, len(x), _BLOCK_ROWS)])
+
+
+def _kernel(x, g0):
+    """``objective`` on one block of rows (K, 20)."""
     k = x.shape[0]
-    parties = _party_symplectic(x.reshape(k, 2, PARAMS_PER_PARTY))
-    # joint index 4 m + 2 party + quadrature; each party acts on its own
-    s = np.zeros((k, 2, 2, 2, 2, 2, 2))
-    s[:, :, 0, :, :, 0, :] = parties[:, 0].reshape(k, 2, 2, 2, 2)
-    s[:, :, 1, :, :, 1, :] = parties[:, 1].reshape(k, 2, 2, 2, 2)
+    s = np.zeros((k, 64))
+    s[:, _JOINT_SLOTS] = _party_symplectic(x.reshape(k, 2, PARAMS_PER_PARTY)).reshape(k, 32)
     s = s.reshape(k, 8, 8)
     m = s @ g0 @ s.transpose(0, 2, 1)
     c = m[:, :4, 4:]
-    g = m[:, :4, :4] - c @ np.linalg.solve(m[:, 4:, 4:] + np.eye(4),
-                                           c.transpose(0, 2, 1))
+    g = m[:, :4, :4] - c @ np.linalg.solve(m[:, 4:, 4:] + _EYE4, c.transpose(0, 2, 1))
     return _pt_log_negativity(g)
 
 
-#: adj(M) = _ADJ_SIGNS * M[::-1, ::-1].T for a 2x2 matrix M.
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+#: Flat entries of a 4x4 G = [[A, C], [C^T, B]] and signs that give A, C, B,
+#: adj A and adj B, with adj([[m00, m01], [m10, m11]]) = [[m11, -m01], [-m10, m00]].
+_PT_ENTRIES = np.array([0, 1, 4, 5, 2, 3, 6, 7, 10, 11, 14, 15, 5, 1, 4, 0, 15, 11, 14, 10])
+_PT_SIGNS = np.array([1.0] * 12 + [1.0, -1.0, -1.0, 1.0] * 2)
 
 
 def _pt_log_negativity(g):
@@ -180,13 +242,12 @@ def _pt_log_negativity(g):
     nu~_-^2 is then taken as 2 det G / (D~ + sqrt(.)), which does not cancel
     either.
     """
-    a, c, b = g[:, :2, :2], g[:, :2, 2:], g[:, 2:, 2:]
-    det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    det_b = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    det_c = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
-    adj_a = _ADJ_SIGNS * a[:, ::-1, ::-1].transpose(0, 2, 1)
-    adj_b = _ADJ_SIGNS * b[:, ::-1, ::-1].transpose(0, 2, 1)
-    p = (adj_a @ c @ adj_b) * c
+    e = (g.reshape(-1, 16)[:, _PT_ENTRIES] * _PT_SIGNS).reshape(-1, 5, 2, 2)
+    blocks = e[:, :3]
+    det_a, det_c, det_b = (blocks[..., 0, 0] * blocks[..., 1, 1]
+                           - blocks[..., 0, 1] * blocks[..., 1, 0]).T
+    c = blocks[:, 1]
+    p = (e[:, 3] @ c @ e[:, 4]) * c
     t = p[:, 0, 0] + p[:, 0, 1] + p[:, 1, 0] + p[:, 1, 1]
     det_g = np.linalg.det(g)
     delta = det_a + det_b - 2.0 * det_c
@@ -215,11 +276,38 @@ class LockstepResult:
     converged: np.ndarray  # (K,) stopped by xatol and fatol within budget
 
 
+@lru_cache(maxsize=8)
+def _insertions(m: int) -> np.ndarray:
+    """Column p: the order that moves the last of ``m`` vertices to place p."""
+    j = np.arange(m)[:, None]
+    p = np.arange(m)
+    table = np.where(j == p, m - 1, j - (j > p))
+    table.flags.writeable = False
+    return table
+
+
 def _sort(sim: np.ndarray, fsim: np.ndarray):
-    """Each start's vertices in ascending order of value, as scipy sorts them."""
-    ind = np.argsort(fsim, axis=1)
-    rows = np.arange(len(ind))[:, None]
-    return sim[rows, ind], fsim[rows, ind]
+    """Each start's vertices in ascending order of value, as scipy sorts them.
+
+    ``sim`` is vertex-major, (N + 1, K, N), and ``fsim`` (N + 1, K). After a
+    step that moved only the worst vertex, the others are still sorted, so
+    each start's last vertex is first inserted where it belongs among them.
+    Where that does not give strictly increasing values (after a shrink, or
+    on a tie or a NaN) the start is argsorted instead: strictly increasing
+    values have one sorted order only, which is argsort's, and argsort's
+    order among equal values is not emulated. The vertices are then
+    gathered through one flat row index.
+    """
+    m, k = fsim.shape
+    starts = np.arange(k)
+    order = _insertions(m)[:, (fsim[:-1] < fsim[-1]).sum(axis=0)]
+    values = fsim.take(order * k + starts)
+    unsorted = ~(values[1:] > values[:-1]).all(axis=0)
+    if unsorted.any():
+        order[:, unsorted] = np.argsort(fsim[:, unsorted], axis=0)
+        values = fsim.take(order * k + starts)
+    flat = (order * k + starts).ravel()
+    return sim.reshape(m * k, sim.shape[-1]).take(flat, axis=0).reshape(sim.shape), values
 
 
 def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
@@ -233,84 +321,119 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
     and a budget that ends the start where scipy's ends it, mid-step or
     mid-shrink included. Every phase evaluates its points for all starts in
     one call of ``fun``, so a row-independent ``fun`` sees each start's
-    points exactly as scipy would send them.
+    points exactly as scipy would send them. The simplices are stored vertex
+    by vertex, (N + 1, K, N), so that each vertex of all starts is one
+    contiguous slab, and only the live starts are carried from one iteration
+    to the next: a start that stops leaves the working arrays, and its
+    result is written out then.
     """
     x0 = np.array(x0, dtype=float, ndmin=2)
     k, n = x0.shape
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    res = LockstepResult(best_x=np.empty_like(x0), best_f=np.empty(k),
+                         nfev=np.empty(k, dtype=int), converged=np.zeros(k, dtype=bool))
+    # per live start: its index, evaluation count and best point so far
+    live = np.arange(k)
     nfev = np.zeros(k, dtype=int)
     best_f = np.full(k, np.inf)
     best_x = x0.copy()
 
-    def evaluate(starts, pts, counts):
-        """Values of the first ``counts`` points (+inf after) of ``pts`` (k', J, N)."""
-        real = np.arange(pts.shape[1]) < counts[:, None]
+    def keep_best(values, pts):
+        """Fold one value per live start (+inf for none) into its best."""
+        better = (values < best_f) & np.isfinite(values)
+        np.copyto(best_f, values, where=better)
+        np.copyto(best_x, pts, where=better[:, None])
+
+    def evaluate_many(cols, pts, counts):
+        """Values of the first ``counts`` points (+inf after) of ``pts`` (J, k', N)."""
+        real = np.arange(len(pts))[:, None] < counts
         values = np.full(real.shape, np.inf)
         if real.any():
             values[real] = fun(pts[real])
-        nfev[starts] += counts
+        nfev[cols] += counts
         finite = np.where(real & np.isfinite(values), values, np.inf)
-        first = np.argmin(finite, axis=1)
-        low = finite[np.arange(len(starts)), first]
-        better = low < best_f[starts]
-        best_f[starts[better]] = low[better]
-        best_x[starts[better]] = pts[better, first[better]]
+        first = np.argmin(finite, axis=0)
+        low = finite[first, np.arange(len(cols))]
+        better = np.flatnonzero(low < best_f[cols])
+        best_f[cols[better]] = low[better]
+        best_x[cols[better]] = pts[first[better], better]
         return values
 
     # scipy's initial simplex: each coordinate in turn scaled by 1.05, or set
     # to 0.00025 where it is zero
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    sim = np.repeat(x0[None], n + 1, axis=0)
     diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = evaluate(np.arange(k), sim, np.full(k, min(n + 1, max(maxfev, 0))))
+    sim[diag + 1, :, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025).T
+    fsim = evaluate_many(live, sim, np.full(k, min(n + 1, max(maxfev, 0))))
     sim, fsim = _sort(sim, fsim)
     sim, fsim = _sort(sim, fsim)  # scipy sorts twice before iterating
-    converged = np.zeros(k, dtype=bool)
+
+    def retire(stop):
+        """Write out the results of the starts flagged in ``stop`` and drop them."""
+        nonlocal live, nfev, best_f, best_x, sim, fsim
+        out = live[stop]
+        res.nfev[out], res.best_f[out], res.best_x[out] = nfev[stop], best_f[stop], best_x[stop]
+        go = ~stop
+        live, nfev, best_f, best_x = live[go], nfev[go], best_f[go], best_x[go]
+        sim, fsim = sim[:, go], fsim[:, go]
 
     while True:
-        idx = np.flatnonzero(~converged & (nfev < maxfev))
-        s, fs = sim[idx], fsim[idx]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= XATOL)
-                & (np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= FATOL))
-        converged[idx[done]] = True
-        idx, s, fs = idx[~done], s[~done], fs[~done]
-        if not idx.size:
+        # a start stops on its budget, or on scipy's tolerances; the x-spread
+        # is computed only where the f-spread passes
+        stop = nfev >= maxfev
+        if stop.any():
+            retire(stop)
+        done = np.abs(fsim[:1] - fsim[1:]).max(axis=0) <= FATOL
+        if done.any():
+            near = np.flatnonzero(done)
+            s = sim[:, near]
+            done[near] = np.abs(s[1:] - s[:1]).max(axis=(0, 2)) <= XATOL
+            res.converged[live[done]] = True
+            retire(done)
+        if not live.size:
             break
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        worst = sim[-1]
 
         # reflect
         xr = (1 + rho) * xbar - rho * worst
-        fxr = evaluate(idx, xr[:, None], np.ones(idx.size, dtype=int))[:, 0]
-        expand = fxr < fs[:, 0]
-        keep_r = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~keep_r & (fxr < fs[:, -1])
+        fxr = fun(xr)
+        nfev += 1
+        keep_best(fxr, xr)
+        expand = fxr < fsim[0]
+        keep_r = ~expand & (fxr < fsim[-2])
+        outside = ~expand & ~keep_r & (fxr < fsim[-1])
         # expand, or contract outside / inside: p = a xbar - b worst; a start
         # whose budget ran out ends here, as scipy's does
-        second = ~keep_r & (nfev[idx] < maxfev)
+        second = ~keep_r & (nfev < maxfev)
         a = np.where(expand, 1 + rho * chi, np.where(outside, 1 + psi * rho, 1 - psi))
         b = np.where(expand, rho * chi, np.where(outside, psi * rho, -psi))
         xp = a[:, None] * xbar - b[:, None] * worst
-        fxp = evaluate(idx, xp[:, None], second.astype(int))[:, 0]
+        fxp = np.full(live.size, np.inf)
+        if second.any():
+            fxp[second] = fun(xp[second])
+            nfev += second
+            keep_best(fxp, xp)
         use_p = second & np.where(expand, fxp < fxr,
-                                  np.where(outside, fxp <= fxr, fxp < fs[:, -1]))
+                                  np.where(outside, fxp <= fxr, fxp < fsim[-1]))
         use_r = keep_r | (second & expand & ~use_p)
-        s[use_r, -1], fs[use_r, -1] = xr[use_r], fxr[use_r]
-        s[use_p, -1], fs[use_p, -1] = xp[use_p], fxp[use_p]
+        for use, x, f in ((use_r, xr, fxr), (use_p, xp, fxp)):
+            np.copyto(sim[-1], x, where=use[:, None])
+            np.copyto(fsim[-1], f, where=use)
 
         # a failed contraction shrinks towards the best vertex, evaluating
         # vertices in order while the budget lasts
-        shrink = np.flatnonzero(second & ~expand & ~use_p)
-        if shrink.size:
-            sv = s[shrink]
-            sv[:, 1:] = sv[:, :1] + sigma * (sv[:, 1:] - sv[:, :1])
-            fs[shrink, 1:] = evaluate(idx[shrink], sv[:, 1:],
-                                      np.minimum(maxfev - nfev[idx[shrink]], n))
-            s[shrink] = sv
+        shrink = second & ~expand & ~use_p
+        if shrink.any():
+            cols = np.flatnonzero(shrink)
+            sv = sim[:, cols]
+            sv[1:] = sv[:1] + sigma * (sv[1:] - sv[:1])
+            fsim[1:, cols] = evaluate_many(cols, sv[1:], np.minimum(maxfev - nfev[cols], n))
+            sim[:, cols] = sv
 
-        sim[idx], fsim[idx] = _sort(s, fs)
+        sim, fsim = _sort(sim, fsim)
 
-    return LockstepResult(best_x=best_x, best_f=best_f, nfev=nfev, converged=converged)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +490,21 @@ class NogoCertificate:
         }
 
 
+#: A random start's coordinates are uniform in [low, low + span): angles in
+#: [0, 2 pi), squeezers in [-SQUEEZE_CLAMP, SQUEEZE_CLAMP), party by party.
+_START_LOW = np.tile(np.r_[np.zeros(4), np.full(2, -SQUEEZE_CLAMP), np.zeros(4)], 2)
+_START_SPAN = np.tile(np.r_[np.full(4, 2.0 * np.pi), np.full(2, 2.0 * SQUEEZE_CLAMP),
+                            np.full(4, 2.0 * np.pi)], 2)
+
+
 def _random_start(rng: np.random.Generator) -> np.ndarray:
-    x = np.empty(N_PARAMS)
-    for base in (0, PARAMS_PER_PARTY):
-        x[base:base + 4] = rng.uniform(0.0, 2.0 * np.pi, size=4)
-        x[base + 4:base + 6] = rng.uniform(-SQUEEZE_CLAMP, SQUEEZE_CLAMP, size=2)
-        x[base + 6:base + 10] = rng.uniform(0.0, 2.0 * np.pi, size=4)
-    return x
+    """A uniform random start, one ``rng.random`` draw for all coordinates.
+
+    ``rng.uniform(low, high)`` is low + (high - low) u, with u read from the
+    stream that ``rng.random`` reads, so this is the point that drawing each
+    party's angles and squeezers with ``uniform`` in turn gives.
+    """
+    return _START_LOW + _START_SPAN * rng.random(N_PARAMS)
 
 
 def optimize(

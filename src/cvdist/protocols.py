@@ -158,17 +158,6 @@ class ThreeModeCanonicalForm:
     output_symplectic: np.ndarray
     canonical_state: GaussianState
 
-    def pattern_cov(self) -> np.ndarray:
-        """Covariance rebuilt from the eight parameters alone."""
-        g = np.zeros((6, 6))
-        np.fill_diagonal(g, [self.a, self.a, self.b, self.b, self.c, self.c])
-        g[0, 4] = g[4, 0] = self.d1
-        g[1, 5] = g[5, 1] = self.d2
-        g[2, 4] = g[4, 2] = self.e1
-        g[3, 5] = g[5, 3] = self.e2
-        g[3, 4] = g[4, 3] = self.e3
-        return g
-
 
 def _rotation_svd(k: np.ndarray):
     """SVD K = Ru diag(d1, d2) Rv^T with Ru, Rv in SO(2); d2 carries det sign."""

@@ -77,9 +77,6 @@ class GaussianState:
     def symplectic_spectrum(self) -> np.ndarray:
         return symplectic_eigenvalues(self.cov)
 
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        return bool(self.symplectic_spectrum()[-1] >= 1.0 - tol)
-
     def require_physical(self, tol: float = PHYSICALITY_TOL) -> "GaussianState":
         nu_min = float(self.symplectic_spectrum()[-1])
         if nu_min < 1.0 - tol:
@@ -110,10 +107,6 @@ class GaussianState:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -144,23 +144,6 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     return expm(omega(n_modes) @ h)
 
 
-def orthogonal_symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic (passive transformation) realizing a mode unitary.
-
-    With a_k = (x_k + i p_k)/sqrt(2) and a' = u a, the quadratures transform by
-    the returned 2N x 2N matrix (xpxp ordering). A stack of unitaries
-    (..., N, N) gives a stack of matrices (..., 2N, 2N).
-    """
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[-1]
-    s = np.empty(u.shape[:-2] + (2 * n, 2 * n))
-    s[..., 0::2, 0::2] = u.real
-    s[..., 0::2, 1::2] = -u.imag
-    s[..., 1::2, 0::2] = u.imag
-    s[..., 1::2, 1::2] = u.real
-    return s
-
-
 # ---------------------------------------------------------------------------
 # spectral decompositions
 # ---------------------------------------------------------------------------
@@ -172,10 +155,6 @@ class WilliamsonDecomp:
 
     s: np.ndarray
     nus: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        d = np.repeat(self.nus, 2)
-        return (self.s * d[None, :]) @ self.s.T
 
 
 @dataclass(frozen=True)
@@ -189,15 +168,6 @@ class BlochMessiahDecomp:
     passive_out: np.ndarray
     squeeze_params: np.ndarray
     passive_in: np.ndarray
-
-    def squeeze_matrix(self) -> np.ndarray:
-        d = np.empty(2 * len(self.squeeze_params))
-        d[0::2] = np.exp(self.squeeze_params)
-        d[1::2] = np.exp(-self.squeeze_params)
-        return np.diag(d)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.passive_out @ self.squeeze_matrix() @ self.passive_in
 
 
 def _pd_roots(cov: np.ndarray):

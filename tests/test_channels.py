@@ -20,7 +20,6 @@ from cvdist.channels import (
     filter_channel,
     make_separable_channel,
     random_locc_spec,
-    tensor_channels,
     transposition_matrix,
 )
 from cvdist.errors import (
@@ -31,10 +30,29 @@ from cvdist.errors import (
     SingularConditioning,
 )
 from cvdist.measurements import DyneKind, DyneSpec, condition
-from cvdist.states import GaussianState, random_state, tensor, thermal, tmsv, vacuum
+from cvdist.states import (
+    GaussianState,
+    partial_trace,
+    random_state,
+    tensor,
+    thermal,
+    tmsv,
+    vacuum,
+)
 from cvdist.symplectic import squeezer, symplectic_eigenvalues
 
 TANH_HALF = 0.46211715726000974
+
+
+def tensor_channels(a: GaussianChannel, b: GaussianChannel) -> GaussianChannel:
+    """Parallel composition; Choi covariances combine block-diagonally."""
+    return GaussianChannel(
+        n_in=a.n_in + b.n_in,
+        n_out=a.n_out + b.n_out,
+        choi_cov=block_diag(a.choi_cov, b.choi_cov),
+        choi_mean=np.concatenate([a.choi_mean, b.choi_mean]),
+        partition=a.partition + b.partition,
+    )
 
 
 def test_transposition_matrix():
@@ -57,7 +75,7 @@ def test_uncorrelated_choi_ignores_input(rng):
     ch = GaussianChannel(n_in=1, n_out=1, choi_cov=choi.cov)
     for state in (vacuum(1), random_state(1, rng, nu_spread=1.0, mean_scale=1.0)):
         out = apply(ch, state)
-        assert_allclose(out.cov, ch.b_block)
+        assert_allclose(out.cov, partial_trace(ch.choi_state, ch.output_modes).cov)
         assert_allclose(out.mean, np.zeros(2), atol=1e-14)
 
 
@@ -298,7 +316,7 @@ def test_apply_matches_general_dyne_conditioning(rng):
 
 def test_channel_json_roundtrip(rng):
     ch = make_separable_channel(random_locc_spec(rng))
-    back = GaussianChannel.from_json(ch.to_json())
+    back = GaussianChannel.from_dict(json.loads(ch.to_json()))
     assert np.array_equal(back.choi_cov, ch.choi_cov)
     assert back.partition == ch.partition
     assert back.to_json() == ch.to_json()
@@ -308,4 +326,4 @@ def test_channel_json_rejects_non_finite_choi_cov():
     data = filter_channel(0.5).to_dict()
     data["choi_cov"][0][0] = float("nan")
     with pytest.raises(MalformedInput, match="covariance has non-finite"):
-        GaussianChannel.from_json(json.dumps(data))
+        GaussianChannel.from_dict(json.loads(json.dumps(data)))

@@ -75,7 +75,7 @@ def test_channel_make_and_apply(tmp_path):
                     "--out", str(st)]) == 0
     assert run_cli(["channel", "apply", "--channel", str(ch), "--state", str(st),
                     "--out", str(out)]) == 0
-    result = GaussianState.from_json(out.read_text())
+    result = GaussianState.from_dict(json.loads(out.read_text()))
     assert np.abs(result.cov - np.eye(2)).max() <= 1e-10
 
 

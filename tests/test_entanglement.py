@@ -8,7 +8,6 @@ from cvdist.entanglement import (
     BipartiteSplit,
     log_negativity,
     partial_transpose_cov,
-    ppt_separable,
 )
 from cvdist.errors import InvalidSplit, NotPhysical
 from cvdist.states import GaussianState, random_state, tensor, tmsv, vacuum
@@ -90,9 +89,9 @@ def test_log_negativity_rejects_unphysical():
 
 
 def test_ppt_separable_cases(rng):
-    assert not ppt_separable(tmsv(0.3), SPLIT01)
+    assert not log_negativity(tmsv(0.3), SPLIT01).ppt
     product = tensor(random_state(1, rng), random_state(1, rng))
-    assert ppt_separable(product, SPLIT01)
+    assert log_negativity(product, SPLIT01).ppt
 
 
 def test_separable_choi_states_are_ppt(rng):
@@ -100,7 +99,7 @@ def test_separable_choi_states_are_ppt(rng):
         spec = random_locc_spec(rng)
         ch = make_separable_channel(spec)
         split = BipartiteSplit(spec.alice_modes, spec.bob_modes)
-        assert ppt_separable(ch.choi_state, split)
+        assert log_negativity(ch.choi_state, split).ppt
 
 
 def test_ppt_conclusive_flag_depends_on_split(rng):

@@ -10,8 +10,6 @@ from cvdist.measurements import (
     DyneSpec,
     bell_measure,
     condition,
-    observable_map,
-    outcome_law,
     sample_outcome,
 )
 from cvdist.states import (
@@ -21,13 +19,33 @@ from cvdist.states import (
     tmsv,
     vacuum,
 )
-from cvdist.symplectic import beamsplitter, embed, squeezer
+from cvdist.symplectic import beamsplitter, embed, quad_indices, squeezer
 
 COSH1 = 1.5430806348152437
 
 HET0 = DyneSpec(modes=(0,), kind=DyneKind.HETERODYNE)
 HET1 = DyneSpec(modes=(1,), kind=DyneKind.HETERODYNE)
 HOMX1 = DyneSpec(modes=(1,), kind=DyneKind.HOMODYNE_X)
+
+
+def _outcome_law(state, spec):
+    """Mean and covariance (probability units) of a dyne's outcome.
+
+    The measured quadratures' mean, and (Gamma_bb + noise) / 2 with the
+    noise of the kind: none for homodyne, I for heterodyne, gamma_m for a
+    general dyne.
+    """
+    q = quad_indices(spec.modes)
+    noise = 0.0
+    if spec.kind is DyneKind.HOMODYNE_X:
+        q = q[0::2]
+    elif spec.kind is DyneKind.HOMODYNE_P:
+        q = q[1::2]
+    elif spec.kind is DyneKind.HETERODYNE:
+        noise = np.eye(q.size)
+    else:
+        noise = spec.gamma_m
+    return state.mean[q], (state.cov[np.ix_(q, q)] + noise) / 2.0
 
 
 def test_heterodyne_on_tmsv_gives_coherent_output():
@@ -97,20 +115,20 @@ def test_general_dyne_requires_physical_gamma_m():
 
 
 def test_outcome_law_vacuum_homodyne_variance():
-    mean, cov = outcome_law(vacuum(1), DyneSpec(modes=(0,), kind=DyneKind.HOMODYNE_X))
+    mean, cov = _outcome_law(vacuum(1), DyneSpec(modes=(0,), kind=DyneKind.HOMODYNE_X))
     assert_allclose(mean, [0.0])
     assert_allclose(cov, [[0.5]])
 
 
 def test_sampled_variance_matches_law():
-    # empirical covariance over 1e5 draws from the sampling law, 3 sigma bands
+    # empirical covariance of sample_outcome's draws against the law, 3 sigma bands
     rng = np.random.default_rng(5)
     state = tmsv(0.4)
     for spec in (HET1, HOMX1, DyneSpec(modes=(0,), kind=DyneKind.GENERAL,
                                        gamma_m=np.diag([2.0, 0.5]))):
-        mean, cov = outcome_law(state, spec)
-        n = 100_000
-        draws = mean + rng.standard_normal((n, mean.size)) @ np.linalg.cholesky(cov).T
+        mean, cov = _outcome_law(state, spec)
+        n = 4_000
+        draws = np.array([sample_outcome(state, spec, rng).outcome for _ in range(n)])
         emp = np.cov(draws.T).reshape(cov.shape)
         sigma = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / n)
         assert np.all(np.abs(emp - cov) <= 3.0 * sigma)
@@ -145,10 +163,8 @@ def test_sample_outcome_deterministic_for_fixed_seed(rng):
 
 @pytest.mark.parametrize("call", [
     lambda st, sp: condition(st, sp, [0.1, -0.2]),
-    lambda st, sp: outcome_law(st, sp),
-    lambda st, sp: observable_map(st, sp),
     lambda st, sp: sample_outcome(st, sp, 5),
-], ids=["condition", "outcome_law", "observable_map", "sample_outcome"])
+], ids=["condition", "sample_outcome"])
 def test_public_calls_validate_the_spec_once(monkeypatch, call):
     calls = []
     validate = DyneSpec.validate_for
@@ -159,7 +175,7 @@ def test_public_calls_validate_the_spec_once(monkeypatch, call):
 
 
 def test_record_observable_map():
-    m = observable_map(tmsv(0.3), HOMX1)
+    m = sample_outcome(tmsv(0.3), HOMX1, 0).observable_map
     assert m.shape == (1, 4)
     assert_allclose(m, [[0.0, 0.0, 1.0, 0.0]])
 

@@ -5,13 +5,20 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
+import kernel_oracle
+import lockstep_oracle
+from symplectic_oracle import passive_from_angles
+
 import cvdist.nogo
 from cvdist.errors import DimensionMismatch
 from cvdist.nogo import (
+    FATOL,
     GAP_TOL,
     N_PARAMS,
     SQUEEZE_CLAMP,
+    XATOL,
     SymplecticParams,
+    _passive,
     _random_start,
     certificates_csv,
     joint_covariance,
@@ -132,7 +139,45 @@ def test_kernel_batch_equals_rows_bit_for_bit(rng):
         assert np.array_equal(objective(x[7:40], g0), batch[7:40])
 
 
-# -- the lockstep driver against scipy's Nelder-Mead ------------------------
+def test_passive_equals_the_complex_unitary_form_bit_for_bit(rng):
+    angles = rng.uniform(-10.0, 10.0, size=(20_000, 4))
+    angles[:100] = rng.choice([0.0, np.pi / 2, np.pi, -np.pi / 4], size=(100, 4))
+    assert np.array_equal(_passive(angles), passive_from_angles(angles))
+    stacked = angles.reshape(200, 2, 2, 25, 4)
+    assert np.array_equal(_passive(stacked), passive_from_angles(stacked))
+
+
+@pytest.mark.parametrize("copy", CRITERION_4_COPIES,
+                         ids=["tmsv0.2", "tmsv0.5", "tmsv0.8", "tmsv1.1", "mixed"])
+def test_kernel_equals_the_oracle_kernel_bit_for_bit(rng, copy):
+    x = np.array([_random_start(rng) for _ in range(3000)])
+    for base in (4, 14):  # a fifth of the rows squeeze past the clamp
+        x[:600, base:base + 2] *= rng.uniform(1.0, 3.0, size=(600, 2))
+    g0 = joint_covariance((copy, copy))
+    assert np.array_equal(objective(x, g0), kernel_oracle.objective(x, g0))
+    assert np.array_equal(objective(x[:1], g0), kernel_oracle.objective(x[:1], g0))
+
+
+def _three_draws_per_party(rng):
+    # random starts as first drawn: angles, squeezers, angles, party by party
+    x = np.empty(N_PARAMS)
+    for base in (0, 10):
+        x[base:base + 4] = rng.uniform(0.0, 2.0 * np.pi, size=4)
+        x[base + 4:base + 6] = rng.uniform(-SQUEEZE_CLAMP, SQUEEZE_CLAMP, size=2)
+        x[base + 6:base + 10] = rng.uniform(0.0, 2.0 * np.pi, size=4)
+    return x
+
+
+def test_random_start_is_the_three_draws_per_party_point():
+    for seed in range(1000):
+        for start in (1, 49):
+            ref = _three_draws_per_party(np.random.default_rng([seed, start]))
+            rng = np.random.default_rng([seed, start])
+            assert np.array_equal(_random_start(rng), ref)
+            assert rng.random() == np.random.default_rng([seed, start]).random(N_PARAMS + 1)[-1]
+
+
+# -- the lockstep minimizer against scipy's Nelder-Mead ------------------------
 
 
 def _starts(n, seed):
@@ -211,6 +256,66 @@ def test_minimize_matches_scipy_on_ties(budget):
         ref, ref_x, ref_f = _scipy_start(fun, start, budget)
         assert res.nfev[k] == ref.nfev and res.converged[k] == ref.success
         assert np.array_equal(res.best_x[k], ref_x) and res.best_f[k] == ref_f
+
+
+def _same_result(res, ref):
+    return all(np.array_equal(getattr(res, f), getattr(ref, f))
+               for f in ("best_x", "best_f", "nfev", "converged"))
+
+
+@pytest.mark.parametrize("budget", [50, 300])
+@pytest.mark.parametrize("copy", CRITERION_4_COPIES,
+                         ids=["tmsv0.2", "tmsv0.5", "tmsv0.8", "tmsv1.1", "mixed"])
+def test_minimize_equals_the_oracle_minimizer(budget, copy):
+    g0 = joint_covariance((copy, copy))
+
+    def fun(x):
+        return -objective(x, g0)
+
+    x0 = _starts(50, seed=budget)
+    assert _same_result(minimize(fun, x0, budget), lockstep_oracle.minimize(fun, x0, budget))
+
+
+@pytest.mark.parametrize("budget", [60, 400])
+def test_minimize_equals_the_oracle_minimizer_on_ties(budget):
+    def fun(x):
+        return np.floor(4.0 * _bowl(x))
+
+    x0 = np.random.default_rng(4).uniform(-2.0, 2.0, size=(8, 4))
+    assert _same_result(minimize(fun, x0, budget), lockstep_oracle.minimize(fun, x0, budget))
+
+
+def _flat(x):
+    return np.zeros(len(x))
+
+
+def _steep(x):
+    return 1e6 * x.sum(axis=1)
+
+
+@pytest.mark.parametrize("fun, x0, f_within, x_within", [
+    (_flat, [1.0, 1.0], True, False),  # f-spread 0, x-spread 0.05
+    (_steep, [1e-6, 1e-6], False, True),  # f-spread 0.05, x-spread 5e-8
+    (_flat, [1e-6, 1e-6], True, True),
+], ids=["f-only", "x-only", "both"])
+def test_minimize_stops_only_when_both_spreads_are_within_tolerance(fun, x0, f_within, x_within):
+    # the spreads of the initial simplex, where the first stopping test looks
+    sim = np.array(x0) * (1.0 + 0.05 * np.eye(3, 2, k=-1))
+    assert (np.abs(fun(sim) - fun(sim[:1])).max() <= FATOL) == f_within
+    assert (np.abs(sim - sim[0]).max() <= XATOL) == x_within
+    res = minimize(fun, np.array([x0]), 10)
+    ref, _, _ = _scipy_start(fun, np.array(x0), 10)
+    converged = f_within and x_within
+    assert res.converged[0] == ref.success == converged
+    assert res.nfev[0] == ref.nfev == (3 if converged else 10)
+
+
+def test_minimize_without_starts_or_budget():
+    empty = minimize(_bowl, np.zeros((0, 3)), 10)
+    assert empty.nfev.shape == (0,) and empty.best_x.shape == (0, 3)
+    res = minimize(_bowl, np.ones((2, 3)), 0)
+    assert np.array_equal(res.nfev, [0, 0]) and np.all(res.best_f == np.inf)
+    assert np.array_equal(res.best_x, np.ones((2, 3))) and not res.converged.any()
 
 
 def test_minimize_best_seen_ignores_non_finite_values():

@@ -145,9 +145,10 @@ def test_physicality_preserved_by_operations(rng):
     for _ in range(50):
         state = random_state(3, rng, nu_spread=1.0, symplectic_scale=0.5)
         s = random_symplectic(3, rng, scale=0.5)
-        assert apply_symplectic(state, s).is_physical(tol=1e-8)
-        assert tensor(state, vacuum(1)).is_physical(tol=1e-8)
-        assert partial_trace(state, keep=[0, 2]).is_physical(tol=1e-8)
+        # each raises NotPhysical if the result is not physical
+        apply_symplectic(state, s).require_physical(tol=1e-8)
+        tensor(state, vacuum(1)).require_physical(tol=1e-8)
+        partial_trace(state, keep=[0, 2]).require_physical(tol=1e-8)
 
 
 def test_state_rejects_asymmetric_cov():
@@ -188,7 +189,7 @@ def test_from_dict_rejects_inconsistent_modes():
 def test_json_roundtrip_is_bit_identical(rng):
     state = random_state(2, rng, nu_spread=1.3, symplectic_scale=0.7, mean_scale=1.0)
     text = state.to_json()
-    back = GaussianState.from_json(text)
+    back = GaussianState.from_dict(json.loads(text))
     assert np.array_equal(back.cov, state.cov)
     assert np.array_equal(back.mean, state.mean)
     assert back.to_json() == text
