@@ -8,9 +8,11 @@ Supported measurements on a subset of modes:
 * homodyne of a single quadrature (x or p): exact rank-deficient conditioning
   restricted to the measured quadrature,
 * general dyne with an arbitrary physical measurement covariance,
-* the Bell measurement of a mode pair (x difference and p sum), realized as a
-  balanced beamsplitter followed by homodyne x on one output and homodyne p
-  on the other, taken together as one two-quadrature homodyne.
+* the Bell measurement of mode pairs (x difference and p sum of each),
+  realized as a balanced beamsplitter per pair followed by homodyne x on one
+  output and homodyne p on the other. The pairs are disjoint, so their
+  beamsplitters commute and all of their homodynes are one homodyne: one
+  update per call, however many pairs it measures.
 
 All of them, and the channel action in :mod:`cvdist.channels`, go through
 one update (``_gaussian_update``). With b the measured quadratures, a the
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch, NotPhysical
 from .states import PHYSICALITY_TOL, GaussianState
-from .symplectic import beamsplitter, embed, quad_indices, symplectic_eigenvalues
+from .symplectic import quad_indices, symplectic_eigenvalues
 
 #: Measured quadrature variance below which ideal homodyne conditioning is
 #: refused: the gain divides by it, so rounding would grow by over 1e12.
@@ -192,35 +194,46 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     )
 
 
-def _bell_step(cov, means, pair, draws=None, outcomes=None):
-    """Bell measurement of ``pair`` on K states that share one covariance.
+def _bell_step(cov, means, pairs, draws=None, outcomes=None):
+    """Bell measurement of disjoint mode ``pairs`` on K states sharing one covariance.
 
-    ``means`` is a (K, 2N) stack. Pass standard normal ``draws`` (K, 2) to
-    sample, or ``outcomes`` (K, 2) of (x_d, p_d) to condition on them. After
-    the beamsplitter, x of b and p of a are one two-quadrature homodyne, whose
-    Cholesky factor reproduces homodyne x then homodyne p, draw for draw.
-    Returns the (K, 2) outcomes and what ``_gaussian_update`` returns for the
-    remaining modes.
+    ``means`` is a (K, 2N) stack. Pass standard normal ``draws`` (K, 2m) to
+    sample, or ``outcomes`` (K, 2m) of (x_d, p_d) per pair to condition on
+    them, for m pairs. The pairs' balanced beamsplitters commute, so they are
+    one symplectic, and x of b and p of a for every pair (a, b) are one
+    2m-quadrature homodyne. Ordered pair by pair, x then p, its Cholesky
+    factor reproduces the chain of single-pair steps draw for draw, and its
+    pivots are the variances each homodyne of that chain would condition on.
+    Returns the (K, 2m) outcomes and what ``_gaussian_update`` returns for the
+    remaining modes, in their original order.
     """
-    a, b = pair
-    n = cov.shape[0] // 2
-    # balanced beamsplitter: mode a -> (r_a + r_b)/sqrt2, mode b -> (r_b - r_a)/sqrt2
-    s = embed(beamsplitter(0.5), (a, b), n)
+    a, b = np.array(pairs, dtype=int).T
+    qa, qb = quad_indices(a), quad_indices(b)
+    # balanced beamsplitters: mode a -> (r_a + r_b)/sqrt2, mode b -> (r_b - r_a)/sqrt2
+    s = np.eye(cov.shape[0])
+    s[qa, qa] = s[qa, qb] = s[qb, qb] = np.sqrt(0.5)
+    s[qb, qa] = -np.sqrt(0.5)
     cov = s @ cov @ s.T
     cov = (cov + cov.T) / 2.0
     means = means @ s.T
 
-    meas = np.array([2 * b, 2 * a + 1])
-    keep = np.delete(np.arange(2 * n), [2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
+    meas = qb.copy()
+    meas[1::2] = qa[1::2]  # x of each b, then p of its a
+    keep = np.ones(cov.shape[0], dtype=bool)
+    keep[qa] = keep[qb] = False
+    keep = np.flatnonzero(keep)
     v = cov[np.ix_(meas, meas)]
-    # the Cholesky pivots of v: the x variance, then the p variance given x;
-    # the latter only matters when modes remain to be conditioned
-    _require_resolvable(v[0, 0])
-    if n > 2:
-        _require_resolvable(v[1, 1] - v[0, 1] ** 2 / v[0, 0])
+    # every Cholesky pivot of v is conditioned on; the last p variance only
+    # when modes remain. A failed factorization means a pivot is not positive.
+    checked = v if len(keep) else v[:-1, :-1]
+    try:
+        pivots = np.diag(np.linalg.cholesky(checked)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = 0.0
+    _require_resolvable(np.min(pivots))
     # the raw homodyne readings carry a 1/sqrt(2) from the beamsplitter, and
-    # the x reading a sign
-    scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)])
+    # the x readings a sign
+    scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)] * len(a))
     raw, cov, means = _gaussian_update(
         cov, means, keep, meas, v,
         outcomes=None if outcomes is None else outcomes / scale, draws=draws,
@@ -248,7 +261,7 @@ def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementR
         draws, forced = np.random.default_rng(seed).standard_normal((1, 2)), None
     else:
         draws, forced = None, np.array([[float(outcome[0]), float(outcome[1])]])
-    rec, cov, means = _bell_step(state.cov, state.mean[None, :], (a, b),
+    rec, cov, means = _bell_step(state.cov, state.mean[None, :], [(a, b)],
                                  draws=draws, outcomes=forced)
 
     m = np.zeros((2, 2 * state.modes))

@@ -80,11 +80,12 @@ def run_fig1(
     displacement C^T (A + R Gamma R)^{-1} r_d. What remains must be the
     closed-form channel action, covariance and mean.
 
-    Only the means depend on the outcomes, so each Bell step, and the Choi
-    conditioning that gives the closed-form reference and every sample's
-    displacement, runs once per call on an (n_samples, 2N) stack of means.
-    The normals come from one ``standard_normal((n_samples, n_in, 2))``: the
-    same stream, in the same order, as one draw per homodyne per sample.
+    Only the means depend on the outcomes, so the call makes two Gaussian
+    updates on an (n_samples, 2N) stack of means: one Bell measurement of
+    all pairs at once, and the Choi conditioning that gives the closed-form
+    reference and every sample's displacement. The normals come from one
+    ``standard_normal((n_samples, 2 n_in))``: the same stream, in the same
+    order, as one draw per homodyne per sample, pair by pair.
 
     ``correction_scale`` rescales the displacement correction and exists only
     as a negative control for verification tooling (1.0 is the protocol).
@@ -93,25 +94,20 @@ def run_fig1(
         raise ParamOutOfRange(f"n_samples must be >= 1, got {n_samples}")
     dyne = _choi_dyne(channel, input_state)  # checks the input-mode count
     rng = np.random.default_rng(seed)
-    joint = tensor(input_state, channel.choi_state)
     n_in = channel.n_in
-    choi_in = [n_in + m for m in channel.input_modes]
-    choi_out = [n_in + m for m in channel.output_modes]
+    # the joint state (input modes, then Choi modes), built as blocks
+    k = 2 * n_in
+    cov = np.zeros((k + channel.choi_cov.shape[0],) * 2)
+    cov[:k, :k] = input_state.cov
+    cov[k:, k:] = channel.choi_cov
+    means = np.empty((n_samples, len(cov)))
+    means[:, :k] = input_state.mean
+    means[:, k:] = channel.choi_mean
 
-    draws = rng.standard_normal((n_samples, n_in, 2))
-    cov = joint.cov
-    means = np.broadcast_to(joint.mean, (n_samples, joint.mean.size))
-    outcomes = np.empty((n_samples, 2 * n_in))
-    live = list(range(joint.modes))
-    for j in range(n_in):
-        pair = (live.index(choi_in[j]), live.index(j))
-        outcomes[:, 2 * j:2 * j + 2], cov, means = _bell_step(
-            cov, means, pair, draws=draws[:, j]
-        )
-        live.remove(choi_in[j])
-        live.remove(j)
-    # remaining modes are the Choi outputs, in Choi order
-    assert live == choi_out
+    # the remaining modes are the Choi outputs, in Choi order
+    pairs = [(n_in + m, j) for j, m in enumerate(channel.input_modes)]
+    outcomes, cov, means = _bell_step(cov, means, pairs,
+                                      draws=rng.standard_normal((n_samples, k)))
 
     ref_cov, ref_mean, shifts = _condition_choi(channel, *dyne, outcomes)
     reference = GaussianState(mean=ref_mean, cov=ref_cov)

@@ -17,12 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm, polar, schur
 
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    NotSymplectic,
-    ParamOutOfRange,
-)
+from .errors import DimensionMismatch, NotPositiveDefinite, NotSymplectic
 
 #: Tolerance on ||S Omega S^T - Omega||_max for a matrix to count as symplectic.
 SYMPLECTIC_ATOL = 1e-10
@@ -47,7 +42,7 @@ def omega(n_modes: int) -> np.ndarray:
 def quad_indices(modes) -> np.ndarray:
     """Quadrature (row/column) indices of the given modes, in the given order."""
     modes = np.atleast_1d(np.asarray(modes, dtype=int))
-    return np.column_stack((2 * modes, 2 * modes + 1)).ravel()
+    return (2 * modes.reshape(-1, 1) + np.arange(2)).ravel()
 
 
 def symplectic_error(s: np.ndarray) -> float:
@@ -89,35 +84,6 @@ def two_mode_squeezer(r: float) -> np.ndarray:
     """Two-mode squeezer; applied to vacuum it produces tmsv(r)."""
     ch, sh = np.cosh(r), np.sinh(r)
     return np.block([[ch * _I2, sh * _Z], [sh * _Z, ch * _I2]])
-
-
-def beamsplitter(transmittance: float) -> np.ndarray:
-    """Beamsplitter on two modes; transmittance 0.5 is the balanced one.
-
-    Convention: B = [[sqrt(T) I, sqrt(1-T) I], [-sqrt(1-T) I, sqrt(T) I]],
-    so for T = 0.5 the outputs are (r_a + r_b)/sqrt(2) and (r_b - r_a)/sqrt(2).
-    """
-    if not 0.0 <= transmittance <= 1.0:
-        raise ParamOutOfRange(f"transmittance {transmittance} outside [0, 1]")
-    t = np.sqrt(transmittance)
-    rf = np.sqrt(1.0 - transmittance)
-    return np.block([[t * _I2, rf * _I2], [-rf * _I2, t * _I2]])
-
-
-def embed(s: np.ndarray, modes, n_modes: int) -> np.ndarray:
-    """Embed a symplectic acting on ``modes`` into an ``n_modes`` identity."""
-    s = np.asarray(s, dtype=float)
-    modes = tuple(modes)
-    if s.shape != (2 * len(modes), 2 * len(modes)):
-        raise DimensionMismatch(
-            f"matrix shape {s.shape} does not act on {len(modes)} modes"
-        )
-    if any(not 0 <= m < n_modes for m in modes) or len(set(modes)) != len(modes):
-        raise DimensionMismatch(f"modes {modes} invalid for {n_modes}-mode system")
-    out = np.eye(2 * n_modes)
-    q = quad_indices(modes)
-    out[np.ix_(q, q)] = s
-    return out
 
 
 def mode_permutation(order, n_modes: int) -> np.ndarray:

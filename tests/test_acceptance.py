@@ -37,9 +37,7 @@ from cvdist.states import (
     vacuum,
 )
 from cvdist.symplectic import (
-    beamsplitter,
     bloch_messiah,
-    embed,
     mode_permutation,
     phase_rotation,
     random_symplectic,
@@ -50,6 +48,7 @@ from cvdist.symplectic import (
     williamson,
 )
 from scipy.linalg import block_diag
+from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
 
 SPLIT01 = BipartiteSplit((0,), (1,))

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import TooManyModes, oracle_condition
 
 from cvdist.errors import DegenerateQuadrature, DimensionMismatch
 from cvdist.measurements import (
     DyneKind,
     DyneSpec,
+    _bell_step,
     bell_measure,
     condition,
     sample_outcome,
@@ -19,7 +21,7 @@ from cvdist.states import (
     tmsv,
     vacuum,
 )
-from cvdist.symplectic import beamsplitter, embed, quad_indices, squeezer
+from cvdist.symplectic import quad_indices, squeezer
 
 COSH1 = 1.5430806348152437
 
@@ -264,6 +266,100 @@ def test_bell_rejects_bad_pairs():
         bell_measure(tmsv(0.3), (0, 0), 1)
     with pytest.raises(DimensionMismatch):
         bell_measure(tmsv(0.3), (0, 2), 1)
+
+
+def _bell_chain(state, pairs, means=None, draws=None, outcomes=None):
+    """``pairs`` Bell-measured by one single-pair step each, in the given order.
+
+    Measured modes drop out, so each step looks its pair up among the modes
+    still present. Pair j takes columns 2j and 2j + 1 of ``draws`` or
+    ``outcomes``.
+    """
+    cov = state.cov
+    means = state.mean[None, :] if means is None else means
+    live = list(range(state.modes))
+    recs = []
+    for j, (a, b) in enumerate(pairs):
+        cols = slice(2 * j, 2 * j + 2)
+        rec, cov, means = _bell_step(
+            cov, means, [(live.index(a), live.index(b))],
+            draws=None if draws is None else draws[:, cols],
+            outcomes=None if outcomes is None else outcomes[:, cols],
+        )
+        recs.append(rec)
+        live.remove(a)
+        live.remove(b)
+    return np.hstack(recs), cov, means
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1)], [(2, 0)], [(0, 1), (2, 3)], [(2, 0), (1, 3)], [(3, 1), (0, 4)],
+    [(4, 0), (1, 2), (5, 3)], [(0, 1), (2, 3), (4, 5)],
+], ids=str)
+@pytest.mark.parametrize("extra", [0, 1], ids=["no-mode-left", "one-mode-left"])
+def test_bell_step_on_many_pairs_matches_the_single_pair_chain(pairs, extra):
+    n = max(max(p) for p in pairs) + 1 + extra
+    rng = np.random.default_rng([n, len(pairs), extra])
+    state = random_state(n, rng, nu_spread=1.0, symplectic_scale=0.4, mean_scale=0.5)
+    means = state.mean + rng.normal(0.0, 0.5, size=(5, 2 * n))
+    draws = np.random.default_rng(3).standard_normal((5, 2 * len(pairs)))
+    forced = rng.normal(0.0, 1.0, size=(5, 2 * len(pairs)))
+    for kwargs in ({"draws": draws}, {"outcomes": forced}):
+        rec, cov, out = _bell_step(state.cov, means, pairs, **kwargs)
+        rec_chain, cov_chain, out_chain = _bell_chain(state, pairs, means, **kwargs)
+        assert np.abs(rec - rec_chain).max() <= 1e-12
+        if cov_chain is None:
+            assert cov is None and out is None
+        else:
+            assert np.abs(cov - cov_chain).max() <= 1e-12
+            assert np.abs(out - out_chain).max() <= 1e-12
+    assert np.abs(rec - forced).max() <= 1e-12  # the forced outcomes come back
+
+
+def _correlated_pairs(extra):
+    """Pairs (0, 1) and (2, 3) whose x differences agree up to an e^-16 squeezed
+    x: that of the passive mode (x0 - x1 - x2 + x3) / 2. Each pair alone is
+    resolvable; given the first, the second x difference is not."""
+    n = 4 + extra
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    passive = np.eye(2 * n)
+    passive[:8, :8] = np.kron(h, np.eye(2))
+    squeeze = np.eye(2 * n)
+    squeeze[6:8, 6:8] = squeezer(-16.0)
+    return apply_symplectic(apply_symplectic(vacuum(n), squeeze), passive)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["no-mode-left", "one-mode-left"])
+def test_bell_pair_degenerate_given_another_raises_on_both_paths(extra):
+    state = _correlated_pairs(extra)
+    for pair in [(0, 1), (2, 3)]:
+        assert np.isfinite(bell_measure(state, pair, 1).outcome).all()
+    draws = np.random.default_rng(5).standard_normal((1, 4))
+    for pairs in ([(0, 1), (2, 3)], [(2, 3), (0, 1)]):
+        with pytest.raises(DegenerateQuadrature):
+            _bell_step(state.cov, state.mean[None, :], pairs, draws=draws)
+        with pytest.raises(DegenerateQuadrature):
+            _bell_chain(state, pairs, draws=draws)
+
+
+def test_bell_step_skips_only_the_last_pivot_when_no_mode_remains():
+    # p_2 + p_3 squeezed below DEGENERATE_VARIANCE: it is the last pivot only
+    # when (2, 3) is measured last, and it is skipped only if nothing remains
+    state = vacuum(4)
+    for mode in (2, 3):
+        state = apply_symplectic(state, embed(squeezer(14.5), (mode,), 4))
+    draws = np.random.default_rng(6).standard_normal((3, 4))
+    rec, cov, means = _bell_step(state.cov, state.mean[None, :], [(0, 1), (2, 3)],
+                                 draws=draws)
+    assert cov is None and means is None
+    rec_chain = _bell_chain(state, [(0, 1), (2, 3)], draws=draws)[0]
+    assert np.abs(rec - rec_chain).max() <= 1e-12
+    for st, pairs in [(state, [(2, 3), (0, 1)]),
+                      (tensor(state, vacuum(1)), [(0, 1), (2, 3)])]:
+        with pytest.raises(DegenerateQuadrature):
+            _bell_step(st.cov, st.mean[None, :], pairs, draws=draws)
+        with pytest.raises(DegenerateQuadrature):
+            _bell_chain(st, pairs, draws=draws)
 
 
 # -- integration oracle ----------------------------------------------------------

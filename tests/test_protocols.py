@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
 
 from cvdist.channels import (
@@ -15,6 +18,7 @@ from cvdist.channels import (
     make_separable_channel,
     random_locc_spec,
 )
+from cvdist import measurements
 from cvdist.entanglement import BipartiteSplit
 from cvdist.errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from cvdist.measurements import DyneKind, DyneSpec, condition, sample_outcome
@@ -28,7 +32,7 @@ from cvdist.states import (
     tmsv,
     vacuum,
 )
-from cvdist.symplectic import beamsplitter, embed, mode_permutation, random_symplectic
+from cvdist.symplectic import mode_permutation, random_symplectic
 
 SPLIT01 = BipartiteSplit((0,), (1,))
 
@@ -95,6 +99,30 @@ def test_fig1_checks_the_conditioning_matrix_once(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     run_fig1(ch, state, 10, rng)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_in", [1, 2])
+def test_fig1_makes_two_gaussian_updates(rng, monkeypatch, n_in):
+    # one Bell update for every pair, one Choi conditioning for the reference
+    # and every correction
+    update = measurements._gaussian_update
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return update(*args, **kwargs)
+
+    # patch every cvdist module that imported the update by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cvdist.") and getattr(module, "_gaussian_update", None) is update:
+            monkeypatch.setattr(module, "_gaussian_update", counted)
+    ch = GaussianChannel(
+        n_in=n_in, n_out=1,
+        choi_cov=random_state(n_in + 1, rng, nu_spread=0.7, symplectic_scale=0.35).cov,
+    )
+    state = random_state(n_in, rng, nu_spread=0.8, symplectic_scale=0.4, mean_scale=0.8)
+    run_fig1(ch, state, 10, rng)
+    assert len(calls) == 2
 
 
 def test_fig1_dimension_check(rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from symplectic_oracle import beamsplitter
 
 from cvdist.errors import (
     DimensionError,
@@ -25,7 +26,6 @@ from cvdist.states import (
     vacuum,
 )
 from cvdist.symplectic import (
-    beamsplitter,
     random_symplectic,
     two_mode_squeezer,
 )

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from symplectic_oracle import orthogonal_symplectic_from_unitary
+from symplectic_oracle import beamsplitter, embed, orthogonal_symplectic_from_unitary
 
 from cvdist.errors import NotPositiveDefinite, NotSymplectic, ParamOutOfRange
 from cvdist.symplectic import (
-    beamsplitter,
     bloch_messiah,
-    embed,
     mode_permutation,
     omega,
     phase_rotation,
