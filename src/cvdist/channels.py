@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DimensionMismatch,
@@ -40,8 +40,8 @@ from .errors import (
     SingularConditioning,
 )
 from .measurements import _gaussian_update
-from .states import PHYSICALITY_TOL, GaussianState, tmsv
-from .symplectic import omega, quad_indices, symplectic_eigenvalues
+from .states import PHYSICALITY_TOL, GaussianState, _freeze, tmsv
+from .symplectic import block_diag, omega, quad_indices, symplectic_eigenvalues
 
 #: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
 MIN_SINGULAR_VALUE = 1e-12
@@ -131,26 +131,27 @@ class GaussianChannel:
         object.__setattr__(self, "choi_mean", choi.mean)
         object.__setattr__(self, "partition", partition)
 
-    # -- block bookkeeping ---------------------------------------------------
+    # -- block bookkeeping: computed once per channel ------------------------
 
-    @property
+    @cached_property
     def input_modes(self) -> tuple:
         return tuple(i for i, p in enumerate(self.partition) if p == "in")
 
-    @property
+    @cached_property
     def output_modes(self) -> tuple:
         return tuple(i for i, p in enumerate(self.partition) if p == "out")
 
+    @cached_property
     def _in_q(self) -> np.ndarray:
-        return quad_indices(self.input_modes)
+        return _freeze(quad_indices(self.input_modes))
 
+    @cached_property
     def _out_q(self) -> np.ndarray:
-        return quad_indices(self.output_modes)
+        return _freeze(quad_indices(self.output_modes))
 
     @property
     def a_block(self) -> np.ndarray:
-        q = self._in_q()
-        return self.choi_cov[np.ix_(q, q)]
+        return self.choi_cov[np.ix_(self._in_q, self._in_q)]
 
     @property
     def choi_state(self) -> GaussianState:
@@ -218,7 +219,7 @@ def _condition_choi(ch: GaussianChannel, v, outcome, r_d=()):
     stack = np.reshape(r_d, (-1, outcome.size))
     means = np.zeros((1 + len(stack), ch.choi_mean.size))
     means[0] = ch.choi_mean
-    _, cov, out = _gaussian_update(ch.choi_cov, means, ch._out_q(), ch._in_q(), v,
+    _, cov, out = _gaussian_update(ch.choi_cov, means, ch._out_q, ch._in_q, v,
                                    outcomes=np.vstack([outcome, stack]))
     return cov, out[0], out[1:].reshape(np.shape(r_d)[:-1] + (-1,))
 

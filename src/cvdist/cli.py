@@ -19,11 +19,18 @@ All file writes are atomic (temp file + rename). Every command is
 deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
 overridden by the CVDIST_SEED environment variable, which in turn loses to an
 explicit --seed flag.
+
+``main`` builds the argparse tree once per process and reads CVDIST_SEED on
+every call, so callers that run many commands in one process (the benchmark,
+the tests) pay for the parser once. Importing this module loads numpy but not
+scipy; scipy loads only for random states (``channel make --kind
+random-locc``) and for ``canon``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -297,6 +304,7 @@ def _cmd_canon(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree; ``main`` sets every ``--seed`` default per call."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="cvdist",
@@ -304,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "distillation no-go certification harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
 
     p = sub.add_parser("state", help="write a Gaussian state JSON",
                        formatter_class=fmt)
@@ -329,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--r-approx", type=float, default=6.0,
                     help="finite-squeezing approximation parameter")
     pm.add_argument("--eta", type=float, default=0.5, help="attenuation transmissivity")
-    pm.add_argument("--seed", type=int, default=seed_default,
-                    help="seed for random-locc")
+    pm.add_argument("--seed", type=int, help="seed for random-locc")
     pm.add_argument("--out", required=True, help="output path")
     pm.set_defaults(func=_cmd_channel_make)
 
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--channel", required=True, help="channel JSON path")
     pv.add_argument("--state", required=True, help="input state JSON path")
     pv.add_argument("--samples", type=_count, default=20, help="Bell outcome samples")
-    pv.add_argument("--seed", type=int, default=seed_default, help="RNG seed")
+    pv.add_argument("--seed", type=int, help="RNG seed")
     pv.add_argument("--out", default=None, help="optional JSON report path")
     pv.add_argument("--corrupt-correction-gain", type=float, default=1.0,
                     help=argparse.SUPPRESS)  # negative-control hook for tests
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sb", default=None, help="16 comma-separated floats (4x4)")
     pr.add_argument("--sample-outcomes", action="store_true",
                     help="sample heterodyne outcomes instead of forcing 0")
-    pr.add_argument("--seed", type=int, default=seed_default, help="RNG seed")
+    pr.add_argument("--seed", type=int, help="RNG seed")
     pr.add_argument("--out", default=None, help="transcript JSON path")
     pr.set_defaults(func=_cmd_fig2_run)
 
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=_count, default=50, help="optimizer starts")
     p.add_argument("--budget", type=_count, default=2000,
                    help="objective evaluations per start")
-    p.add_argument("--seed", type=int, default=seed_default, help="RNG seed")
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--csv", default=None, help="CSV output path")
     p.add_argument("--certificates", default=None,
                    help="JSON path for full certificates (incl. best params)")
@@ -403,8 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _set_seed_defaults(parser: argparse.ArgumentParser, seed: int) -> None:
+    """Make ``seed`` the default of every --seed option in the tree."""
+    for action in parser._actions:  # argparse has no public walk of the tree
+        if action.dest == "seed":
+            action.default = seed
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                _set_seed_defaults(sub, seed)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    _set_seed_defaults(parser, _default_seed())
     args = parser.parse_args(argv)
     try:
         return args.func(args)

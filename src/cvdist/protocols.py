@@ -24,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .channels import GaussianChannel, _choi_dyne, _condition_choi
 from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
 from .states import GaussianState, apply_symplectic, tensor
-from .symplectic import mode_permutation, williamson
+from .symplectic import block_diag, mode_permutation, williamson
 
 #: Purity gate: all symplectic eigenvalues within this of 1.
 PURITY_TOL = 1e-7

@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import (
     DimensionError,
@@ -23,6 +22,7 @@ from .errors import (
 )
 from .symplectic import (
     assert_symplectic,
+    block_diag,
     quad_indices,
     random_symplectic,
     symplectic_eigenvalues,

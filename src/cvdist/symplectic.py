@@ -7,6 +7,11 @@ Conventions (used consistently across the package):
 * hbar = 1 and covariance matrices carry doubled second moments,
   Gamma_ij = <dr_i dr_j + dr_j dr_i>, so the vacuum covariance is the
   identity and a matrix is physical iff all symplectic eigenvalues are >= 1.
+
+The module loads numpy alone. The two functions that need scipy,
+``random_symplectic`` (a matrix exponential) and ``williamson`` (a real Schur
+form), import it when called, so a no-go search or a Fig. 1 run on given
+inputs never loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, polar, schur
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymplectic
 
@@ -43,6 +47,17 @@ def quad_indices(modes) -> np.ndarray:
     """Quadrature (row/column) indices of the given modes, in the given order."""
     modes = np.atleast_1d(np.asarray(modes, dtype=int))
     return (2 * modes.reshape(-1, 1) + np.arange(2)).ravel()
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """Square blocks placed along the diagonal of a zero matrix, in order."""
+    blocks = [np.asarray(b) for b in blocks]
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=np.result_type(*blocks))
+    k = 0
+    for b in blocks:
+        out[k:k + len(b), k:k + len(b)] = b
+        k += len(b)
+    return out
 
 
 def symplectic_error(s: np.ndarray) -> float:
@@ -104,6 +119,8 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     Surjective onto the identity component and numerically simple; ``scale``
     controls how far from the identity the draw typically lands.
     """
+    from scipy.linalg import expm  # imported here: see the module docstring
+
     dim = 2 * n_modes
     h = rng.normal(0.0, scale, size=(dim, dim))
     h = (h + h.T) / 2.0
@@ -121,19 +138,6 @@ class WilliamsonDecomp:
 
     s: np.ndarray
     nus: np.ndarray
-
-
-@dataclass(frozen=True)
-class BlochMessiahDecomp:
-    """Euler form S = passive_out @ (squeezers) @ passive_in.
-
-    ``squeeze_params`` are the r_k >= 0, sorted descending; the middle factor
-    is the direct sum of diag(e^{r_k}, e^{-r_k}) blocks.
-    """
-
-    passive_out: np.ndarray
-    squeeze_params: np.ndarray
-    passive_in: np.ndarray
 
 
 def _pd_roots(cov: np.ndarray):
@@ -172,6 +176,8 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomp:
     of the antisymmetric matrix Gamma^{-1/2} Omega Gamma^{-1/2}, which keeps
     the eigenvector pairs orthogonal by construction, also for degenerate nus.
     """
+    from scipy.linalg import schur  # imported here: see the module docstring
+
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     root, inv_root = _pd_roots(cov)
@@ -193,56 +199,3 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomp:
     nus = nus[order]
     s = (root @ q) / np.sqrt(np.repeat(nus, 2))[None, :]
     return WilliamsonDecomp(s=s, nus=nus)
-
-
-def bloch_messiah(s: np.ndarray, unit_tol: float = 1e-8) -> BlochMessiahDecomp:
-    """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
-
-    S = K1 @ (direct sum of diag(e^{r_k}, e^{-r_k})) @ K2 with K1, K2
-    orthogonal symplectic and r_k >= 0 sorted descending.
-
-    The symmetric factor P of the polar decomposition S = U P is a symmetric
-    positive-definite symplectic matrix; its eigenvectors pair up as
-    (v, -Omega v) with eigenvalues (lam, 1/lam), which directly yields the
-    orthogonal symplectic diagonalizer. Eigenvalues within ``unit_tol`` of 1
-    are treated as unsqueezed and their subspace is paired via the Schur form
-    of the restricted symplectic form.
-    """
-    s = assert_symplectic(s)
-    n = s.shape[0] // 2
-    om = omega(n)
-    u, p = polar(s, side="right")
-    p = (p + p.T) / 2.0
-    w, q = np.linalg.eigh(p)
-
-    big = w > 1.0 + unit_tol
-    small = w < 1.0 - unit_tol
-    if big.sum() != small.sum():
-        raise NotSymplectic(
-            "eigenvalues of the polar factor do not pair up; matrix is too far "
-            "from symplectic"
-        )
-    order = np.argsort(-w)
-    vs = [q[:, i] for i in order if big[i]]
-    lams = [w[i] for i in order if big[i]]
-
-    unit_cols = q[:, ~(big | small)]
-    if unit_cols.shape[1]:
-        w_small = unit_cols.T @ om @ unit_cols
-        w_small = (w_small - w_small.T) / 2.0
-        _, z = schur(w_small)
-        paired = unit_cols @ z
-        for k in range(paired.shape[1] // 2):
-            v = paired[:, 2 * k]
-            vs.append(v)
-            lams.append(float(v @ p @ v))
-
-    cols = np.empty((2 * n, 2 * n))
-    for k, v in enumerate(vs):
-        cols[:, 2 * k] = v
-        cols[:, 2 * k + 1] = -om @ v
-    rs = np.log(np.array(lams))
-    rs[np.abs(rs) < unit_tol] = 0.0
-    k1 = u @ cols
-    k2 = cols.T
-    return BlochMessiahDecomp(passive_out=k1, squeeze_params=rs, passive_in=k2)

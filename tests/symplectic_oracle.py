@@ -8,12 +8,18 @@ a_k = (x_k + i p_k)/sqrt(2) and a' = u a, the quadratures transform by
 ``cvdist.measurements`` builds the balanced beamsplitters of all Bell pairs
 as one matrix. Here a beamsplitter is a two-mode block, embedded into the
 identity on the modes it acts on.
+
+``bloch_messiah`` factors a symplectic matrix into its Euler form; the tests
+use it to check that random symplectics have the expected structure.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-from cvdist.errors import DimensionMismatch, ParamOutOfRange
-from cvdist.symplectic import quad_indices
+import numpy as np
+from scipy.linalg import polar, schur
+
+from cvdist.errors import DimensionMismatch, NotSymplectic, ParamOutOfRange
+from cvdist.symplectic import assert_symplectic, omega, quad_indices
 
 _I2 = np.eye(2)
 
@@ -74,3 +80,69 @@ def passive_from_angles(angles: np.ndarray) -> np.ndarray:
     phases = angles[..., 1:2] + np.array([1.0, 1.0, -1.0, -1.0]) * angles[..., [2, 3, 3, 2]]
     u = np.exp(1j * phases) * np.stack([c, s, -s, c], axis=-1)
     return orthogonal_symplectic_from_unitary(u.reshape(angles.shape[:-1] + (2, 2)))
+
+
+@dataclass(frozen=True)
+class BlochMessiahDecomp:
+    """Euler form S = passive_out @ (squeezers) @ passive_in.
+
+    ``squeeze_params`` are the r_k >= 0, sorted descending; the middle factor
+    is the direct sum of diag(e^{r_k}, e^{-r_k}) blocks.
+    """
+
+    passive_out: np.ndarray
+    squeeze_params: np.ndarray
+    passive_in: np.ndarray
+
+
+def bloch_messiah(s: np.ndarray, unit_tol: float = 1e-8) -> BlochMessiahDecomp:
+    """Bloch-Messiah (Euler) decomposition of a symplectic matrix.
+
+    S = K1 @ (direct sum of diag(e^{r_k}, e^{-r_k})) @ K2 with K1, K2
+    orthogonal symplectic and r_k >= 0 sorted descending.
+
+    The symmetric factor P of the polar decomposition S = U P is a symmetric
+    positive-definite symplectic matrix; its eigenvectors pair up as
+    (v, -Omega v) with eigenvalues (lam, 1/lam), which directly yields the
+    orthogonal symplectic diagonalizer. Eigenvalues within ``unit_tol`` of 1
+    are treated as unsqueezed and their subspace is paired via the Schur form
+    of the restricted symplectic form.
+    """
+    s = assert_symplectic(s)
+    n = s.shape[0] // 2
+    om = omega(n)
+    u, p = polar(s, side="right")
+    p = (p + p.T) / 2.0
+    w, q = np.linalg.eigh(p)
+
+    big = w > 1.0 + unit_tol
+    small = w < 1.0 - unit_tol
+    if big.sum() != small.sum():
+        raise NotSymplectic(
+            "eigenvalues of the polar factor do not pair up; matrix is too far "
+            "from symplectic"
+        )
+    order = np.argsort(-w)
+    vs = [q[:, i] for i in order if big[i]]
+    lams = [w[i] for i in order if big[i]]
+
+    unit_cols = q[:, ~(big | small)]
+    if unit_cols.shape[1]:
+        w_small = unit_cols.T @ om @ unit_cols
+        w_small = (w_small - w_small.T) / 2.0
+        _, z = schur(w_small)
+        paired = unit_cols @ z
+        for k in range(paired.shape[1] // 2):
+            v = paired[:, 2 * k]
+            vs.append(v)
+            lams.append(float(v @ p @ v))
+
+    cols = np.empty((2 * n, 2 * n))
+    for k, v in enumerate(vs):
+        cols[:, 2 * k] = v
+        cols[:, 2 * k + 1] = -om @ v
+    rs = np.log(np.array(lams))
+    rs[np.abs(rs) < unit_tol] = 0.0
+    k1 = u @ cols
+    k2 = cols.T
+    return BlochMessiahDecomp(passive_out=k1, squeeze_params=rs, passive_in=k2)

@@ -37,7 +37,6 @@ from cvdist.states import (
     vacuum,
 )
 from cvdist.symplectic import (
-    bloch_messiah,
     mode_permutation,
     phase_rotation,
     random_symplectic,
@@ -48,7 +47,7 @@ from cvdist.symplectic import (
     williamson,
 )
 from scipy.linalg import block_diag
-from symplectic_oracle import beamsplitter, embed
+from symplectic_oracle import beamsplitter, bloch_messiah, embed
 from wigner_oracle import oracle_condition
 
 SPLIT01 = BipartiteSplit((0,), (1,))

@@ -39,7 +39,7 @@ from cvdist.states import (
     tmsv,
     vacuum,
 )
-from cvdist.symplectic import squeezer, symplectic_eigenvalues
+from cvdist.symplectic import quad_indices, squeezer, symplectic_eigenvalues
 
 TANH_HALF = 0.46211715726000974
 
@@ -227,6 +227,22 @@ def test_tensor_channels_bookkeeping():
     both = tensor_channels(a, b)
     assert both.n_in == 3 and both.n_out == 3
     assert both.partition == a.partition + b.partition
+
+
+def test_partition_bookkeeping_is_computed_once(rng):
+    partition = ("out", "in", "out", "in")
+    ch = GaussianChannel(n_in=2, n_out=2, partition=partition,
+                         choi_cov=random_state(4, rng, nu_spread=0.8).cov)
+    ins = tuple(i for i, p in enumerate(partition) if p == "in")
+    outs = tuple(i for i, p in enumerate(partition) if p == "out")
+    assert ch.input_modes == ins == (1, 3)
+    assert ch.output_modes == outs == (0, 2)
+    q_in, q_out = quad_indices(ins), quad_indices(outs)
+    assert np.array_equal(ch._in_q, q_in) and np.array_equal(ch._out_q, q_out)
+    assert np.array_equal(ch.a_block, ch.choi_cov[np.ix_(q_in, q_in)])
+    for name in ("input_modes", "output_modes", "_in_q", "_out_q"):
+        assert getattr(ch, name) is getattr(ch, name)
+    assert not ch._in_q.flags.writeable and not ch._out_q.flags.writeable
 
 
 # -- separable channels ---------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cvdist
+import cvdist.cli
 from cvdist.cli import DEFAULT_SEED, main
 from cvdist.states import GaussianState, tmsv
 
@@ -178,6 +179,47 @@ def test_cli_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_nogo_run_loads_no_scipy():
+    # the no-go path is numpy alone; importing scipy.linalg would dominate its start-up
+    code = (
+        "import sys, cvdist.cli, cvdist.nogo, cvdist.protocols, cvdist.channels\n"
+        "rc = cvdist.cli.main(['nogo', '--rs', '0.5', '--starts', '2', '--budget', '30'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cvdist.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_parser_is_built_once_and_reads_the_seed_per_call(tmp_path, monkeypatch):
+    built = []
+    real = cvdist.cli.build_parser
+    monkeypatch.setattr(cvdist.cli, "build_parser", lambda: built.append(1) or real())
+    cvdist.cli._parser.cache_clear()
+    try:
+        outcomes = []
+        for seed in ("11", "12"):
+            monkeypatch.setenv("CVDIST_SEED", seed)
+            out = tmp_path / f"fig2-{seed}.json"
+            assert main(["fig2", "run", "--r", "0.4", "--sample-outcomes",
+                         "--out", str(out)]) == 0
+            transcript = json.loads(out.read_text())
+            assert transcript["seed"] == int(seed)
+            outcomes.append(transcript["outcomes"])
+        assert outcomes[0] != outcomes[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["nogo", "--starts", "0"])
+        assert exc.value.code == 2
+        monkeypatch.delenv("CVDIST_SEED")
+        out = tmp_path / "fig2-default.json"
+        assert main(["fig2", "run", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == DEFAULT_SEED
+        assert len(built) == 1
+    finally:
+        cvdist.cli._parser.cache_clear()
 
 
 def test_canon_command(tmp_path, capsys):

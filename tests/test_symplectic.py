@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import linalg
 
-from symplectic_oracle import beamsplitter, embed, orthogonal_symplectic_from_unitary
+from symplectic_oracle import (
+    beamsplitter,
+    bloch_messiah,
+    embed,
+    orthogonal_symplectic_from_unitary,
+)
 
 from cvdist.errors import NotPositiveDefinite, NotSymplectic, ParamOutOfRange
 from cvdist.symplectic import (
-    bloch_messiah,
+    block_diag,
     mode_permutation,
     omega,
     phase_rotation,
@@ -40,6 +46,14 @@ def test_omega_structure():
     om = omega(2)
     assert_allclose(om[:2, :2], [[0, 1], [-1, 0]])
     assert_allclose(om @ om, -np.eye(4))
+
+
+@pytest.mark.parametrize("sizes", [(2,), (4,), (6,), (2, 4), (6, 2), (4, 4),
+                                   (2, 4, 6), (6, 2, 2), (4, 6, 4)])
+def test_block_diag_matches_scipy(rng, sizes):
+    blocks = [rng.normal(size=(n, n)) for n in sizes]
+    ours, ref = block_diag(*blocks), linalg.block_diag(*blocks)
+    assert np.array_equal(ours, ref) and ours.dtype == ref.dtype
 
 
 def test_squeezer_zero_is_identity():
