@@ -40,7 +40,7 @@ from .errors import (
     SingularConditioning,
 )
 from .measurements import _gaussian_update
-from .states import PHYSICALITY_TOL, GaussianState, _freeze, tmsv
+from .states import PHYSICALITY_TOL, GaussianState, _freeze, random_state, tmsv
 from .symplectic import block_diag, omega, quad_indices, symplectic_eigenvalues
 
 #: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
@@ -152,10 +152,6 @@ class GaussianChannel:
     @property
     def a_block(self) -> np.ndarray:
         return self.choi_cov[np.ix_(self._in_q, self._in_q)]
-
-    @property
-    def choi_state(self) -> GaussianState:
-        return GaussianState(mean=self.choi_mean, cov=self.choi_cov)
 
     # -- serialization --------------------------------------------------------
 
@@ -408,8 +404,6 @@ def random_locc_spec(
     Bob's), so a 1+1 -> 1+1 channel has Alice on Choi modes (0, 2) and Bob on
     (1, 3), matching the input ordering (A_in, B_in) -> (A_out, B_out).
     """
-    from .states import random_state  # local import to avoid cycle at module load
-
     na = sum(alice)
     nb = sum(bob)
     n = na + nb

@@ -29,18 +29,23 @@ The objective has max(0, .) kinks where partially transposed symplectic
 eigenvalues cross 1, which makes finite-difference gradients unreliable;
 multi-start Nelder-Mead simplex search (default 50 starts, one of them the
 identity point) is used instead. ``minimize`` advances every start in
-lockstep and evaluates each phase's points (reflect, then expand or
-contract, then shrink) across all starts in one kernel call, while each
-start takes exactly the steps of scipy's adaptive Nelder-Mead (Gao and Han,
-Comput. Optim. Appl. 51, 2012) with the same initial simplex, stopping
-tolerances and evaluation budget. The search carries only the live starts:
-the stopping test looks at the value spread first and at the simplex spread
-only where that passes, and each start's moved worst vertex is inserted
-among its sorted others, with an argsort only where that leaves the values
-not strictly increasing (after a shrink, or on a tie or a NaN, since
-argsort's order among equal values is not emulated). A certificate records
-the best value found and the gap to the input entanglement; the no-go claim
-is that the gap never goes below -1e-6.
+lockstep, while each start takes exactly the steps of scipy's adaptive
+Nelder-Mead (Gao and Han, Comput. Optim. Appl. 51, 2012) with the same
+initial simplex, stopping tolerances and evaluation budget. Each start
+carries its own step: its reflection is pending, or the expansion or
+contraction that the reflection chose. A round evaluates one pending point
+per live start, whatever its step, in one kernel call, and the shrinks of
+failed contractions in one more: the kernel runs once for each evaluation
+that every live start makes, not once for each phase of an iteration. The
+search carries only the live starts, and only those that ended an
+iteration in a round are sorted and tested for stopping: the stopping test
+looks at the value spread first and at the simplex spread only where that
+passes, and each start's moved worst vertex is inserted among its sorted
+others, with an argsort only where that leaves the values not strictly
+increasing (after a shrink, or on a tie or a NaN, since argsort's order
+among equal values is not emulated). A certificate records the best value
+found and the gap to the input entanglement; the no-go claim is that the
+gap never goes below -1e-6.
 
 Certificates are scoped to protocols built from pure Choi states (the build_fig2
 class); mixing over displacements cannot help since entanglement ignores
@@ -286,28 +291,31 @@ def _insertions(m: int) -> np.ndarray:
     return table
 
 
-def _sort(sim: np.ndarray, fsim: np.ndarray):
-    """Each start's vertices in ascending order of value, as scipy sorts them.
+def _sort(sim: np.ndarray, fsim: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sort the vertices of starts ``cols`` in place, ascending in value, as scipy does.
 
-    ``sim`` is vertex-major, (N + 1, K, N), and ``fsim`` (N + 1, K). After a
-    step that moved only the worst vertex, the others are still sorted, so
-    each start's last vertex is first inserted where it belongs among them.
-    Where that does not give strictly increasing values (after a shrink, or
-    on a tie or a NaN) the start is argsorted instead: strictly increasing
-    values have one sorted order only, which is argsort's, and argsort's
-    order among equal values is not emulated. The vertices are then
-    gathered through one flat row index.
+    ``sim`` is vertex-major, (N + 1, K, N), and ``fsim`` (N + 1, K); the
+    sorted vertices of ``cols``, (N + 1, len(cols), N), are returned too.
+    After a step that moved only the worst vertex, the others are still
+    sorted, so each start's last vertex is first inserted where it belongs
+    among them. Where that does not give strictly increasing values (after
+    a shrink, or on a tie or a NaN) the start is argsorted instead: strictly
+    increasing values have one sorted order only, which is argsort's, and
+    argsort's order among equal values is not emulated.
     """
-    m, k = fsim.shape
-    starts = np.arange(k)
-    order = _insertions(m)[:, (fsim[:-1] < fsim[-1]).sum(axis=0)]
-    values = fsim.take(order * k + starts)
+    m = len(fsim)
+    f = fsim[:, cols]
+    c = np.arange(len(cols))
+    order = _insertions(m)[:, (f[:-1] < f[-1]).sum(axis=0)]
+    values = f[order, c]
     unsorted = ~(values[1:] > values[:-1]).all(axis=0)
     if unsorted.any():
-        order[:, unsorted] = np.argsort(fsim[:, unsorted], axis=0)
-        values = fsim.take(order * k + starts)
-    flat = (order * k + starts).ravel()
-    return sim.reshape(m * k, sim.shape[-1]).take(flat, axis=0).reshape(sim.shape), values
+        order[:, unsorted] = np.argsort(f[:, unsorted], axis=0)
+        values = f[order, c]
+    fsim[:, cols] = values
+    s = sim[order, cols]
+    sim[:, cols] = s
+    return s
 
 
 def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
@@ -319,30 +327,41 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
     fatol=FATOL, adaptive=True))``: the same initial simplex, the same
     reflect / expand / contract / shrink decisions, the same stopping test,
     and a budget that ends the start where scipy's ends it, mid-step or
-    mid-shrink included. Every phase evaluates its points for all starts in
-    one call of ``fun``, so a row-independent ``fun`` sees each start's
-    points exactly as scipy would send them. The simplices are stored vertex
-    by vertex, (N + 1, K, N), so that each vertex of all starts is one
-    contiguous slab, and only the live starts are carried from one iteration
-    to the next: a start that stops leaves the working arrays, and its
-    result is written out then.
+    mid-shrink included.
+
+    An iteration of scipy's is split into the points it waits on. Each
+    start carries its own step: ``0`` while its reflection is pending, or
+    the expansion (1), outside contraction (2) or inside contraction (3)
+    that its reflection chose. Each round evaluates exactly one pending
+    point per live start, whatever its step, in one call of ``fun``; a
+    failed contraction's shrink is evaluated within the round, in a call of
+    its own. Only the starts that ended an iteration in a round are sorted
+    and tested for stopping, and begin their next iteration. The others
+    keep their simplex as it is: it has not moved since their last test,
+    and sorting it again would hand any ties to argsort, whose order among
+    equal values is not emulated. A row-independent ``fun`` thus sees each
+    start's points exactly as scipy would send them. The simplices are
+    stored vertex by vertex, (N + 1, K, N), so that each vertex of all
+    starts is one contiguous slab, and only the live starts are carried
+    from one round to the next: a start that stops leaves the working
+    arrays, and its result is written out then.
     """
     x0 = np.array(x0, dtype=float, ndmin=2)
     k, n = x0.shape
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    # a step's point is a xbar - b worst: reflect, expand, contract outside, inside
+    coef_a = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])
+    coef_b = np.array([rho, rho * chi, psi * rho, -psi])
     res = LockstepResult(best_x=np.empty_like(x0), best_f=np.empty(k),
                          nfev=np.empty(k, dtype=int), converged=np.zeros(k, dtype=bool))
-    # per live start: its index, evaluation count and best point so far
+    # per live start: its index, evaluation count and best point so far, and
+    # its iteration's centroid, step and reflection value
     live = np.arange(k)
     nfev = np.zeros(k, dtype=int)
     best_f = np.full(k, np.inf)
     best_x = x0.copy()
-
-    def keep_best(values, pts):
-        """Fold one value per live start (+inf for none) into its best."""
-        better = (values < best_f) & np.isfinite(values)
-        np.copyto(best_f, values, where=better)
-        np.copyto(best_x, pts, where=better[:, None])
+    step = np.zeros(k, dtype=int)
+    fxr = np.empty(k)
 
     def evaluate_many(cols, pts, counts):
         """Values of the first ``counts`` points (+inf after) of ``pts`` (J, k', N)."""
@@ -365,73 +384,77 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
     diag = np.arange(n)
     sim[diag + 1, :, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025).T
     fsim = evaluate_many(live, sim, np.full(k, min(n + 1, max(maxfev, 0))))
-    sim, fsim = _sort(sim, fsim)
-    sim, fsim = _sort(sim, fsim)  # scipy sorts twice before iterating
-
-    def retire(stop):
-        """Write out the results of the starts flagged in ``stop`` and drop them."""
-        nonlocal live, nfev, best_f, best_x, sim, fsim
-        out = live[stop]
-        res.nfev[out], res.best_f[out], res.best_x[out] = nfev[stop], best_f[stop], best_x[stop]
-        go = ~stop
-        live, nfev, best_f, best_x = live[go], nfev[go], best_f[go], best_x[go]
-        sim, fsim = sim[:, go], fsim[:, go]
+    ended = np.arange(k)  # the starts that ended an iteration in the last round
+    _sort(sim, fsim, ended)
+    xbar = np.add.reduce(_sort(sim, fsim, ended)[:-1], 0) / n  # scipy sorts twice
 
     while True:
-        # a start stops on its budget, or on scipy's tolerances; the x-spread
-        # is computed only where the f-spread passes
-        stop = nfev >= maxfev
-        if stop.any():
-            retire(stop)
-        done = np.abs(fsim[:1] - fsim[1:]).max(axis=0) <= FATOL
-        if done.any():
-            near = np.flatnonzero(done)
-            s = sim[:, near]
-            done[near] = np.abs(s[1:] - s[:1]).max(axis=(0, 2)) <= XATOL
-            res.converged[live[done]] = True
-            retire(done)
+        # a start that ended an iteration stops on its budget, or on scipy's
+        # tolerances; the x-spread is computed only where the f-spread passes
+        over = nfev[ended] >= maxfev
+        stop, rest = ended[over], ended[~over]
+        fs = fsim[:, rest]
+        near = np.flatnonzero(np.abs(fs[:1] - fs[1:]).max(axis=0) <= FATOL)
+        if near.size:
+            s = sim[:, rest[near]]
+            done = near[np.abs(s[1:] - s[:1]).max(axis=(0, 2)) <= XATOL]
+            res.converged[live[rest[done]]] = True
+            stop = np.concatenate([stop, rest[done]])
+            rest = np.delete(rest, done)
+        if stop.size:
+            out = live[stop]
+            res.nfev[out], res.best_f[out] = nfev[stop], best_f[stop]
+            res.best_x[out] = best_x[stop]
+            go = np.ones(live.size, dtype=bool)
+            go[stop] = False
+            live, nfev, best_f, best_x = live[go], nfev[go], best_f[go], best_x[go]
+            xbar, step, fxr, fsim = xbar[go], step[go], fxr[go], fsim[:, go]
+            sim = sim.compress(go, axis=1)  # each vertex stays one contiguous slab
         if not live.size:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        worst = sim[-1]
 
-        # reflect
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
+        # one pending point per live start
+        worst = sim[-1]
+        x = coef_a[step, None] * xbar - coef_b[step, None] * worst
+        f = fun(x)
         nfev += 1
-        keep_best(fxr, xr)
-        expand = fxr < fsim[0]
-        keep_r = ~expand & (fxr < fsim[-2])
-        outside = ~expand & ~keep_r & (fxr < fsim[-1])
-        # expand, or contract outside / inside: p = a xbar - b worst; a start
-        # whose budget ran out ends here, as scipy's does
-        second = ~keep_r & (nfev < maxfev)
-        a = np.where(expand, 1 + rho * chi, np.where(outside, 1 + psi * rho, 1 - psi))
-        b = np.where(expand, rho * chi, np.where(outside, psi * rho, -psi))
-        xp = a[:, None] * xbar - b[:, None] * worst
-        fxp = np.full(live.size, np.inf)
-        if second.any():
-            fxp[second] = fun(xp[second])
-            nfev += second
-            keep_best(fxp, xp)
-        use_p = second & np.where(expand, fxp < fxr,
-                                  np.where(outside, fxp <= fxr, fxp < fsim[-1]))
-        use_r = keep_r | (second & expand & ~use_p)
-        for use, x, f in ((use_r, xr, fxr), (use_p, xp, fxp)):
-            np.copyto(sim[-1], x, where=use[:, None])
-            np.copyto(fsim[-1], f, where=use)
+        better = (f < best_f) & np.isfinite(f)
+        np.copyto(best_f, f, where=better)
+        np.copyto(best_x, x, where=better[:, None])
+
+        # a reflection is kept, or chooses the expansion or contraction to
+        # try next; a start whose budget ran out ends here, as scipy's does
+        reflected = step == 0
+        chosen = np.where(f < fsim[0], 1, np.where(f < fsim[-2], 0,
+                                                   np.where(f < fsim[-1], 2, 3)))
+        keep = np.where(reflected, chosen == 0,
+                        np.where(step == 1, f < fxr,
+                                 np.where(step == 2, f <= fxr, f < fsim[-1])))
+        pending = reflected & ~keep & (nfev < maxfev)
+        # a failed expansion falls back on its reflection (recomputed: the
+        # centroid and the worst vertex have not moved since), a failed
+        # contraction on a shrink
+        back = ~keep & (step == 1)
+        if back.any():
+            np.copyto(worst, (1 + rho) * xbar - rho * worst, where=back[:, None])
+            np.copyto(fsim[-1], fxr, where=back)
+        np.copyto(worst, x, where=keep[:, None])
+        np.copyto(fsim[-1], f, where=keep)
+        np.copyto(fxr, f, where=pending)
+        shrink = np.flatnonzero(~keep & (step > 1))
+        step = np.where(pending, chosen, 0)
 
         # a failed contraction shrinks towards the best vertex, evaluating
         # vertices in order while the budget lasts
-        shrink = second & ~expand & ~use_p
-        if shrink.any():
-            cols = np.flatnonzero(shrink)
-            sv = sim[:, cols]
+        if shrink.size:
+            sv = sim[:, shrink]
             sv[1:] = sv[:1] + sigma * (sv[1:] - sv[:1])
-            fsim[1:, cols] = evaluate_many(cols, sv[1:], np.minimum(maxfev - nfev[cols], n))
-            sim[:, cols] = sv
+            fsim[1:, shrink] = evaluate_many(shrink, sv[1:], np.minimum(maxfev - nfev[shrink], n))
+            sim[:, shrink] = sv
 
-        sim, fsim = _sort(sim, fsim)
+        # the starts that ended an iteration begin the next with a reflection
+        ended = np.flatnonzero(~pending)
+        xbar[ended] = np.add.reduce(_sort(sim, fsim, ended)[:-1], 0) / n
 
     return res
 

@@ -47,6 +47,7 @@ from cvdist.symplectic import (
     williamson,
 )
 from scipy.linalg import block_diag
+from channel_helpers import choi_state
 from symplectic_oracle import beamsplitter, bloch_messiah, embed
 from wigner_oracle import oracle_condition
 
@@ -231,7 +232,7 @@ def test_criterion_6_oracle_equivalence():
         spec = DyneSpec(tuple(range(n_in)), DyneKind.GENERAL,
                         gamma_m=r @ state.cov @ r)
         ref = apply(ch, state)
-        grid = oracle_condition(ch.choi_state, spec, r @ state.mean)
+        grid = oracle_condition(choi_state(ch), spec, r @ state.mean)
         worst = max(worst, float(np.abs(ref.cov - grid.cov).max()),
                     float(np.abs(ref.mean - grid.mean).max()))
         count += 1

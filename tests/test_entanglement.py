@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+from channel_helpers import choi_state
+
 from cvdist.channels import make_separable_channel, random_locc_spec
 from cvdist.entanglement import (
     BipartiteSplit,
@@ -99,7 +101,7 @@ def test_separable_choi_states_are_ppt(rng):
         spec = random_locc_spec(rng)
         ch = make_separable_channel(spec)
         split = BipartiteSplit(spec.alice_modes, spec.bob_modes)
-        assert log_negativity(ch.choi_state, split).ppt
+        assert log_negativity(choi_state(ch), split).ppt
 
 
 def test_ppt_conclusive_flag_depends_on_split(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from channel_helpers import choi_state
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import TooManyModes, oracle_condition
 
@@ -419,7 +420,7 @@ def test_oracle_bell_pipeline_matches_eq7():
     from cvdist.states import partial_trace
 
     single = partial_trace(inp, keep=[0])
-    joint = tensor(single, ch.choi_state)  # (in, choi_in, choi_out)
+    joint = tensor(single, choi_state(ch))  # (in, choi_in, choi_out)
     mixed = apply_symplectic(joint, embed(beamsplitter(0.5), (1, 0), 3))
     xi_x, xi_p = 0.35, -0.15
     step1 = oracle_condition(mixed, DyneSpec((0,), DyneKind.HOMODYNE_X), [xi_x])

@@ -285,6 +285,78 @@ def test_minimize_equals_the_oracle_minimizer_on_ties(budget):
     assert _same_result(minimize(fun, x0, budget), lockstep_oracle.minimize(fun, x0, budget))
 
 
+def _recording(fun, calls):
+    def record(x):
+        calls.append(x.copy())
+        return fun(x)
+    return record
+
+
+def _owners(fun, x0, budget):
+    """Each point that a start evaluates when it runs alone: (start, shrink).
+
+    After its initial simplex, the oracle run on one start sends one point
+    per call, or all points of one shrink together; ``shrink`` numbers that
+    call, and is None for a single point.
+    """
+    owner = {}
+    for k, start in enumerate(x0):
+        calls = []
+        lockstep_oracle.minimize(_recording(fun, calls), start[None], budget)
+        for c, pts in enumerate(calls[1:], start=1):
+            for p in pts:
+                owner[p.tobytes()] = (k, c if len(pts) > 1 else None)
+    return owner
+
+
+def test_minimize_makes_one_kernel_call_per_round():
+    # the nogo-wide shape, 50 starts x budget 50: after the initial simplex,
+    # a call holds at most one point of each start, or one shrink's points;
+    # two calls per iteration (reflect, then expand or contract) made 58 here
+    def fun(x):
+        return -objective(x, G0_HALF)
+
+    x0 = _starts(50, seed=50)
+    calls = []
+    minimize(_recording(fun, calls), x0, 50)
+    rows = [len(pts) for pts in calls]
+    assert rows[0] == 50 * (N_PARAMS + 1)
+    assert len(rows) <= 35
+    owner = _owners(fun, x0, 50)
+    for pts in calls[1:]:
+        shrinks = {}
+        for p in pts:
+            k, shrink = owner[p.tobytes()]
+            shrinks.setdefault(k, []).append(shrink)
+        for of_start in shrinks.values():
+            assert len(of_start) == 1 or (of_start[0] is not None
+                                          and len(set(of_start)) == 1)
+
+
+def _staircase(x):
+    return np.floor(4.0 * _bowl(x))
+
+
+@pytest.mark.parametrize("fun, budget", [
+    (_bowl, 100),  # every start ends on its budget
+    (_bowl, 600),  # 11 of 30 converge, the others end on their budget
+    (_bowl, 1000),  # all converge, at 28 different evaluation counts
+    (_bowl, 5000),
+    (_staircase, 60),  # ties: 7 starts end mid-shrink
+    (_staircase, 500),  # 6 converge, 12 end mid-shrink
+], ids=["bowl-100", "bowl-600", "bowl-1000", "bowl-5000", "ties-60", "ties-500"])
+def test_minimize_matches_when_starts_end_in_different_rounds(fun, budget):
+    # 30 starts in 5 parameters: each round, some starts wait on a
+    # reflection, others on an expansion or contraction, others shrink or stop
+    x0 = np.random.default_rng(9).uniform(-2.0, 2.0, size=(30, 5))
+    res = minimize(fun, x0, budget)
+    assert _same_result(res, lockstep_oracle.minimize(fun, x0, budget))
+    for k, start in enumerate(x0):
+        ref, ref_x, ref_f = _scipy_start(fun, start, budget)
+        assert res.nfev[k] == ref.nfev and res.converged[k] == ref.success
+        assert np.array_equal(res.best_x[k], ref_x) and res.best_f[k] == ref_f
+
+
 def _flat(x):
     return np.zeros(len(x))
 

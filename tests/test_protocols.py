@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+from channel_helpers import choi_state
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
 
@@ -59,7 +60,7 @@ def test_fig1_uncorrelated_channel_zero_correction(rng):
     ch = GaussianChannel(n_in=1, n_out=1,
                          choi_cov=tensor(thermal(0.4), thermal(1.0)).cov)
     run = run_fig1(ch, vacuum(1), 10, rng)
-    assert_allclose(run.corrected_output.cov, partial_trace(ch.choi_state, ch.output_modes).cov)
+    assert_allclose(run.corrected_output.cov, partial_trace(choi_state(ch), ch.output_modes).cov)
     assert run.max_cov_deviation <= 1e-12
     assert run.max_mean_deviation <= 1e-12
 
@@ -145,7 +146,7 @@ def _oracle_fig1(channel, input_state, n_samples, rng):
     """
     n_in = channel.n_in
     choi_in = [n_in + m for m in channel.input_modes]
-    joint = tensor(input_state, channel.choi_state)
+    joint = tensor(input_state, choi_state(channel))
     outcomes, means = [], []
     for _ in range(n_samples):
         state = joint
