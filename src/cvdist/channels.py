@@ -373,14 +373,13 @@ def make_separable_channel(spec: LoccChannelSpec) -> GaussianChannel:
             raise NotPhysicalWitness(f"{name} unphysical: nu_min = {nu_min:.12g}")
     if spec.noise.shape != (2 * n, 2 * n):
         raise NotPhysicalWitness(f"noise shape {spec.noise.shape} != {(2 * n, 2 * n)}")
-    y_min = float(np.linalg.eigvalsh((spec.noise + spec.noise.T) / 2.0)[0])
+    cov = (spec.noise + spec.noise.T) / 2.0
+    y_min = float(np.linalg.eigvalsh(cov)[0])
     if y_min < -WITNESS_NOISE_TOL:
         raise NotPhysicalWitness(f"noise matrix has eigenvalue {y_min:.3e} < 0")
 
-    cov = (spec.noise + spec.noise.T) / 2.0
     qa = quad_indices(spec.alice_modes)
     qb = quad_indices(spec.bob_modes)
-    cov = cov.copy()
     cov[np.ix_(qa, qa)] += spec.gamma_a
     cov[np.ix_(qb, qb)] += spec.gamma_b
     n_in = spec.partition.count("in")
@@ -389,40 +388,23 @@ def make_separable_channel(spec: LoccChannelSpec) -> GaussianChannel:
     )
 
 
-def random_locc_spec(
-    rng: np.random.Generator,
-    alice: tuple = (1, 1),
-    bob: tuple = (1, 1),
-    nu_spread: float = 0.8,
-    symplectic_scale: float = 0.35,
-    noise_scale: float = 0.3,
-) -> LoccChannelSpec:
-    """Random witness spec for a separable channel.
+def random_locc_spec(rng: np.random.Generator) -> LoccChannelSpec:
+    """Random witness spec for a separable 1+1 -> 1+1 channel.
 
-    ``alice`` and ``bob`` give (inputs, outputs) per party. Choi modes are
-    ordered (all inputs: Alice's then Bob's, then all outputs: Alice's then
-    Bob's), so a 1+1 -> 1+1 channel has Alice on Choi modes (0, 2) and Bob on
-    (1, 3), matching the input ordering (A_in, B_in) -> (A_out, B_out).
+    Choi modes are ordered (A_in, B_in, A_out, B_out), so Alice holds Choi
+    modes (0, 2) and Bob (1, 3), matching the input ordering (A_in, B_in) ->
+    (A_out, B_out). Each party's gamma is a random two-mode state with nus
+    in [1, 1.8] and symplectic width 0.35, Alice's drawn first; the noise is
+    G G^T / 8 with G an 8x8 Gaussian of width 0.3, drawn last.
     """
-    na = sum(alice)
-    nb = sum(bob)
-    n = na + nb
-    n_in = alice[0] + bob[0]
-    alice_modes = tuple(range(alice[0])) + tuple(n_in + k for k in range(alice[1]))
-    bob_modes = tuple(alice[0] + k for k in range(bob[0])) + \
-        tuple(n_in + alice[1] + k for k in range(bob[1]))
-    gamma_a = random_state(na, rng, nu_spread=nu_spread,
-                           symplectic_scale=symplectic_scale).cov
-    gamma_b = random_state(nb, rng, nu_spread=nu_spread,
-                           symplectic_scale=symplectic_scale).cov
-    g = rng.normal(0.0, noise_scale, size=(2 * n, 2 * n))
-    noise = g @ g.T / (2.0 * n)
-    partition = tuple("in" if m < n_in else "out" for m in range(n))
+    gamma_a = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
+    gamma_b = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
+    g = rng.normal(0.0, 0.3, size=(8, 8))
     return LoccChannelSpec(
-        alice_modes=alice_modes,
-        bob_modes=bob_modes,
+        alice_modes=(0, 2),
+        bob_modes=(1, 3),
         gamma_a=gamma_a,
         gamma_b=gamma_b,
-        noise=noise,
-        partition=partition,
+        noise=g @ g.T / 8.0,
+        partition=("in", "in", "out", "out"),
     )

@@ -18,7 +18,7 @@ gap, which CI should treat as an alarm, not a crash).
 All file writes are atomic (temp file + rename). Every command is
 deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
 overridden by the CVDIST_SEED environment variable, which in turn loses to an
-explicit --seed flag.
+explicit --seed flag. A CVDIST_SEED that is not an integer exits 2.
 
 ``main`` builds the argparse tree once per process and reads CVDIST_SEED on
 every call, so callers that run many commands in one process (the benchmark,
@@ -58,7 +58,6 @@ from .errors import (
     NotPositiveDefinite,
     NotPure,
     NotThreeMode,
-    UnknownKind,
 )
 from .protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from .states import GaussianState, thermal, tmsv, vacuum
@@ -83,7 +82,11 @@ _UNPHYSICAL_ERRORS = (NotPhysical, NotPositiveDefinite, NotPure)
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("CVDIST_SEED", DEFAULT_SEED))
+    text = os.environ.get("CVDIST_SEED", str(DEFAULT_SEED))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"CVDIST_SEED must be an integer, got {text!r}") from None
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -147,8 +150,6 @@ def _cmd_state(args) -> int:
             print("state --kind custom-json needs --input", file=sys.stderr)
             return EXIT_USAGE
         state = _load_state(args.input)
-    else:  # argparse choices guard this
-        raise UnknownKind(args.kind)
     state.require_physical()
     write_text_atomic(args.out, state.to_json())
     print(f"wrote {args.kind} state ({state.modes} modes) to {args.out}")
@@ -165,8 +166,6 @@ def _cmd_channel_make(args) -> int:
     elif args.kind == "random-locc":
         rng = np.random.default_rng(args.seed)
         ch = make_separable_channel(random_locc_spec(rng))
-    else:
-        raise UnknownKind(args.kind)
     write_text_atomic(args.out, ch.to_json())
     print(f"wrote {args.kind} channel ({ch.n_in}-in/{ch.n_out}-out) to {args.out}")
     return EXIT_OK
@@ -197,8 +196,7 @@ def _cmd_logneg(args) -> int:
 def _cmd_fig1_verify(args) -> int:
     ch = _load_channel(args.channel)
     state = _load_state(args.state)
-    run = run_fig1(ch, state, args.samples, np.random.default_rng(args.seed),
-                   correction_scale=args.corrupt_correction_gain)
+    run = run_fig1(ch, state, args.samples, np.random.default_rng(args.seed))
     ok = run.max_cov_deviation < FIG1_TOL and run.max_mean_deviation < FIG1_TOL
     print(f"samples: {args.samples}")
     print(f"max covariance deviation: {run.max_cov_deviation:.3e}")
@@ -366,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--samples", type=_count, default=20, help="Bell outcome samples")
     pv.add_argument("--seed", type=int, help="RNG seed")
     pv.add_argument("--out", default=None, help="optional JSON report path")
-    pv.add_argument("--corrupt-correction-gain", type=float, default=1.0,
-                    help=argparse.SUPPRESS)  # negative-control hook for tests
     pv.set_defaults(func=_cmd_fig1_verify)
 
     p = sub.add_parser("fig2", help="two-copy distillation protocol")
@@ -426,9 +422,9 @@ def _set_seed_defaults(parser: argparse.ArgumentParser, seed: int) -> None:
 
 def main(argv=None) -> int:
     parser = _parser()
-    _set_seed_defaults(parser, _default_seed())
-    args = parser.parse_args(argv)
     try:
+        _set_seed_defaults(parser, _default_seed())
+        args = parser.parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input problem: {exc}", file=sys.stderr)

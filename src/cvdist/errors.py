@@ -58,10 +58,6 @@ class EmptyKeepSet(CvdistError):
     """partial_trace asked to keep no modes."""
 
 
-class UnknownKind(CvdistError):
-    """Unrecognized constructor kind string."""
-
-
 class ParamOutOfRange(CvdistError):
     """Parameter outside its documented domain."""
 

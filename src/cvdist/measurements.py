@@ -194,12 +194,12 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     )
 
 
-def _bell_step(cov, means, pairs, draws=None, outcomes=None):
+def _bell_step(cov, means, pairs, draws):
     """Bell measurement of disjoint mode ``pairs`` on K states sharing one covariance.
 
-    ``means`` is a (K, 2N) stack. Pass standard normal ``draws`` (K, 2m) to
-    sample, or ``outcomes`` (K, 2m) of (x_d, p_d) per pair to condition on
-    them, for m pairs. The pairs' balanced beamsplitters commute, so they are
+    ``means`` is a (K, 2N) stack and ``draws`` (K, 2m) are the standard
+    normals the m pairs' outcomes are sampled from, (x_d, p_d) per pair.
+    The pairs' balanced beamsplitters commute, so they are
     one symplectic, and x of b and p of a for every pair (a, b) are one
     2m-quadrature homodyne. Ordered pair by pair, x then p, its Cholesky
     factor reproduces the chain of single-pair steps draw for draw, and its
@@ -234,14 +234,11 @@ def _bell_step(cov, means, pairs, draws=None, outcomes=None):
     # the raw homodyne readings carry a 1/sqrt(2) from the beamsplitter, and
     # the x readings a sign
     scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)] * len(a))
-    raw, cov, means = _gaussian_update(
-        cov, means, keep, meas, v,
-        outcomes=None if outcomes is None else outcomes / scale, draws=draws,
-    )
+    raw, cov, means = _gaussian_update(cov, means, keep, meas, v, draws=draws)
     return raw * scale, cov, means
 
 
-def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementRecord:
+def bell_measure(state: GaussianState, pair, seed) -> MeasurementRecord:
     """Bell measurement of x_a - x_b and p_a + p_b on the mode pair (a, b).
 
     Realized as a balanced beamsplitter on the pair followed by homodyne x on
@@ -249,20 +246,15 @@ def bell_measure(state: GaussianState, pair, seed, outcome=None) -> MeasurementR
     so its two entries are exactly the observables above (the raw homodyne
     readings carry a 1/sqrt(2) from the beamsplitter, and the x reading a
     sign, both of which are absorbed here so the record feeds the conditional
-    displacement formula directly). Pass ``outcome=(x_d, p_d)`` to condition
-    on a chosen value instead of sampling.
+    displacement formula directly).
     """
     a, b = (int(pair[0]), int(pair[1]))
     if a == b:
         raise DimensionMismatch("bell measurement needs two distinct modes")
     if min(a, b) < 0 or max(a, b) >= state.modes:
         raise DimensionMismatch(f"pair {pair} outside 0..{state.modes - 1}")
-    if outcome is None:
-        draws, forced = np.random.default_rng(seed).standard_normal((1, 2)), None
-    else:
-        draws, forced = None, np.array([[float(outcome[0]), float(outcome[1])]])
-    rec, cov, means = _bell_step(state.cov, state.mean[None, :], [(a, b)],
-                                 draws=draws, outcomes=forced)
+    draws = np.random.default_rng(seed).standard_normal((1, 2))
+    rec, cov, means = _bell_step(state.cov, state.mean[None, :], [(a, b)], draws)
 
     m = np.zeros((2, 2 * state.modes))
     m[[0, 0, 1, 1], [2 * a, 2 * b, 2 * a + 1, 2 * b + 1]] = [1.0, -1.0, 1.0, 1.0]

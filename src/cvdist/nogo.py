@@ -58,12 +58,14 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 from .entanglement import BipartiteSplit, log_negativity
 from .errors import DimensionMismatch
 from .states import tmsv
+from .symplectic import block_diag
 
 #: Squeezing clamp per squeezer; beyond this, covariance entries reach ~e^6
 #: and the heterodyne conditioning starts to lose digits.
@@ -181,10 +183,7 @@ class SymplecticParams:
 
 def joint_covariance(copies) -> np.ndarray:
     """8x8 covariance of the two two-mode copies, modes (A1, B1, A2, B2)."""
-    g0 = np.zeros((8, 8))
-    g0[:4, :4] = copies[0].cov
-    g0[4:, 4:] = copies[1].cov
-    return g0
+    return block_diag(copies[0].cov, copies[1].cov)
 
 
 #: Flat slots of the joint 8x8 symplectic that the parties' 4x4 entries fill,
@@ -489,8 +488,8 @@ class NogoCertificate:
     start_best_e_n: tuple
     start_converged: tuple
     n_nonfinite_evals: int
-    squeeze_clamp: float = SQUEEZE_CLAMP
-    scope: str = "pure-Choi two-copy protocols"
+    squeeze_clamp: ClassVar[float] = SQUEEZE_CLAMP
+    scope: ClassVar[str] = "pure-Choi two-copy protocols"
 
     def to_dict(self) -> dict:
         return {

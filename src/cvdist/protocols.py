@@ -70,7 +70,6 @@ def run_fig1(
     input_state: GaussianState,
     n_samples: int,
     seed,
-    correction_scale: float = 1.0,
 ) -> Fig1Run:
     """Simulate the deterministic teleportation protocol for ``channel``.
 
@@ -85,20 +84,15 @@ def run_fig1(
     reference and every sample's displacement. The normals come from one
     ``standard_normal((n_samples, 2 n_in))``: the same stream, in the same
     order, as one draw per homodyne per sample, pair by pair.
-
-    ``correction_scale`` rescales the displacement correction and exists only
-    as a negative control for verification tooling (1.0 is the protocol).
     """
     if n_samples < 1:
         raise ParamOutOfRange(f"n_samples must be >= 1, got {n_samples}")
     dyne = _choi_dyne(channel, input_state)  # checks the input-mode count
     rng = np.random.default_rng(seed)
     n_in = channel.n_in
-    # the joint state (input modes, then Choi modes), built as blocks
+    # the joint state: input modes, then Choi modes
     k = 2 * n_in
-    cov = np.zeros((k + channel.choi_cov.shape[0],) * 2)
-    cov[:k, :k] = input_state.cov
-    cov[k:, k:] = channel.choi_cov
+    cov = block_diag(input_state.cov, channel.choi_cov)
     means = np.empty((n_samples, len(cov)))
     means[:, :k] = input_state.mean
     means[:, k:] = channel.choi_mean
@@ -110,7 +104,7 @@ def run_fig1(
 
     ref_cov, ref_mean, shifts = _condition_choi(channel, *dyne, outcomes)
     reference = GaussianState(mean=ref_mean, cov=ref_cov)
-    means = means - correction_scale * shifts
+    means = means - shifts
     corrected = GaussianState(mean=means[-1], cov=cov)
 
     return Fig1Run(

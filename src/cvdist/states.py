@@ -77,9 +77,9 @@ class GaussianState:
     def symplectic_spectrum(self) -> np.ndarray:
         return symplectic_eigenvalues(self.cov)
 
-    def require_physical(self, tol: float = PHYSICALITY_TOL) -> "GaussianState":
+    def require_physical(self) -> "GaussianState":
         nu_min = float(self.symplectic_spectrum()[-1])
-        if nu_min < 1.0 - tol:
+        if nu_min < 1.0 - PHYSICALITY_TOL:
             raise NotPhysical(f"min symplectic eigenvalue {nu_min:.12g} < 1")
         return self
 

@@ -68,14 +68,14 @@ def symplectic_error(s: np.ndarray) -> float:
     return float(np.abs(s @ om @ s.T - om).max())
 
 
-def assert_symplectic(s: np.ndarray, atol: float = SYMPLECTIC_ATOL) -> np.ndarray:
+def assert_symplectic(s: np.ndarray) -> np.ndarray:
     """Return ``s`` as a float array, raising :class:`NotSymplectic` if invalid."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise NotSymplectic(f"matrix of shape {s.shape} cannot be symplectic")
     err = symplectic_error(s)
-    if err > atol:
-        raise NotSymplectic(f"||S Omega S^T - Omega||_max = {err:.3e} > {atol:.1e}")
+    if err > SYMPLECTIC_ATOL:
+        raise NotSymplectic(f"||S Omega S^T - Omega||_max = {err:.3e} > {SYMPLECTIC_ATOL:.1e}")
     return s
 
 

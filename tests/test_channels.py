@@ -290,6 +290,24 @@ def test_witness_validation():
         make_separable_channel(spec2)
 
 
+def test_random_locc_spec_layout_and_draw_order():
+    # Alice on Choi modes (0, 2), Bob on (1, 3); her gamma, his, then the noise
+    spec = random_locc_spec(np.random.default_rng(17))
+    rng = np.random.default_rng(17)
+    gamma_a = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
+    gamma_b = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
+    g = rng.normal(0.0, 0.3, size=(8, 8))
+    assert (spec.alice_modes, spec.bob_modes) == ((0, 2), (1, 3))
+    assert spec.partition == ("in", "in", "out", "out")
+    assert np.array_equal(spec.gamma_a, gamma_a)
+    assert np.array_equal(spec.gamma_b, gamma_b)
+    assert np.array_equal(spec.noise, g @ g.T / 8.0)
+    # nothing more was drawn
+    rest = np.random.default_rng(17)
+    random_locc_spec(rest)
+    assert rest.random() == rng.random()
+
+
 def test_apply_outputs_are_physical(rng):
     # randomized corpus: separable and generic channels on random inputs
     for k in range(500):

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from channel_helpers import corrupt_correction_gain
+
 import cvdist
 import cvdist.cli
 from cvdist.cli import DEFAULT_SEED, main
@@ -99,7 +101,7 @@ def test_logneg_command(tmp_path, capsys):
     assert report["ppt"] is False
 
 
-def test_fig1_verify_pass_and_negative_control(tmp_path, capsys):
+def test_fig1_verify_pass_and_negative_control(tmp_path, capsys, monkeypatch):
     ch = tmp_path / "ch.json"
     st = tmp_path / "st.json"
     run_cli(["channel", "make", "--kind", "random-locc", "--seed", "5",
@@ -109,9 +111,9 @@ def test_fig1_verify_pass_and_negative_control(tmp_path, capsys):
                     "--samples", "10", "--seed", "7"]) == 0
     assert "PASS" in capsys.readouterr().out
 
+    corrupt_correction_gain(monkeypatch, 0.5)
     code = run_cli(["fig1", "verify", "--channel", str(ch), "--state", str(st),
-                    "--samples", "5", "--seed", "7",
-                    "--corrupt-correction-gain", "0.5"])
+                    "--samples", "5", "--seed", "7"])
     assert code == 5
     assert "FAIL" in capsys.readouterr().out
 
@@ -253,6 +255,13 @@ def test_help_lists_default_seed(capsys):
         main(["fig1", "verify", "--help"])
     assert exc.value.code == 0
     assert str(DEFAULT_SEED) in capsys.readouterr().out
+
+
+def test_malformed_env_seed_exits_2_naming_it(capsys, monkeypatch):
+    monkeypatch.setenv("CVDIST_SEED", "abc")
+    assert run_cli(["nogo", "--rs", "0.5", "--starts", "1", "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "CVDIST_SEED" in captured.err and not captured.out
 
 
 def test_env_seed_override(tmp_path, capsys, monkeypatch):

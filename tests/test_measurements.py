@@ -230,14 +230,6 @@ def test_bell_matches_direct_joint_conditioning(rng):
     assert_allclose(rec.conditioned_state.mean, cond_mean[keep], atol=1e-10)
 
 
-def test_bell_forced_outcome():
-    joint = tensor(tmsv(0.4), vacuum(1))
-    rec = bell_measure(joint, (0, 1), None, outcome=(0.3, -0.7))
-    assert_allclose(rec.outcome, [0.3, -0.7])
-    rec2 = bell_measure(joint, (0, 1), None, outcome=(0.3, -0.7))
-    assert np.array_equal(rec.conditioned_state.cov, rec2.conditioned_state.cov)
-
-
 def _squeezed_pair(r, third_mode):
     """Vacuum with both modes of the Bell pair squeezed by ``squeezer(r)``."""
     n = 3 if third_mode else 2
@@ -269,12 +261,11 @@ def test_bell_rejects_bad_pairs():
         bell_measure(tmsv(0.3), (0, 2), 1)
 
 
-def _bell_chain(state, pairs, means=None, draws=None, outcomes=None):
+def _bell_chain(state, pairs, draws, means=None):
     """``pairs`` Bell-measured by one single-pair step each, in the given order.
 
     Measured modes drop out, so each step looks its pair up among the modes
-    still present. Pair j takes columns 2j and 2j + 1 of ``draws`` or
-    ``outcomes``.
+    still present. Pair j takes columns 2j and 2j + 1 of ``draws``.
     """
     cov = state.cov
     means = state.mean[None, :] if means is None else means
@@ -282,11 +273,8 @@ def _bell_chain(state, pairs, means=None, draws=None, outcomes=None):
     recs = []
     for j, (a, b) in enumerate(pairs):
         cols = slice(2 * j, 2 * j + 2)
-        rec, cov, means = _bell_step(
-            cov, means, [(live.index(a), live.index(b))],
-            draws=None if draws is None else draws[:, cols],
-            outcomes=None if outcomes is None else outcomes[:, cols],
-        )
+        rec, cov, means = _bell_step(cov, means, [(live.index(a), live.index(b))],
+                                     draws[:, cols])
         recs.append(rec)
         live.remove(a)
         live.remove(b)
@@ -304,17 +292,14 @@ def test_bell_step_on_many_pairs_matches_the_single_pair_chain(pairs, extra):
     state = random_state(n, rng, nu_spread=1.0, symplectic_scale=0.4, mean_scale=0.5)
     means = state.mean + rng.normal(0.0, 0.5, size=(5, 2 * n))
     draws = np.random.default_rng(3).standard_normal((5, 2 * len(pairs)))
-    forced = rng.normal(0.0, 1.0, size=(5, 2 * len(pairs)))
-    for kwargs in ({"draws": draws}, {"outcomes": forced}):
-        rec, cov, out = _bell_step(state.cov, means, pairs, **kwargs)
-        rec_chain, cov_chain, out_chain = _bell_chain(state, pairs, means, **kwargs)
-        assert np.abs(rec - rec_chain).max() <= 1e-12
-        if cov_chain is None:
-            assert cov is None and out is None
-        else:
-            assert np.abs(cov - cov_chain).max() <= 1e-12
-            assert np.abs(out - out_chain).max() <= 1e-12
-    assert np.abs(rec - forced).max() <= 1e-12  # the forced outcomes come back
+    rec, cov, out = _bell_step(state.cov, means, pairs, draws)
+    rec_chain, cov_chain, out_chain = _bell_chain(state, pairs, draws, means)
+    assert np.abs(rec - rec_chain).max() <= 1e-12
+    if cov_chain is None:
+        assert cov is None and out is None
+    else:
+        assert np.abs(cov - cov_chain).max() <= 1e-12
+        assert np.abs(out - out_chain).max() <= 1e-12
 
 
 def _correlated_pairs(extra):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from channel_helpers import choi_state
+from channel_helpers import choi_state, corrupt_correction_gain
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
 
@@ -86,9 +86,10 @@ def test_fig1_nonzero_mean_input_is_recentred(rng):
     assert run.max_mean_deviation <= 1e-9
 
 
-def test_fig1_corrupted_correction_is_detected(rng):
+def test_fig1_corrupted_correction_is_detected(rng, monkeypatch):
     ch = make_separable_channel(random_locc_spec(rng))
-    run = run_fig1(ch, tmsv(0.5), 5, rng, correction_scale=0.9)
+    corrupt_correction_gain(monkeypatch, 0.9)
+    run = run_fig1(ch, tmsv(0.5), 5, rng)
     assert run.max_mean_deviation > 1e-3  # negative control
 
 

@@ -146,9 +146,9 @@ def test_physicality_preserved_by_operations(rng):
         state = random_state(3, rng, nu_spread=1.0, symplectic_scale=0.5)
         s = random_symplectic(3, rng, scale=0.5)
         # each raises NotPhysical if the result is not physical
-        apply_symplectic(state, s).require_physical(tol=1e-8)
-        tensor(state, vacuum(1)).require_physical(tol=1e-8)
-        partial_trace(state, keep=[0, 2]).require_physical(tol=1e-8)
+        apply_symplectic(state, s).require_physical()
+        tensor(state, vacuum(1)).require_physical()
+        partial_trace(state, keep=[0, 2]).require_physical()
 
 
 def test_state_rejects_asymmetric_cov():
