@@ -41,7 +41,7 @@ from .errors import (
 )
 from .measurements import _gaussian_update
 from .states import PHYSICALITY_TOL, GaussianState, _freeze, random_state, tmsv
-from .symplectic import block_diag, omega, quad_indices, symplectic_eigenvalues
+from .symplectic import block_diag, omega, quad_indices
 
 #: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
 MIN_SINGULAR_VALUE = 1e-12
@@ -240,19 +240,6 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     return GaussianState(mean=mean, cov=cov)
 
 
-def conditional_displacement(
-    ch: GaussianChannel, state: GaussianState, r_d: np.ndarray
-) -> np.ndarray:
-    """Displacement C^T (A + R Gamma R)^{-1} r_d induced by Bell outcome r_d.
-
-    ``r_d`` may be a (K, 2 n_in) stack of outcomes: the conditioning matrix
-    is then built and checked once and solved against all K, and the result
-    is (K, 2 n_out).
-    """
-    r_d = _bell_outcome(ch, r_d)
-    return _condition_choi(ch, *_choi_dyne(ch, state), r_d)[2]
-
-
 def conditional_output_mean(
     ch: GaussianChannel, state: GaussianState, r_d: np.ndarray
 ) -> np.ndarray:
@@ -260,8 +247,8 @@ def conditional_output_mean(
 
     Equals m_B + C^T (A + R Gamma R)^{-1} (R d + r_d - m_A); subtracting it is
     the displacement correction that makes the protocol deterministic. For
-    zero means it reduces to :func:`conditional_displacement`. Accepts a
-    stack of outcomes as :func:`conditional_displacement` does.
+    zero means it reduces to C^T (A + R Gamma R)^{-1} r_d. ``r_d`` may be a
+    (K, 2 n_in) stack of outcomes; the result is then (K, 2 n_out).
     """
     r_d = _bell_outcome(ch, r_d)
     _, mean, shift = _condition_choi(ch, *_choi_dyne(ch, state), r_d)
@@ -368,9 +355,10 @@ def make_separable_channel(spec: LoccChannelSpec) -> GaussianChannel:
                                ("gamma_b", spec.gamma_b, spec.bob_modes)]:
         if gamma.shape != (2 * len(party), 2 * len(party)):
             raise NotPhysicalWitness(f"{name} shape {gamma.shape} does not fit {party}")
-        nu_min = symplectic_eigenvalues(gamma)[-1]
-        if nu_min < 1.0 - PHYSICALITY_TOL:
-            raise NotPhysicalWitness(f"{name} unphysical: nu_min = {nu_min:.12g}")
+        try:
+            GaussianState(mean=np.zeros(len(gamma)), cov=gamma).require_physical()
+        except NotPhysical as exc:
+            raise NotPhysicalWitness(f"{name} unphysical: {exc}") from None
     if spec.noise.shape != (2 * n, 2 * n):
         raise NotPhysicalWitness(f"noise shape {spec.noise.shape} != {(2 * n, 2 * n)}")
     cov = (spec.noise + spec.noise.T) / 2.0

@@ -11,9 +11,13 @@ nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
 Exit codes: 0 ok, 2 usage/parse problem or malformed numeric input (NaN/inf
-entries, asymmetric covariance), 3 unphysical input, 4 dimension mismatch,
-5 claim violation (verification failure or an apparent distillation
-gap, which CI should treat as an alarm, not a crash).
+entries, asymmetric covariance), 3 unphysical input (any ``NotPhysical``:
+nu_min < 1, a covariance that is not positive definite, a state that is not
+pure, an invalid LOCC witness), 4 dimension mismatch (any
+``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
+``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification
+failure or an apparent distillation gap, which CI should treat as an alarm,
+not a crash).
 
 All file writes are atomic (temp file + rename). Every command is
 deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
@@ -48,17 +52,7 @@ from .channels import (
     random_locc_spec,
 )
 from .entanglement import BipartiteSplit, log_negativity
-from .errors import (
-    CvdistError,
-    DimensionError,
-    DimensionMismatch,
-    EmptyKeepSet,
-    InvalidSplit,
-    NotPhysical,
-    NotPositiveDefinite,
-    NotPure,
-    NotThreeMode,
-)
+from .errors import CvdistError, DimensionMismatch, NotPhysical
 from .protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from .states import GaussianState, thermal, tmsv, vacuum
 
@@ -75,10 +69,6 @@ EXIT_USAGE = 2
 EXIT_UNPHYSICAL = 3
 EXIT_DIMENSION = 4
 EXIT_CLAIM = 5
-
-_DIMENSION_ERRORS = (DimensionError, DimensionMismatch, EmptyKeepSet,
-                     InvalidSplit, NotThreeMode)
-_UNPHYSICAL_ERRORS = (NotPhysical, NotPositiveDefinite, NotPure)
 
 
 def _default_seed() -> int:
@@ -429,10 +419,10 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DIMENSION_ERRORS as exc:
+    except DimensionMismatch as exc:
         print(f"dimension problem: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except _UNPHYSICAL_ERRORS as exc:
+    except NotPhysical as exc:
         print(f"unphysical input: {exc}", file=sys.stderr)
         return EXIT_UNPHYSICAL
     except CvdistError as exc:

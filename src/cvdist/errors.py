@@ -2,7 +2,9 @@
 
 Every error raised on purpose by this package derives from :class:`CvdistError`,
 so callers (and the CLI) can map failures to exit codes without matching on
-message strings.
+message strings. The CLI's exit codes follow the class tree: every
+:class:`NotPhysical` exits 3, every :class:`DimensionMismatch` exits 4, and
+any other :class:`CvdistError` exits 2.
 """
 
 
@@ -14,27 +16,27 @@ class MalformedInput(CvdistError, ValueError):
     """Numeric input is malformed: non-finite entries or an asymmetric covariance."""
 
 
-class DimensionError(CvdistError):
-    """A dimension is structurally invalid (e.g. zero modes)."""
-
-
 class DimensionMismatch(CvdistError):
     """Two objects that must share a dimension do not."""
+
+
+class DimensionError(DimensionMismatch):
+    """A dimension is structurally invalid (e.g. zero modes)."""
 
 
 class NotSymplectic(CvdistError):
     """Matrix fails the symplectic-form invariant S @ Omega @ S.T == Omega."""
 
 
-class NotPositiveDefinite(CvdistError):
+class NotPhysical(CvdistError):
+    """Input is not physical: here a covariance with nu_min < 1; see subclasses."""
+
+
+class NotPositiveDefinite(NotPhysical):
     """Matrix required to be positive definite is not."""
 
 
-class NotPhysical(CvdistError):
-    """Covariance matrix violates the uncertainty relation (nu_min < 1)."""
-
-
-class NotPhysicalWitness(CvdistError):
+class NotPhysicalWitness(NotPhysical):
     """Separable-channel witness (gamma_A, gamma_B, Y) is not valid."""
 
 
@@ -50,11 +52,11 @@ class DegenerateQuadrature(CvdistError):
     """Homodyne measurement of a quadrature with (numerically) zero variance."""
 
 
-class InvalidSplit(CvdistError):
+class InvalidSplit(DimensionMismatch):
     """Bipartite split does not partition the modes of the state."""
 
 
-class EmptyKeepSet(CvdistError):
+class EmptyKeepSet(DimensionMismatch):
     """partial_trace asked to keep no modes."""
 
 
@@ -62,9 +64,9 @@ class ParamOutOfRange(CvdistError):
     """Parameter outside its documented domain."""
 
 
-class NotPure(CvdistError):
+class NotPure(NotPhysical):
     """State required to be pure has a symplectic eigenvalue away from 1."""
 
 
-class NotThreeMode(CvdistError):
+class NotThreeMode(DimensionMismatch):
     """Operation defined only for three-mode states."""

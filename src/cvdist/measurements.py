@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuadrature, DimensionMismatch, NotPhysical
-from .states import PHYSICALITY_TOL, GaussianState
-from .symplectic import quad_indices, symplectic_eigenvalues
+from .errors import DegenerateQuadrature, DimensionMismatch
+from .states import GaussianState
+from .symplectic import quad_indices
 
 #: Measured quadrature variance below which ideal homodyne conditioning is
 #: refused: the gain divides by it, so rounding would grow by over 1e12.
@@ -87,8 +87,7 @@ class DyneSpec:
                 raise DimensionMismatch(
                     f"general dyne on {m} modes needs a {2 * m}x{2 * m} gamma_m"
                 )
-            if symplectic_eigenvalues(self.gamma_m)[-1] < 1.0 - PHYSICALITY_TOL:
-                raise NotPhysical("gamma_m must be a physical covariance matrix")
+            GaussianState(mean=np.zeros(2 * m), cov=self.gamma_m).require_physical()
 
     def outcome_dim(self) -> int:
         return len(self.modes) if self.kind in _HOMODYNES else 2 * len(self.modes)

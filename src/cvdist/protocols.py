@@ -30,7 +30,7 @@ from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
 from .states import GaussianState, apply_symplectic, tensor
-from .symplectic import block_diag, mode_permutation, williamson
+from .symplectic import block_diag, mode_permutation, phase_rotation, williamson
 
 #: Purity gate: all symplectic eigenvalues within this of 1.
 PURITY_TOL = 1e-7
@@ -209,7 +209,7 @@ def canonicalize_pure_3mode(
     # rotate input 2 to make its output block [[e1, 0], [e3, e2]], e1 >= 0
     k2 = work.cov[2:4, 4:6]
     theta = np.arctan2(-k2[0, 1], k2[1, 1])
-    r2 = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    r2 = phase_rotation(theta)
     l2 = r2 @ k2
     lead = next((v for v in (l2[0, 0], l2[1, 1], l2[1, 0]) if abs(v) > 1e-12), 1.0)
     if lead < 0:

@@ -26,6 +26,7 @@ from .symplectic import (
     quad_indices,
     random_symplectic,
     symplectic_eigenvalues,
+    two_mode_squeezer,
 )
 
 #: States count as physical when every symplectic eigenvalue is >= 1 - this.
@@ -127,11 +128,7 @@ def tmsv(r: float) -> GaussianState:
     Covariance blocks: cosh(2r) I on the diagonal, sinh(2r) diag(1, -1)
     off-diagonal. Pure for every r.
     """
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    z = np.diag([1.0, -1.0])
-    i2 = np.eye(2)
-    cov = np.block([[ch * i2, sh * z], [sh * z, ch * i2]])
-    return GaussianState(mean=np.zeros(4), cov=cov)
+    return GaussianState(mean=np.zeros(4), cov=two_mode_squeezer(2.0 * r))
 
 
 def thermal(nbar: float, n: int = 1) -> GaussianState:

@@ -6,7 +6,10 @@ Conventions (used consistently across the package):
 * the symplectic form is Omega = direct sum of [[0, 1], [-1, 0]] blocks,
 * hbar = 1 and covariance matrices carry doubled second moments,
   Gamma_ij = <dr_i dr_j + dr_j dr_i>, so the vacuum covariance is the
-  identity and a matrix is physical iff all symplectic eigenvalues are >= 1.
+  identity and a matrix is physical iff it is positive definite and all
+  symplectic eigenvalues are >= 1 (Gamma + i Omega >= 0). In float64 eigh
+  keeps tmsv(r) positive definite up to about r = 9, where nu already reads
+  0.989; stronger squeezing is out of reach of these routines.
 
 The module loads numpy alone. The two functions that need scipy,
 ``random_symplectic`` (a matrix exponential) and ``williamson`` (a real Schur
@@ -32,15 +35,11 @@ _I2 = np.eye(2)
 
 
 @lru_cache(maxsize=64)
-def _omega_cached(n_modes: int) -> np.ndarray:
+def omega(n_modes: int) -> np.ndarray:
+    """Symplectic form for ``n_modes`` modes in xpxp ordering (read-only)."""
     om = np.kron(np.eye(n_modes), _J)
     om.flags.writeable = False
     return om
-
-
-def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form for ``n_modes`` modes in xpxp ordering (read-only)."""
-    return _omega_cached(int(n_modes))
 
 
 def quad_indices(modes) -> np.ndarray:
@@ -140,32 +139,28 @@ class WilliamsonDecomp:
     nus: np.ndarray
 
 
-def _pd_roots(cov: np.ndarray):
-    """Eigen-based Gamma^{1/2} and Gamma^{-1/2}; raises if not PD."""
+def _pd_root(cov: np.ndarray):
+    """Eigen-based Gamma^{1/2}, with Gamma's eigenvectors and the roots of its
+    eigenvalues; raises :class:`NotPositiveDefinite` unless Gamma is PD."""
     w, v = np.linalg.eigh(cov)
-    if w[0] <= 0.0:
+    if not w[0] > 0.0:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} <= 0")
     sq = np.sqrt(w)
-    return (v * sq) @ v.T, (v / sq) @ v.T
+    return (v * sq) @ v.T, v, sq
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix, sorted descending.
+    """Symplectic eigenvalues of a positive-definite covariance, sorted descending.
 
     These are the moduli of the eigenvalues of i Omega Gamma, one value per
-    mode. Computed through the singular values of Gamma^{1/2} Omega Gamma^{1/2}
-    when Gamma is positive definite (numerically stable), with a fallback to
-    the direct eigenvalue route otherwise.
+    mode, computed as the singular values of Gamma^{1/2} Omega Gamma^{1/2}.
+    A matrix that is not positive definite is not a physical covariance and
+    raises :class:`NotPositiveDefinite`.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    w, v = np.linalg.eigh(cov)
-    if w[0] > 0.0:
-        root = (v * np.sqrt(w)) @ v.T
-        sv = np.linalg.svd(root @ omega(n) @ root, compute_uv=False)
-        return sv[::2]
-    ev = np.abs(np.linalg.eigvals(omega(n) @ cov))
-    return np.sort(ev)[::-1][::2]
+    root = _pd_root(cov)[0]
+    sv = np.linalg.svd(root @ omega(cov.shape[0] // 2) @ root, compute_uv=False)
+    return sv[::2]
 
 
 def williamson(cov: np.ndarray) -> WilliamsonDecomp:
@@ -180,7 +175,8 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomp:
 
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
-    root, inv_root = _pd_roots(cov)
+    root, v, sq = _pd_root(cov)
+    inv_root = (v / sq) @ v.T
     a = inv_root @ omega(n) @ inv_root
     a = (a - a.T) / 2.0
     t, q = schur(a)

@@ -1,4 +1,5 @@
-"""Channel helpers for tests: the Choi state, and a corrupted Fig. 1 correction.
+"""Channel helpers for tests: the Choi state, the conditional displacement,
+and a corrupted Fig. 1 correction.
 
 ``cvdist.channels.GaussianChannel`` keeps its Choi covariance and mean as
 arrays; tests that need the Choi state itself, to tensor, trace out or
@@ -6,12 +7,24 @@ condition it through the public state API, build it here.
 """
 
 from cvdist import protocols
+from cvdist.channels import _bell_outcome, _choi_dyne, _condition_choi
 from cvdist.states import GaussianState
 
 
 def choi_state(ch) -> GaussianState:
     """The Choi state of ``ch`` as a validated ``GaussianState``."""
     return GaussianState(mean=ch.choi_mean, cov=ch.choi_cov)
+
+
+def conditional_displacement(ch, state: GaussianState, r_d):
+    """Displacement C^T (A + R Gamma R)^{-1} r_d induced by Bell outcome r_d.
+
+    ``r_d`` may be a (K, 2 n_in) stack of outcomes: the conditioning matrix
+    is then built and checked once and solved against all K, and the result
+    is (K, 2 n_out).
+    """
+    r_d = _bell_outcome(ch, r_d)
+    return _condition_choi(ch, *_choi_dyne(ch, state), r_d)[2]
 
 
 def corrupt_correction_gain(monkeypatch, gain: float) -> None:

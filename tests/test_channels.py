@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from channel_helpers import choi_state
+from channel_helpers import choi_state, conditional_displacement
 from fock_oracle import tmsv_cov_from_lambda
 
 from cvdist.channels import (
@@ -16,7 +16,6 @@ from cvdist.channels import (
     apply,
     attenuation_channel,
     choi_from_truncated_epr,
-    conditional_displacement,
     conditional_output_mean,
     filter_channel,
     make_separable_channel,
@@ -288,6 +287,17 @@ def test_witness_validation():
     )
     with pytest.raises(NotPhysicalWitness):
         make_separable_channel(spec2)
+
+
+def test_witness_rejects_negative_definite_gamma():
+    spec = LoccChannelSpec(
+        alice_modes=(0, 2), bob_modes=(1, 3),
+        gamma_a=tmsv(0.3).cov, gamma_b=-np.eye(4),
+        noise=np.zeros((8, 8)),
+        partition=("in", "in", "out", "out"),
+    )
+    with pytest.raises(NotPhysicalWitness, match="gamma_b"):
+        make_separable_channel(spec)
 
 
 def test_random_locc_spec_layout_and_draw_order():

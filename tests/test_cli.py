@@ -11,6 +11,7 @@ from channel_helpers import corrupt_correction_gain
 
 import cvdist
 import cvdist.cli
+from cvdist import errors
 from cvdist.cli import DEFAULT_SEED, main
 from cvdist.states import GaussianState, tmsv
 
@@ -269,3 +270,61 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["fig2", "run", "--help"])
     assert "4242" in capsys.readouterr().out
+
+
+NEG_3I = {"modes": 2, "mean": [0.0] * 4, "cov": (-3.0 * np.eye(4)).tolist()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--kind", "custom-json", "--input", "{state}", "--out", "{out}"],
+    ["entanglement", "logneg", "--state", "{state}"],
+    ["nogo", "--input", "{state}", "--starts", "1", "--budget", "1"],
+], ids=["state", "logneg", "nogo"])
+def test_negative_definite_state_exits_3(tmp_path, capsys, argv):
+    # -3 I has |eigvals(Omega Gamma)| = 3, but it is no covariance at all
+    st = tmp_path / "neg.json"
+    st.write_text(json.dumps(NEG_3I))
+    out = tmp_path / "out.json"
+    argv = [a.format(state=st, out=out) for a in argv]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert "unphysical input" in captured.err and "eigenvalue -3" in captured.err
+    assert "no-go holds" not in captured.out and not out.exists()
+
+
+#: Documented exit code of every error class: 3 for NotPhysical and its
+#: subclasses, 4 for DimensionMismatch and its subclasses, 2 for the rest.
+EXIT_CODES = {
+    errors.CvdistError: 2,
+    errors.MalformedInput: 2,
+    errors.NotSymplectic: 2,
+    errors.SingularConditioning: 2,
+    errors.DegenerateQuadrature: 2,
+    errors.ParamOutOfRange: 2,
+    errors.NotPhysical: 3,
+    errors.NotPositiveDefinite: 3,
+    errors.NotPhysicalWitness: 3,
+    errors.NotPure: 3,
+    errors.DimensionMismatch: 4,
+    errors.DimensionError: 4,
+    errors.EmptyKeepSet: 4,
+    errors.InvalidSplit: 4,
+    errors.NotThreeMode: 4,
+}
+
+
+def test_exit_code_table_lists_every_error_class():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.CvdistError)}
+    assert classes == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_every_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, cls):
+    def fail(*args):
+        raise cls("injected")
+
+    monkeypatch.setattr(cvdist.cli, "vacuum", fail)
+    assert run_cli(["state", "--kind", "vacuum", "--out", str(tmp_path / "v.json")]) \
+        == EXIT_CODES[cls]
+    assert "injected" in capsys.readouterr().err

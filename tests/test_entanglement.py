@@ -84,10 +84,11 @@ def test_log_negativity_ignores_mean():
     assert log_negativity(displaced, SPLIT01) == log_negativity(tmsv(0.5), SPLIT01)
 
 
-def test_log_negativity_rejects_unphysical():
-    bad = GaussianState(mean=np.zeros(2), cov=0.5 * np.eye(2))
+@pytest.mark.parametrize("cov", [0.5 * np.eye(4), -3.0 * np.eye(4)],
+                         ids=["sub-vacuum", "negative-definite"])
+def test_log_negativity_rejects_unphysical(cov):
     with pytest.raises(NotPhysical):
-        log_negativity(bad, BipartiteSplit((0,), (1,)))
+        log_negativity(GaussianState(mean=np.zeros(4), cov=cov), SPLIT01)
 
 
 def test_ppt_separable_cases(rng):

@@ -6,7 +6,7 @@ from channel_helpers import choi_state
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import TooManyModes, oracle_condition
 
-from cvdist.errors import DegenerateQuadrature, DimensionMismatch
+from cvdist.errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, NotPhysical
 from cvdist.measurements import (
     DyneKind,
     DyneSpec,
@@ -106,11 +106,15 @@ def test_condition_validation():
                   np.zeros(4))  # nothing would remain
 
 
-def test_general_dyne_requires_physical_gamma_m():
-    from cvdist.errors import NotPhysical
-
-    spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=0.5 * np.eye(2))
-    with pytest.raises(NotPhysical):
+@pytest.mark.parametrize("gamma_m, error", [
+    (0.5 * np.eye(2), NotPhysical),
+    (-2.0 * np.eye(2), NotPhysical),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), MalformedInput),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), MalformedInput),
+], ids=["sub-vacuum", "negative-definite", "nan", "asymmetric"])
+def test_general_dyne_requires_physical_gamma_m(gamma_m, error):
+    spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=gamma_m)
+    with pytest.raises(error):
         condition(tmsv(0.3), spec, [0.0, 0.0])
 
 

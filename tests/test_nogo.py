@@ -480,5 +480,5 @@ def test_certificate_scope_metadata():
     payload = cert.to_dict()
     assert payload["squeeze_clamp"] == SQUEEZE_CLAMP
     assert "pure-Choi" in payload["scope"]
-    assert payload["best_EN"] >= payload["input_EN"] - 1e-9 or True  # informational
+    assert payload["best_EN"] >= payload["input_EN"] - 1e-9
     assert_allclose(payload["gap"], payload["input_EN"] - payload["best_EN"])

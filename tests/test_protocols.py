@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from channel_helpers import choi_state, corrupt_correction_gain
+from channel_helpers import choi_state, conditional_displacement, corrupt_correction_gain
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
 
@@ -14,7 +14,6 @@ from cvdist.channels import (
     apply,
     attenuation_channel,
     choi_from_truncated_epr,
-    conditional_displacement,
     filter_channel,
     make_separable_channel,
     random_locc_spec,

@@ -12,6 +12,8 @@ from cvdist.errors import (
     DimensionMismatch,
     EmptyKeepSet,
     MalformedInput,
+    NotPhysical,
+    NotPositiveDefinite,
     NotSymplectic,
     ParamOutOfRange,
 )
@@ -149,6 +151,14 @@ def test_physicality_preserved_by_operations(rng):
         apply_symplectic(state, s).require_physical()
         tensor(state, vacuum(1)).require_physical()
         partial_trace(state, keep=[0, 2]).require_physical()
+
+
+def test_negative_definite_cov_is_not_physical():
+    # |eigvals(Omega Gamma)| reads 3 for -3 I; it is not a covariance at all
+    bad = GaussianState(mean=np.zeros(4), cov=-3.0 * np.eye(4))
+    with pytest.raises(NotPositiveDefinite) as exc:
+        bad.require_physical()
+    assert isinstance(exc.value, NotPhysical)
 
 
 def test_state_rejects_asymmetric_cov():

@@ -26,6 +26,8 @@ from cvdist.symplectic import (
     williamson,
 )
 
+from cvdist.states import tmsv
+
 SYMP_TOL = 1e-10
 
 
@@ -156,6 +158,17 @@ def test_williamson_random_reconstruction(rng):
         assert np.abs(_williamson_cov(d) - cov).max() <= 1e-8
         assert np.all(np.diff(d.nus) <= 1e-12)  # descending
         assert_allclose(np.sort(d.nus), np.sort(symplectic_eigenvalues(cov)), atol=1e-9)
+
+
+def test_symplectic_eigenvalues_need_positive_definite_input():
+    # tmsv(10)'s covariance is singular in float64: eigh gives it a zero
+    # eigenvalue, and |eigvals(Omega Gamma)| would read (5.30, 3.71)
+    with pytest.raises(NotPositiveDefinite):
+        symplectic_eigenvalues(tmsv(10.0).cov)
+    with pytest.raises(NotPositiveDefinite):
+        symplectic_eigenvalues(-3.0 * np.eye(4))
+    with pytest.raises(NotPositiveDefinite):
+        symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, 0.0]))
 
 
 def test_williamson_rejects_indefinite():
