@@ -10,14 +10,15 @@ fig2 run                 one two-copy protocol evaluation, transcript JSON
 nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
-Exit codes: 0 ok, 2 usage/parse problem or malformed numeric input (NaN/inf
-entries, asymmetric covariance), 3 unphysical input (any ``NotPhysical``:
-nu_min < 1, a covariance that is not positive definite, a state that is not
-pure, an invalid LOCC witness), 4 dimension mismatch (any
-``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
-``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification
-failure or an apparent distillation gap, which CI should treat as an alarm,
-not a crash).
+Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (NaN/inf
+entries, asymmetric covariance) or a covariance too ill-conditioned for
+float64 to resolve its symplectic spectrum (``SingularConditioning``), 3
+unphysical input (any ``NotPhysical``: nu_min < 1, a covariance that is not
+positive definite, a state that is not pure, an invalid LOCC witness), 4
+dimension mismatch (any ``DimensionMismatch``: also ``DimensionError``,
+``EmptyKeepSet``, ``InvalidSplit`` and ``NotThreeMode``), 5 claim violation
+(verification failure or an apparent distillation gap, which CI should treat
+as an alarm, not a crash).
 
 All file writes are atomic (temp file + rename). Every command is
 deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
@@ -28,7 +29,7 @@ explicit --seed flag. A CVDIST_SEED that is not an integer exits 2.
 every call, so callers that run many commands in one process (the benchmark,
 the tests) pay for the parser once. Importing this module loads numpy but not
 scipy; scipy loads only for random states (``channel make --kind
-random-locc``) and for ``canon``.
+random-locc``).
 """
 
 from __future__ import annotations
@@ -204,11 +205,8 @@ def _cmd_fig1_verify(args) -> int:
 
 
 def _cmd_fig2_run(args) -> int:
-    if args.copy1:
-        copy1 = _load_state(args.copy1)
-        copy2 = _load_state(args.copy2) if args.copy2 else copy1
-    else:
-        copy1 = copy2 = tmsv(args.r)
+    copy1 = _load_state(args.copy1) if args.copy1 else tmsv(args.r)
+    copy2 = _load_state(args.copy2) if args.copy2 else copy1
     s_a = np.array(_parse_floats(args.sa)).reshape(4, 4) if args.sa else np.eye(4)
     s_b = np.array(_parse_floats(args.sb)).reshape(4, 4) if args.sb else np.eye(4)
     pro = build_fig2(s_a, s_b, copy1, copy2,
@@ -239,9 +237,6 @@ def _cmd_nogo(args) -> int:
                                    input_description=f"custom copies from {args.input}")]
         rs = [float("nan")]
     else:
-        if not args.rs:
-            print("nogo needs --rs or --input", file=sys.stderr)
-            return EXIT_USAGE
         rs = _parse_floats(args.rs)
         certs = nogo_mod.sweep(rs, n_starts=args.starts, seed=args.seed,
                                budget=args.budget)
@@ -271,8 +266,7 @@ def _cmd_canon(args) -> int:
     form = canonicalize_pure_3mode(state, tuple(inputs), args.output_mode)
     payload = {
         "a": form.a, "b": form.b, "c": form.c,
-        "d1": form.d1, "d2": form.d2,
-        "e1": form.e1, "e2": form.e2, "e3": form.e3,
+        "d1": form.d1, "d2": form.d2, "e": form.e,
         "input_symplectic": form.input_symplectic.tolist(),
         "output_symplectic": form.output_symplectic.tolist(),
         "canonical_state": form.canonical_state.to_dict(),
@@ -282,7 +276,7 @@ def _cmd_canon(args) -> int:
         write_text_atomic(args.out, text)
     print(f"a={form.a:.9g} b={form.b:.9g} c={form.c:.9g} "
           f"d1={form.d1:.9g} d2={form.d2:.9g} "
-          f"e=({form.e1:.3g},{form.e2:.3g},{form.e3:.3g})")
+          f"e={form.e:.3g}")
     return EXIT_OK
 
 
@@ -372,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nogo", help="no-go certification sweep",
                        formatter_class=fmt)
-    p.add_argument("--rs", default="", help="comma-separated tmsv squeezings")
-    p.add_argument("--input", default=None,
-                   help="state JSON used for both copies instead of --rs")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rs", help="comma-separated tmsv squeezings")
+    source.add_argument("--input", help="state JSON used for both copies")
     p.add_argument("--starts", type=_count, default=50, help="optimizer starts")
     p.add_argument("--budget", type=_count, default=2000,
                    help="objective evaluations per start")

@@ -41,10 +41,13 @@ class NotPhysicalWitness(NotPhysical):
 
 
 class SingularConditioning(CvdistError):
-    """Channel conditioning matrix is singular or too ill-conditioned.
+    """A matrix is singular or too ill-conditioned for float64 to use.
 
-    Usually means the channel is over-idealized; increase the approximation
-    squeezing instead of asking for a pseudo-inverse.
+    Raised for a channel's conditioning matrix, which usually means the
+    channel is over-idealized (increase the approximation squeezing instead
+    of asking for a pseudo-inverse), and for a covariance too ill-conditioned
+    (condition number above 1e7) for float64 to resolve its symplectic
+    spectrum.
     """
 
 

@@ -30,7 +30,7 @@ from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
 from .states import GaussianState, apply_symplectic, tensor
-from .symplectic import block_diag, mode_permutation, phase_rotation, williamson
+from .symplectic import block_diag, mode_permutation, williamson
 
 #: Purity gate: all symplectic eigenvalues within this of 1.
 PURITY_TOL = 1e-7
@@ -128,11 +128,12 @@ class ThreeModeCanonicalForm:
     """Canonical parameters of a pure three-mode state.
 
     In the canonicalized mode order (input 1, input 2, output) the covariance
-    is built from thermal diagonals (a, a, b, b, c, c), an input1-output block
-    diag(d1, d2) and an input2-output block [[e1, 0], [e3, e2]]; all other
-    entries vanish. ``input_symplectic`` (4x4) and ``output_symplectic``
-    (2x2) map the reordered original state to this form. For pure states, b
-    = 1 and the e's vanish: the second input decouples as vacuum.
+    is built from thermal diagonals (a, a, b, b, c, c) and an input1-output
+    block diag(d1, d2); all other entries vanish. For the pure states this
+    form is defined on, b = 1 and the input2-output block is zero: the
+    second input decouples as vacuum. ``e`` is the largest |entry| of that
+    block, the rounding left of it. ``input_symplectic`` (4x4) and
+    ``output_symplectic`` (2x2) map the reordered original state to this form.
     """
 
     a: float
@@ -140,9 +141,7 @@ class ThreeModeCanonicalForm:
     c: float
     d1: float
     d2: float
-    e1: float
-    e2: float
-    e3: float
+    e: float
     input_symplectic: np.ndarray
     output_symplectic: np.ndarray
     canonical_state: GaussianState
@@ -170,11 +169,10 @@ def canonicalize_pure_3mode(
 
     Williamson on the two-input marginal makes it diag(a, a, b, b) with
     a >= b and kills input-input correlations; Williamson on the output
-    marginal gives c. The leftover per-mode rotations orient the two
-    input-output blocks: the first becomes diag(d1, d2) with d1 >= |d2|
-    (the sign of d2 is a rotation invariant, negative for two-mode-squeezed
-    correlations), the second becomes lower triangular with e1 >= 0 fixing
-    the residual flip.
+    marginal gives c. The leftover rotations of input 1 and the output make
+    their block diag(d1, d2) with d1 >= |d2| (the sign of d2 is a rotation
+    invariant, negative for two-mode-squeezed correlations). Purity leaves
+    input 2 uncorrelated with the output, so it needs no rotation.
     """
     if state.modes != 3:
         raise NotThreeMode(f"state has {state.modes} modes")
@@ -206,28 +204,13 @@ def canonicalize_pure_3mode(
     s_in = rot[:4, :4] @ s_in
     s_out = vt @ s_out
 
-    # rotate input 2 to make its output block [[e1, 0], [e3, e2]], e1 >= 0
-    k2 = work.cov[2:4, 4:6]
-    theta = np.arctan2(-k2[0, 1], k2[1, 1])
-    r2 = phase_rotation(theta)
-    l2 = r2 @ k2
-    lead = next((v for v in (l2[0, 0], l2[1, 1], l2[1, 0]) if abs(v) > 1e-12), 1.0)
-    if lead < 0:
-        r2 = -r2
-    rot2 = block_diag(np.eye(2), r2, np.eye(2))
-    work = apply_symplectic(work, rot2)
-    s_in = rot2[:4, :4] @ s_in
-
-    k2 = work.cov[2:4, 4:6]
     return ThreeModeCanonicalForm(
         a=float(a),
         b=float(b),
         c=c,
         d1=float(work.cov[0, 4]),
         d2=float(work.cov[1, 5]),
-        e1=float(k2[0, 0]),
-        e2=float(k2[1, 1]),
-        e3=float(k2[1, 0]),
+        e=float(np.abs(work.cov[2:4, 4:6]).max()),
         input_symplectic=s_in,
         output_symplectic=s_out,
         canonical_state=work,

@@ -7,14 +7,16 @@ Conventions (used consistently across the package):
 * hbar = 1 and covariance matrices carry doubled second moments,
   Gamma_ij = <dr_i dr_j + dr_j dr_i>, so the vacuum covariance is the
   identity and a matrix is physical iff it is positive definite and all
-  symplectic eigenvalues are >= 1 (Gamma + i Omega >= 0). In float64 eigh
-  keeps tmsv(r) positive definite up to about r = 9, where nu already reads
-  0.989; stronger squeezing is out of reach of these routines.
+  symplectic eigenvalues are >= 1 (Gamma + i Omega >= 0).
 
-The module loads numpy alone. The two functions that need scipy,
-``random_symplectic`` (a matrix exponential) and ``williamson`` (a real Schur
-form), import it when called, so a no-go search or a Fig. 1 run on given
-inputs never loads scipy.
+The symplectic spectrum and the Williamson form come from one Hermitian
+eigendecomposition, of i Gamma^{1/2} Omega Gamma^{1/2}. Its rounding error
+grows with the condition number of Gamma, so a covariance above
+``_MAX_COV_CONDITION`` (tmsv(r) beyond r = 4.03) raises
+:class:`SingularConditioning` instead of returning an unresolved spectrum.
+
+The module loads numpy alone. ``random_symplectic`` imports scipy's matrix
+exponential when called, so only commands that draw random states load scipy.
 """
 
 from __future__ import annotations
@@ -24,10 +26,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymplectic
+from .errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    NotSymplectic,
+    SingularConditioning,
+)
 
 #: Tolerance on ||S Omega S^T - Omega||_max for a matrix to count as symplectic.
 SYMPLECTIC_ATOL = 1e-10
+
+#: Largest condition number lambda_max / lambda_min of a covariance whose
+#: symplectic spectrum is computed. On tmsv(r) (condition number e^{4r}) the
+#: rounding error of E_N grows as about 5e-16 times the condition number:
+#: 4.3e-9 at 8.9e6 (r = 4.0), 2.5e-8 at 6.6e7, 1e-4 by 1e12. The largest
+#: condition number in the test suite is 2.3e6, in the kernel checks past the
+#: no-go search's squeezing clamp.
+_MAX_COV_CONDITION = 1e7
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _Z = np.diag([1.0, -1.0])
@@ -139,59 +154,58 @@ class WilliamsonDecomp:
     nus: np.ndarray
 
 
-def _pd_root(cov: np.ndarray):
-    """Eigen-based Gamma^{1/2}, with Gamma's eigenvectors and the roots of its
-    eigenvalues; raises :class:`NotPositiveDefinite` unless Gamma is PD."""
+def _symplectic_hermitian(cov: np.ndarray):
+    """Gamma^{1/2} and the Hermitian i Gamma^{1/2} Omega Gamma^{1/2}.
+
+    The eigenvalues of the second matrix are +-nu_k, the symplectic
+    eigenvalues of Gamma. Raises :class:`NotPositiveDefinite` unless Gamma is
+    positive definite, and :class:`SingularConditioning` when its condition
+    number exceeds :data:`_MAX_COV_CONDITION`.
+    """
     w, v = np.linalg.eigh(cov)
     if not w[0] > 0.0:
         raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} <= 0")
-    sq = np.sqrt(w)
-    return (v * sq) @ v.T, v, sq
+    if w[-1] > _MAX_COV_CONDITION * w[0]:
+        raise SingularConditioning(
+            f"covariance condition number {w[-1] / w[0]:.3e} exceeds "
+            f"{_MAX_COV_CONDITION:.0e}: float64 cannot resolve its symplectic "
+            "spectrum"
+        )
+    root = (v * np.sqrt(w)) @ v.T
+    return root, 1j * (root @ omega(len(cov) // 2) @ root)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a positive-definite covariance, sorted descending.
 
     These are the moduli of the eigenvalues of i Omega Gamma, one value per
-    mode, computed as the singular values of Gamma^{1/2} Omega Gamma^{1/2}.
-    A matrix that is not positive definite is not a physical covariance and
-    raises :class:`NotPositiveDefinite`.
+    mode: the positive half of the spectrum of the Hermitian matrix
+    i Gamma^{1/2} Omega Gamma^{1/2}. A matrix that is not positive definite
+    is not a physical covariance and raises :class:`NotPositiveDefinite`; one
+    too ill-conditioned to resolve raises :class:`SingularConditioning`.
     """
     cov = np.asarray(cov, dtype=float)
-    root = _pd_root(cov)[0]
-    sv = np.linalg.svd(root @ omega(cov.shape[0] // 2) @ root, compute_uv=False)
-    return sv[::2]
+    return np.linalg.eigvalsh(_symplectic_hermitian(cov)[1])[len(cov) // 2:][::-1]
 
 
 def williamson(cov: np.ndarray) -> WilliamsonDecomp:
     """Williamson decomposition of a positive-definite covariance matrix.
 
     Returns S symplectic and the symplectic eigenvalues nu_k (descending) with
-    Gamma = S (direct sum of nu_k I_2) S^T. Computed from the real Schur form
-    of the antisymmetric matrix Gamma^{-1/2} Omega Gamma^{-1/2}, which keeps
-    the eigenvector pairs orthogonal by construction, also for degenerate nus.
+    Gamma = S (direct sum of nu_k I_2) S^T, S = Gamma^{1/2} Q diag(nu)^{-1/2}.
+    Each eigenvector w of i Gamma^{1/2} Omega Gamma^{1/2} for +nu_k gives the
+    column pair sqrt(2) (Im w, Re w) of the orthogonal Q. These pairs are
+    orthonormal also for degenerate nus, since the -nu eigenvectors, the
+    conjugates of the +nu ones, span the orthogonal complement.
     """
-    from scipy.linalg import schur  # imported here: see the module docstring
-
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    root, v, sq = _pd_root(cov)
-    inv_root = (v / sq) @ v.T
-    a = inv_root @ omega(n) @ inv_root
-    a = (a - a.T) / 2.0
-    t, q = schur(a)
-    q = q.copy()
-    mus = np.empty(n)
-    for k in range(n):
-        mu = t[2 * k, 2 * k + 1]
-        if mu < 0.0:
-            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
-            mu = -mu
-        mus[k] = mu
-    nus = 1.0 / mus
-    order = np.argsort(-nus, kind="stable")
-    cols = np.column_stack((2 * order, 2 * order + 1)).ravel()
-    q = q[:, cols]
-    nus = nus[order]
+    n = len(cov) // 2
+    root, form = _symplectic_hermitian(cov)
+    mu, w = np.linalg.eigh(form)
+    nus = mu[n:][::-1]
+    w = np.sqrt(2.0) * w[:, n:][:, ::-1]
+    q = np.empty((2 * n, 2 * n))
+    q[:, 0::2] = w.imag
+    q[:, 1::2] = w.real
     s = (root @ q) / np.sqrt(np.repeat(nus, 2))[None, :]
     return WilliamsonDecomp(s=s, nus=nus)

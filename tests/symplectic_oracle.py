@@ -11,6 +11,10 @@ identity on the modes it acts on.
 
 ``bloch_messiah`` factors a symplectic matrix into its Euler form; the tests
 use it to check that random symplectics have the expected structure.
+
+``williamson_schur`` computes the Williamson form by another route than
+``cvdist.symplectic``: the real Schur form of Gamma^{-1/2} Omega Gamma^{-1/2}
+instead of a Hermitian eigendecomposition of i Gamma^{1/2} Omega Gamma^{1/2}.
 """
 
 from dataclasses import dataclass
@@ -80,6 +84,34 @@ def passive_from_angles(angles: np.ndarray) -> np.ndarray:
     phases = angles[..., 1:2] + np.array([1.0, 1.0, -1.0, -1.0]) * angles[..., [2, 3, 3, 2]]
     u = np.exp(1j * phases) * np.stack([c, s, -s, c], axis=-1)
     return orthogonal_symplectic_from_unitary(u.reshape(angles.shape[:-1] + (2, 2)))
+
+
+def williamson_schur(cov: np.ndarray):
+    """(S, nus) with Gamma = S (direct sum of nu_k I_2) S^T, nus descending.
+
+    The real Schur form T = Q^T A Q of the antisymmetric A = Gamma^{-1/2}
+    Omega Gamma^{-1/2} has 2x2 blocks [[0, mu_k], [-mu_k, 0]] with orthogonal
+    Q, also for degenerate mu_k; swapping the columns of each block with
+    mu_k < 0 makes every mu_k positive, nu_k = 1 / mu_k, and
+    S = Gamma^{1/2} Q diag(nu)^{-1/2}.
+    """
+    cov = np.asarray(cov, dtype=float)
+    n = cov.shape[0] // 2
+    w, v = np.linalg.eigh(cov)
+    root = (v * np.sqrt(w)) @ v.T
+    inv_root = (v / np.sqrt(w)) @ v.T
+    a = inv_root @ omega(n) @ inv_root
+    t, q = schur((a - a.T) / 2.0)
+    mus = np.empty(n)
+    for k in range(n):
+        mus[k] = t[2 * k, 2 * k + 1]
+        if mus[k] < 0.0:
+            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
+            mus[k] = -mus[k]
+    order = np.argsort(mus, kind="stable")  # ascending mu: descending nu
+    nus = 1.0 / mus[order]
+    q = q[:, np.column_stack((2 * order, 2 * order + 1)).ravel()]
+    return (root @ q) / np.sqrt(np.repeat(nus, 2))[None, :], nus
 
 
 @dataclass(frozen=True)

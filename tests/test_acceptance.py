@@ -152,8 +152,7 @@ def test_criterion_5_canonical_form_reduction():
         s_i = random_symplectic(2, rng, scale=0.5)
         state = apply_symplectic(state, block_diag(s_i, np.eye(2)))
         form = canonicalize_pure_3mode(state, (0, 1), 2)
-        worst = max(worst, abs(form.b - 1.0), abs(form.a - form.c),
-                    abs(form.e1), abs(form.e2), abs(form.e3))
+        worst = max(worst, abs(form.b - 1.0), abs(form.a - form.c), form.e)
     ok = worst <= 1e-8
     _report(5, "canonical-form reduction", ok, f"max deviation {worst:.2e}")
 

@@ -93,6 +93,23 @@ def test_channel_apply_dimension_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["state", "--kind", "tmsv", "--r", "5", "--out", "{out}"],
+    ["entanglement", "logneg", "--state", "{state}"],
+], ids=["state", "logneg"])
+def test_unresolvable_spectrum_exits_2(tmp_path, capsys, argv):
+    # both states are pure and positive definite in float64: tmsv(5) exited 3
+    # as unphysical, and tmsv(9.5) read E_N = 17.11 instead of 19
+    st = tmp_path / "st.json"
+    st.write_text(tmsv(9.5).to_json())
+    out = tmp_path / "out.json"
+    argv = [a.format(state=st, out=out) for a in argv]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "condition number" in captured.err
+    assert "log_negativity" not in captured.out and not out.exists()
+
+
 def test_logneg_command(tmp_path, capsys):
     st = tmp_path / "st.json"
     run_cli(["state", "--kind", "tmsv", "--r", "0.5", "--out", str(st)])
@@ -158,6 +175,20 @@ def test_fig2_run(tmp_path, capsys):
     assert transcript["output"]["modes"] == 2
 
 
+def test_fig2_run_honours_copy2_alone(tmp_path, capsys):
+    from cvdist.states import tensor, thermal
+
+    copy2 = tensor(thermal(0.5), thermal(0.5))
+    st = tmp_path / "thermal.json"
+    st.write_text(copy2.to_json())
+    out = tmp_path / "transcript.json"
+    assert run_cli(["fig2", "run", "--r", "0.4", "--copy2", str(st),
+                    "--out", str(out)]) == 0
+    copies = json.loads(out.read_text())["copies"]
+    assert copies[0] == tmsv(0.4).to_dict()
+    assert copies[1] == copy2.to_dict()
+
+
 def test_nogo_sweep_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     args = ["nogo", "--rs", "0.2,0.5", "--starts", "2", "--budget", "150",
@@ -175,6 +206,17 @@ def test_nogo_empty_rs_exit_2(capsys):
     assert run_cli(["nogo", "--rs", "", "--starts", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nogo", "--starts", "1"], "one of the arguments --rs --input is required"),
+    (["nogo", "--rs", "0.5", "--input", "x.json"], "not allowed with argument"),
+], ids=["neither", "both"])
+def test_nogo_needs_exactly_one_of_rs_and_input(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     # the no-go search has its own Nelder-Mead; scipy.optimize costs ~0.2 s
     code = "import sys, cvdist.cli; print('scipy.optimize' in sys.modules)"
@@ -184,11 +226,21 @@ def test_cli_import_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
-def test_nogo_run_loads_no_scipy():
-    # the no-go path is numpy alone; importing scipy.linalg would dominate its start-up
+@pytest.mark.parametrize("argv", [
+    ["nogo", "--rs", "0.5", "--starts", "2", "--budget", "30"],
+    ["canon", "--state", "{state}"],
+], ids=["nogo", "canon"])
+def test_fixed_input_commands_load_no_scipy(tmp_path, argv):
+    # the no-go search and the canonical form are numpy alone; importing
+    # scipy.linalg would dominate their start-up
+    from cvdist.states import tensor, vacuum
+
+    st = tmp_path / "three.json"
+    st.write_text(tensor(tmsv(0.7), vacuum(1)).to_json())
+    argv = [a.format(state=st) for a in argv]
     code = (
         "import sys, cvdist.cli, cvdist.nogo, cvdist.protocols, cvdist.channels\n"
-        "rc = cvdist.cli.main(['nogo', '--rs', '0.5', '--starts', '2', '--budget', '30'])\n"
+        f"rc = cvdist.cli.main({argv!r})\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cvdist.__file__).parents[1])}

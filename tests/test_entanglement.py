@@ -11,7 +11,7 @@ from cvdist.entanglement import (
     log_negativity,
     partial_transpose_cov,
 )
-from cvdist.errors import InvalidSplit, NotPhysical
+from cvdist.errors import InvalidSplit, NotPhysical, SingularConditioning
 from cvdist.states import GaussianState, random_state, tensor, tmsv, vacuum
 from cvdist.symplectic import random_symplectic, symplectic_eigenvalues
 
@@ -58,6 +58,24 @@ def test_log_negativity_tmsv_sweep(r):
     report = log_negativity(tmsv(r), SPLIT01)
     assert abs(report.log_negativity - 2.0 * r) <= 1e-10
     assert abs(report.min_pt_symplectic_eigenvalue - np.exp(-2.0 * r)) <= 1e-10
+
+
+def test_log_negativity_is_right_or_refuses_at_strong_squeezing():
+    # float64 keeps tmsv(r) positive definite up to r = 9.5; past r = 4.03
+    # its spectrum is refused, where it read E_N = 17.11 at r = 9.5
+    returned = []
+    for r in [0.1 * k for k in range(100)]:
+        state = tmsv(r)
+        try:
+            e_n = log_negativity(state, SPLIT01).log_negativity
+        except SingularConditioning:
+            continue
+        except NotPhysical:
+            assert not np.linalg.eigvalsh(state.cov)[0] > 0.0
+            continue
+        assert abs(e_n - 2.0 * r) <= 1e-8
+        returned.append(r)
+    assert returned == [0.1 * k for k in range(41)]
 
 
 def test_log_negativity_vacuum_zero():

@@ -230,14 +230,11 @@ def test_fig1_reproduces_channel_mean_action(rng, ch):
 
 
 def _pattern_cov(form):
-    """Covariance rebuilt from the eight parameters of a canonical form alone."""
+    """Covariance rebuilt from a, b, c, d1 and d2 of a canonical form alone."""
     g = np.zeros((6, 6))
     np.fill_diagonal(g, [form.a, form.a, form.b, form.b, form.c, form.c])
     g[0, 4] = g[4, 0] = form.d1
     g[1, 5] = g[5, 1] = form.d2
-    g[2, 4] = g[4, 2] = form.e1
-    g[3, 5] = g[5, 3] = form.e2
-    g[3, 4] = g[4, 3] = form.e3
     return g
 
 
@@ -249,7 +246,7 @@ def test_canonicalize_eq12_states(rng):
         assert abs(form.c - a_expected) <= 1e-8
         assert abs(form.b - 1.0) <= 1e-8
         assert abs(form.a - form.c) <= 1e-8
-        assert max(abs(form.e1), abs(form.e2), abs(form.e3)) <= 1e-8
+        assert form.e <= 1e-8
         assert form.d1 >= abs(form.d2) - 1e-12  # tied magnitudes for tmsv-type
         assert form.d1 >= 0.0
         assert np.abs(form.canonical_state.cov - _pattern_cov(form)).max() <= 1e-8
@@ -258,14 +255,13 @@ def test_canonicalize_eq12_states(rng):
 def test_canonicalize_vacuum():
     form = canonicalize_pure_3mode(vacuum(3), (0, 1), 2)
     assert_allclose([form.a, form.b, form.c], [1.0, 1.0, 1.0], atol=1e-12)
-    assert_allclose([form.d1, form.d2, form.e1, form.e2, form.e3],
-                    np.zeros(5), atol=1e-12)
+    assert_allclose([form.d1, form.d2, form.e], np.zeros(3), atol=1e-12)
 
 
 def test_canonicalize_is_idempotent(rng):
     form = canonicalize_pure_3mode(_eq12_state(rng), (0, 1), 2)
     again = canonicalize_pure_3mode(form.canonical_state, (0, 1), 2)
-    for name in ("a", "b", "c", "d1", "d2", "e1", "e2", "e3"):
+    for name in ("a", "b", "c", "d1", "d2", "e"):
         assert abs(getattr(again, name) - getattr(form, name)) <= 1e-10
 
 

@@ -10,9 +10,15 @@ from symplectic_oracle import (
     bloch_messiah,
     embed,
     orthogonal_symplectic_from_unitary,
+    williamson_schur,
 )
 
-from cvdist.errors import NotPositiveDefinite, NotSymplectic, ParamOutOfRange
+from cvdist.errors import (
+    NotPositiveDefinite,
+    NotSymplectic,
+    ParamOutOfRange,
+    SingularConditioning,
+)
 from cvdist.symplectic import (
     block_diag,
     mode_permutation,
@@ -148,16 +154,31 @@ def test_williamson_degenerate_vacuum():
     assert_allclose(_williamson_cov(d), np.eye(6), atol=1e-10)
 
 
-def test_williamson_random_reconstruction(rng):
+def _williamson_cases(rng):
+    """Random 1-4-mode covariances, pure ones (all nu = 1), and mixed ones
+    with nu_1 = nu_2 != 1."""
     from cvdist.states import random_state
 
-    for _ in range(30):
-        cov = random_state(3, rng, nu_spread=2.0, symplectic_scale=0.6).cov
+    for n in (1, 2, 3, 4):
+        spectra = [np.ones(n)]
+        if n > 1:
+            spectra.append(np.r_[2.5, 2.5, 1.0 + rng.uniform(size=n - 2)])
+        for _ in range(15):
+            yield random_state(n, rng, nu_spread=2.0, symplectic_scale=0.6).cov
+        for nus in spectra:
+            for _ in range(5):
+                s = random_symplectic(n, rng, scale=0.6)
+                yield (s * np.repeat(nus, 2)[None, :]) @ s.T
+
+
+def test_williamson_matches_schur_oracle(rng):
+    for cov in _williamson_cases(rng):
         d = williamson(cov)
-        assert symplectic_error(d.s) <= SYMP_TOL
-        assert np.abs(_williamson_cov(d) - cov).max() <= 1e-8
-        assert np.all(np.diff(d.nus) <= 1e-12)  # descending
-        assert_allclose(np.sort(d.nus), np.sort(symplectic_eigenvalues(cov)), atol=1e-9)
+        ref_nus = williamson_schur(cov)[1]
+        assert np.abs(d.nus - ref_nus).max() <= 1e-12
+        assert np.abs(symplectic_eigenvalues(cov) - ref_nus).max() <= 1e-12
+        assert symplectic_error(d.s) <= 1e-12
+        assert np.abs(_williamson_cov(d) - cov).max() <= 1e-12
 
 
 def test_symplectic_eigenvalues_need_positive_definite_input():
@@ -174,6 +195,17 @@ def test_symplectic_eigenvalues_need_positive_definite_input():
 def test_williamson_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         williamson(np.diag([1.0, -0.5]))
+
+
+def test_spectrum_refuses_what_float64_cannot_resolve():
+    # tmsv(r) has condition number e^{4r}: 8.9e6 at r = 4.0, 1.3e7 at 4.1;
+    # tmsv(9.5) is still positive definite in float64 but read nu = 1.63
+    assert_allclose(symplectic_eigenvalues(tmsv(4.0).cov), [1.0, 1.0], atol=1e-9)
+    for r in (4.1, 5.0, 9.5):
+        with pytest.raises(SingularConditioning, match="condition number"):
+            symplectic_eigenvalues(tmsv(r).cov)
+        with pytest.raises(SingularConditioning):
+            williamson(tmsv(r).cov)
 
 
 # -- Bloch-Messiah ------------------------------------------------------------
