@@ -17,6 +17,13 @@ outcome R d (R = diag(1, -1, ...) transposes the input modes):
 A Bell outcome r_d adds to the dyne outcome: the output picks up the
 displacement C^T (A + R G R)^{-1} r_d.
 
+A Choi covariance must pass the Gamma + i Omega test of
+:meth:`GaussianState.require_physical`, but not its condition-number limit:
+near-ideal Choi states sit on the pure-state boundary at condition numbers
+near e^{4 r_approx} (1e10 at the CLI's default r_approx = 6), where float64
+resolves no symplectic eigenvalue, so a Choi covariance passes unless the
+test proves it unphysical. They pass up to r_approx 15.
+
 Normalization (success probability of trace-decreasing maps) is not tracked:
 at covariance level the probabilistic and deterministic versions of a map act
 identically, which is exactly the equivalence this package verifies. Channel
@@ -40,17 +47,19 @@ from .errors import (
     SingularConditioning,
 )
 from .measurements import _gaussian_update
-from .states import PHYSICALITY_TOL, GaussianState, _freeze, random_state, tmsv
-from .symplectic import block_diag, omega, quad_indices
+from .states import (
+    PHYSICALITY_TOL,
+    GaussianState,
+    _freeze,
+    _require_gamma_omega_psd,
+    random_state,
+    tmsv,
+)
+from .symplectic import block_diag, quad_indices
 
 #: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
 MIN_SINGULAR_VALUE = 1e-12
 MAX_CONDITION_NUMBER = 1e12
-
-#: min eig(Gamma + i Omega) of a Choi state may reach -(PHYSICALITY_TOL + this
-#: * dim * max|Gamma|): eigvalsh errs in proportion to the norm, and near-ideal
-#: Choi states have entries ~e^{2 r_approx} on the pure-state boundary.
-CHOI_PHYSICALITY_RTOL = 1e-13
 
 #: Most negative eigenvalue accepted in an LOCC witness's noise matrix: a
 #: PSD G G^T rounds to about -1e-16 |G|^2, while below this it is invalid.
@@ -67,27 +76,6 @@ def _transposition_signs(n_modes: int) -> np.ndarray:
 def transposition_matrix(n_modes: int) -> np.ndarray:
     """Phase-space transposition R = diag(1, -1, 1, -1, ...)."""
     return np.diag(_transposition_signs(n_modes))
-
-
-def _require_physical_choi(cov: np.ndarray) -> None:
-    """Physicality check robust to strongly squeezed approximation channels.
-
-    Choi states of near-ideal channels have covariance entries ~ e^{2 r_approx}
-    and sit on the pure-state boundary; the symplectic-eigenvalue route loses
-    their tiny margin to cancellation. The definitional Hermitian test
-    Gamma + i Omega >= 0 only degrades linearly with the norm, so it stays
-    meaningful, with a norm-scaled tolerance.
-    """
-    n = cov.shape[0] // 2
-    herm = cov + 1j * omega(n)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    scale = cov.shape[0] * float(np.abs(cov).max())
-    tol = PHYSICALITY_TOL + CHOI_PHYSICALITY_RTOL * scale
-    if min_eig < -tol:
-        raise NotPhysical(
-            f"Choi covariance violates Gamma + i Omega >= 0 "
-            f"(min eigenvalue {min_eig:.3e})"
-        )
 
 
 @dataclass(frozen=True)
@@ -126,7 +114,8 @@ class GaussianChannel:
             raise DimensionMismatch(
                 f"choi_cov of {choi.modes} modes but partition lists {n}"
             )
-        _require_physical_choi(choi.cov)
+        # passes unless provably unphysical: see the module docstring
+        _require_gamma_omega_psd(choi.cov, 1.0 + PHYSICALITY_TOL)
         object.__setattr__(self, "choi_cov", choi.cov)
         object.__setattr__(self, "choi_mean", choi.mean)
         object.__setattr__(self, "partition", partition)

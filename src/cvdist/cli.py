@@ -12,13 +12,15 @@ canon                    canonicalize a pure three-mode state
 
 Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (NaN/inf
 entries, asymmetric covariance) or a covariance too ill-conditioned for
-float64 to resolve its symplectic spectrum (``SingularConditioning``), 3
-unphysical input (any ``NotPhysical``: nu_min < 1, a covariance that is not
-positive definite, a state that is not pure, an invalid LOCC witness), 4
-dimension mismatch (any ``DimensionMismatch``: also ``DimensionError``,
-``EmptyKeepSet``, ``InvalidSplit`` and ``NotThreeMode``), 5 claim violation
-(verification failure or an apparent distillation gap, which CI should treat
-as an alarm, not a crash).
+float64 to resolve its symplectic spectrum or physicality
+(``SingularConditioning``), 3 unphysical input (any ``NotPhysical``: a state,
+checked when ``state`` builds it or a command loads it, or a Choi covariance
+failing Gamma + i Omega >= 0, a covariance that is not positive definite, a
+state that is not pure, an invalid LOCC witness), 4 dimension mismatch (any
+``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
+``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification
+failure or an apparent distillation gap, which CI should treat as an alarm,
+not a crash).
 
 All file writes are atomic (temp file + rename). Every command is
 deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
@@ -95,7 +97,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_state(path: str) -> GaussianState:
-    return GaussianState.from_dict(_load_json(path))
+    return GaussianState.from_dict(_load_json(path)).require_physical()
 
 
 def _load_channel(path: str) -> GaussianChannel:
@@ -140,7 +142,7 @@ def _cmd_state(args) -> int:
         if not args.input:
             print("state --kind custom-json needs --input", file=sys.stderr)
             return EXIT_USAGE
-        state = _load_state(args.input)
+        state = GaussianState.from_dict(_load_json(args.input))
     state.require_physical()
     write_text_atomic(args.out, state.to_json())
     print(f"wrote {args.kind} state ({state.modes} modes) to {args.out}")

@@ -29,7 +29,7 @@ class NotSymplectic(CvdistError):
 
 
 class NotPhysical(CvdistError):
-    """Input is not physical: here a covariance with nu_min < 1; see subclasses."""
+    """Input is not physical: Gamma + i Omega >= 0 fails; see subclasses."""
 
 
 class NotPositiveDefinite(NotPhysical):
@@ -47,7 +47,7 @@ class SingularConditioning(CvdistError):
     channel is over-idealized (increase the approximation squeezing instead
     of asking for a pseudo-inverse), and for a covariance too ill-conditioned
     (condition number above 1e7) for float64 to resolve its symplectic
-    spectrum.
+    spectrum, which also leaves its physicality undecided.
     """
 
 

@@ -546,11 +546,9 @@ def optimize(
     are counted and never become the best point.
     """
     copies = tuple(copies)
-    # validation at the boundary: physical two-mode copies
-    input_e_n = max(
-        log_negativity(copies[0], _SPLIT).log_negativity,
-        log_negativity(copies[1], _SPLIT).log_negativity,
-    )
+    # validation at the boundary: physical two-mode copies, each checked once
+    distinct = copies[:1] if copies[1] is copies[0] else copies
+    input_e_n = max(log_negativity(c, _SPLIT).log_negativity for c in distinct)
     g0 = joint_covariance(copies)
     n_nonfinite = 0
 

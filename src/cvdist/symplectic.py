@@ -13,7 +13,8 @@ The symplectic spectrum and the Williamson form come from one Hermitian
 eigendecomposition, of i Gamma^{1/2} Omega Gamma^{1/2}. Its rounding error
 grows with the condition number of Gamma, so a covariance above
 ``_MAX_COV_CONDITION`` (tmsv(r) beyond r = 4.03) raises
-:class:`SingularConditioning` instead of returning an unresolved spectrum.
+:class:`SingularConditioning` instead of returning an unresolved spectrum;
+``GaussianState.require_physical`` refuses such a covariance the same way.
 
 The module loads numpy alone. ``random_symplectic`` imports scipy's matrix
 exponential when called, so only commands that draw random states load scipy.
@@ -154,6 +155,19 @@ class WilliamsonDecomp:
     nus: np.ndarray
 
 
+def _require_resolvable(w: np.ndarray) -> None:
+    """Refuse a covariance, given its ascending eigenvalues ``w``, whose
+    symplectic eigenvalues float64 cannot resolve."""
+    if not w[0] > 0.0:
+        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} <= 0")
+    if w[-1] > _MAX_COV_CONDITION * w[0]:
+        raise SingularConditioning(
+            f"covariance condition number {w[-1] / w[0]:.3e} exceeds "
+            f"{_MAX_COV_CONDITION:.0e}: float64 cannot resolve its symplectic "
+            "spectrum"
+        )
+
+
 def _symplectic_hermitian(cov: np.ndarray):
     """Gamma^{1/2} and the Hermitian i Gamma^{1/2} Omega Gamma^{1/2}.
 
@@ -163,14 +177,7 @@ def _symplectic_hermitian(cov: np.ndarray):
     number exceeds :data:`_MAX_COV_CONDITION`.
     """
     w, v = np.linalg.eigh(cov)
-    if not w[0] > 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} <= 0")
-    if w[-1] > _MAX_COV_CONDITION * w[0]:
-        raise SingularConditioning(
-            f"covariance condition number {w[-1] / w[0]:.3e} exceeds "
-            f"{_MAX_COV_CONDITION:.0e}: float64 cannot resolve its symplectic "
-            "spectrum"
-        )
+    _require_resolvable(w)
     root = (v * np.sqrt(w)) @ v.T
     return root, 1j * (root @ omega(len(cov) // 2) @ root)
 

@@ -25,6 +25,7 @@ from cvdist.channels import (
 from cvdist.errors import (
     DimensionMismatch,
     MalformedInput,
+    NotPhysical,
     NotPhysicalWitness,
     ParamOutOfRange,
     SingularConditioning,
@@ -93,6 +94,20 @@ def test_filter_on_half_tmsv_composes_tanh():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         apply(filter_channel(0.5), vacuum(2))
+
+
+def test_near_ideal_choi_states_are_physical():
+    for n in (1, 2):
+        for r_approx in np.arange(0.5, 15.01, 0.5):
+            choi_from_truncated_epr(n, r_approx)
+
+
+def test_choi_state_with_a_hidden_sub_vacuum_mode_is_refused():
+    # nu = 1 - 1e-7 behind squeezing (condition number 1.6e5): Gamma + i Omega
+    # has eigenvalue -5e-10, which an absolute 1e-9 allowance let through
+    with pytest.raises(NotPhysical) as exc:
+        GaussianChannel(n_in=1, n_out=1, choi_cov=(1.0 - 1e-7) * tmsv(3.0).cov)
+    assert type(exc.value) is NotPhysical
 
 
 def test_singular_conditioning_raises():

@@ -12,6 +12,7 @@ from channel_helpers import corrupt_correction_gain
 import cvdist
 import cvdist.cli
 from cvdist import errors
+from cvdist.channels import choi_from_truncated_epr
 from cvdist.cli import DEFAULT_SEED, main
 from cvdist.states import GaussianState, tmsv
 
@@ -93,6 +94,17 @@ def test_channel_apply_dimension_exit_4(tmp_path):
     assert code == 4
 
 
+def test_pure_state_the_nu_test_refused_round_trips(tmp_path, capsys):
+    # the nu test refused tmsv(3.96) (nu_min 0.999999998628, exit 3)
+    out = tmp_path / "st.json"
+    assert run_cli(["state", "--kind", "tmsv", "--r", "3.96", "--out", str(out)]) == 0
+    loaded = GaussianState.from_dict(json.loads(out.read_text()))
+    assert np.array_equal(loaded.cov, tmsv(3.96).cov)
+    assert run_cli(["entanglement", "logneg", "--state", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert abs(report["log_negativity"] - 7.92) <= 1e-8
+
+
 @pytest.mark.parametrize("argv", [
     ["state", "--kind", "tmsv", "--r", "5", "--out", "{out}"],
     ["entanglement", "logneg", "--state", "{state}"],
@@ -108,6 +120,23 @@ def test_unresolvable_spectrum_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert "condition number" in captured.err
     assert "log_negativity" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--kind", "tmsv", "--r", "10", "--out", "{out}"],
+    ["state", "--kind", "custom-json", "--input", "{state}", "--out", "{out}"],
+    ["entanglement", "logneg", "--state", "{state}"],
+], ids=["state", "custom-json", "logneg"])
+def test_singular_pure_state_exits_3_everywhere(tmp_path, capsys, argv):
+    # tmsv(10) is not positive definite in float64: the command that builds
+    # it and the commands that read it refuse it alike
+    st = tmp_path / "st.json"
+    st.write_text(tmsv(10.0).to_json())
+    out = tmp_path / "out.json"
+    argv = [a.format(state=st, out=out) for a in argv]
+    assert run_cli(argv) == 3
+    assert "smallest eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_logneg_command(tmp_path, capsys):
@@ -331,13 +360,20 @@ NEG_3I = {"modes": 2, "mean": [0.0] * 4, "cov": (-3.0 * np.eye(4)).tolist()}
     ["state", "--kind", "custom-json", "--input", "{state}", "--out", "{out}"],
     ["entanglement", "logneg", "--state", "{state}"],
     ["nogo", "--input", "{state}", "--starts", "1", "--budget", "1"],
-], ids=["state", "logneg", "nogo"])
+    ["channel", "apply", "--channel", "{channel}", "--state", "{state}",
+     "--out", "{out}"],
+    ["fig1", "verify", "--channel", "{channel}", "--state", "{state}",
+     "--out", "{out}"],
+    ["fig2", "run", "--r", "0.4", "--copy2", "{state}", "--out", "{out}"],
+], ids=["state", "logneg", "nogo", "channel-apply", "fig1-verify", "fig2-copy2"])
 def test_negative_definite_state_exits_3(tmp_path, capsys, argv):
     # -3 I has |eigvals(Omega Gamma)| = 3, but it is no covariance at all
     st = tmp_path / "neg.json"
     st.write_text(json.dumps(NEG_3I))
+    ch = tmp_path / "ch.json"
+    ch.write_text(choi_from_truncated_epr(2, 3.0).to_json())
     out = tmp_path / "out.json"
-    argv = [a.format(state=st, out=out) for a in argv]
+    argv = [a.format(state=st, channel=ch, out=out) for a in argv]
     assert run_cli(argv) == 3
     captured = capsys.readouterr()
     assert "unphysical input" in captured.err and "eigenvalue -3" in captured.err

@@ -16,8 +16,11 @@ from cvdist.errors import (
     NotPositiveDefinite,
     NotSymplectic,
     ParamOutOfRange,
+    SingularConditioning,
 )
 from cvdist.states import (
+    _PHYSICALITY_RTOL,
+    PHYSICALITY_TOL,
     GaussianState,
     apply_symplectic,
     partial_trace,
@@ -29,6 +32,7 @@ from cvdist.states import (
 )
 from cvdist.symplectic import (
     random_symplectic,
+    symplectic_eigenvalues,
     two_mode_squeezer,
 )
 
@@ -151,6 +155,83 @@ def test_physicality_preserved_by_operations(rng):
         apply_symplectic(state, s).require_physical()
         tensor(state, vacuum(1)).require_physical()
         partial_trace(state, keep=[0, 2]).require_physical()
+
+
+def test_pure_states_are_physical_or_unresolvable():
+    # tmsv(3.96) was refused by the nu test (nu_min read 0.999999998628 at
+    # condition number 7.6e6). Past condition number 1e7 a pure state is
+    # refused as its spectrum is, never as proven unphysical
+    for k in range(1501):
+        try:
+            tmsv(k / 100).require_physical()
+        except (SingularConditioning, NotPositiveDefinite):
+            assert k > 402
+        else:
+            assert k <= 402
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        for scale in (0.3, 1.0, 2.0):
+            for _ in range(25):
+                s = random_symplectic(n, rng, scale=scale)
+                state = GaussianState(mean=np.zeros(2 * n), cov=s @ s.T)
+                w = np.linalg.eigvalsh(state.cov)
+                try:
+                    state.require_physical()
+                except SingularConditioning:
+                    assert w[-1] > 1e7 * w[0]
+
+
+def test_physicality_near_the_boundary():
+    # states S diag(nu) S^T with each nu_k = 1 or 1 - U(0, 1e-8). The test
+    # never refuses a physical state as unphysical, proves what it accepts
+    # up to its rounding, and wherever cond <= 1e6 gives the nu test's
+    # verdict outside the tolerance band 1 - PHYSICALITY_TOL <= nu_min < 1.
+    # Inside the band it may refuse what the nu test accepts, never the
+    # reverse
+    rng = np.random.default_rng(5)
+    compared = in_band = 0
+    for i in range(4000):
+        n = 1 + i % 3
+        nus = np.where(rng.random(n) < 0.5, 1.0, 1.0 - rng.uniform(0.0, 1e-8, n))
+        s = random_symplectic(n, rng, scale=rng.uniform(1.0, 2.5))
+        state = GaussianState(mean=np.zeros(2 * n), cov=(s * np.repeat(nus, 2)) @ s.T)
+        w = np.linalg.eigvalsh(state.cov)
+        cond = w[-1] / w[0]
+        try:
+            state.require_physical()
+            accepted = True
+        except SingularConditioning:
+            assert cond > 1e7
+            continue
+        except NotPhysical:
+            accepted = False
+        nu_min = nus.min()
+        if nu_min >= 1.0:
+            assert accepted
+        if accepted:
+            slack = max(PHYSICALITY_TOL, 2.0 * _PHYSICALITY_RTOL * cond)
+            assert nu_min >= 1.0 / (1.0 + slack)
+        if cond <= 1e6:
+            nu_accepts = symplectic_eigenvalues(state.cov)[-1] >= 1.0 - PHYSICALITY_TOL
+            if 1.0 - PHYSICALITY_TOL <= nu_min < 1.0:
+                in_band += 1
+                assert nu_accepts or not accepted
+            else:
+                compared += 1
+                assert accepted == nu_accepts
+    assert compared > 2500 and in_band > 100
+
+
+@pytest.mark.parametrize("cov, error", [
+    (np.diag([-1e-8, 1e8]), NotPositiveDefinite),  # det -1
+    (0.999 * np.diag([np.exp(-4.0), np.exp(4.0)]), NotPhysical),  # nu = 0.999
+    (0.999 * np.diag([np.exp(-14.0), np.exp(14.0)]), SingularConditioning),
+], ids=["indefinite", "squeezed-sub-vacuum", "unresolvable-sub-vacuum"])
+def test_unphysical_or_unresolvable_states_are_refused(cov, error):
+    state = GaussianState(mean=np.zeros(2), cov=cov)
+    with pytest.raises(error) as exc:
+        state.require_physical()
+    assert type(exc.value) is error
 
 
 def test_negative_definite_cov_is_not_physical():
