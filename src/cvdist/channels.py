@@ -50,7 +50,9 @@ from .measurements import _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
+    _float_array,
     _freeze,
+    _json_fields,
     _require_gamma_omega_psd,
     random_state,
     tmsv,
@@ -155,13 +157,10 @@ class GaussianChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianChannel":
-        return cls(
-            n_in=int(data["n_in"]),
-            n_out=int(data["n_out"]),
-            choi_cov=np.array(data["choi_cov"], dtype=float),
-            choi_mean=np.array(data["choi_mean"], dtype=float),
-            partition=tuple(data["partition"]),
-        )
+        return cls(**_json_fields(data, {
+            "n_in": int, "n_out": int, "choi_cov": _float_array,
+            "choi_mean": _float_array, "partition": tuple,
+        }))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -58,7 +58,9 @@ class DyneSpec:
     """Which modes are measured and how.
 
     ``gamma_m`` is the measurement covariance for GENERAL dyne (2m x 2m,
-    physical); it is ignored for the named kinds.
+    physical); it is ignored for the named kinds. A spec is checked once,
+    when it is built: its modes are non-empty, distinct and non-negative,
+    and a GENERAL ``gamma_m`` has the right shape and is physical.
     """
 
     modes: tuple
@@ -66,28 +68,29 @@ class DyneSpec:
     gamma_m: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+        modes = tuple(int(m) for m in self.modes)
+        m = len(modes)
+        if m == 0 or len(set(modes)) != m or min(modes) < 0:
+            raise DimensionMismatch(f"measured modes {modes} must be distinct, "
+                                    "non-negative and at least one")
+        object.__setattr__(self, "modes", modes)
         if self.gamma_m is not None:
             gm = np.asarray(self.gamma_m, dtype=float)
             gm.flags.writeable = False
             object.__setattr__(self, "gamma_m", gm)
-
-    def validate_for(self, state: GaussianState) -> None:
-        m = len(self.modes)
-        if m == 0:
-            raise DimensionMismatch("no modes to measure")
-        if len(set(self.modes)) != m:
-            raise DimensionMismatch(f"repeated modes in {self.modes}")
-        if min(self.modes) < 0 or max(self.modes) >= state.modes:
-            raise DimensionMismatch(
-                f"measured modes {self.modes} outside 0..{state.modes - 1}"
-            )
         if self.kind is DyneKind.GENERAL:
             if self.gamma_m is None or self.gamma_m.shape != (2 * m, 2 * m):
                 raise DimensionMismatch(
                     f"general dyne on {m} modes needs a {2 * m}x{2 * m} gamma_m"
                 )
             GaussianState(mean=np.zeros(2 * m), cov=self.gamma_m).require_physical()
+
+    def validate_for(self, state: GaussianState) -> None:
+        """Refuse measured modes beyond ``state``'s; the rest was checked at construction."""
+        if max(self.modes) >= state.modes:
+            raise DimensionMismatch(
+                f"measured modes {self.modes} outside 0..{state.modes - 1}"
+            )
 
     def outcome_dim(self) -> int:
         return len(self.modes) if self.kind in _HOMODYNES else 2 * len(self.modes)

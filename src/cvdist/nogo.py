@@ -63,7 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from .entanglement import BipartiteSplit, log_negativity
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParamOutOfRange
 from .states import tmsv
 from .symplectic import block_diag
 
@@ -538,13 +538,18 @@ def optimize(
 ) -> NogoCertificate:
     """Multi-start Nelder-Mead maximization of the protocol output E_N.
 
-    The identity point (all parameters zero) is evaluated first. Start 0
-    begins there too; the remaining starts are uniform draws, each from its
-    own RNG stream derived from (seed, start index), so results are
-    reproducible. All starts run in lockstep through ``minimize`` with
-    ``budget`` evaluations each. Every value is recorded: non-finite ones
-    are counted and never become the best point.
+    Start 0 begins at the identity point (all parameters zero), so the
+    identity is evaluated once, as the first vertex of start 0's simplex.
+    Starts 1 to n_starts - 1 are uniform draws, in order, from one
+    ``np.random.default_rng(seed)`` stream, so results are reproducible.
+    All starts run in lockstep through ``minimize`` with ``budget``
+    evaluations each. Every value is recorded: non-finite ones are counted
+    and never become the best point.
     """
+    if n_starts < 1 or budget < 1:
+        raise ParamOutOfRange(
+            f"n_starts and budget must be >= 1, got {n_starts} and {budget}"
+        )
     copies = tuple(copies)
     # validation at the boundary: physical two-mode copies, each checked once
     distinct = copies[:1] if copies[1] is copies[0] else copies
@@ -558,30 +563,23 @@ def optimize(
         n_nonfinite += int(np.count_nonzero(~np.isfinite(values)))
         return -values
 
-    identity = np.zeros(N_PARAMS)
-    x0 = np.array([identity if start == 0
-                   else _random_start(np.random.default_rng([seed, start]))
-                   for start in range(n_starts)]).reshape(-1, N_PARAMS)
+    rng = np.random.default_rng(seed)
+    x0 = np.array([np.zeros(N_PARAMS)] + [_random_start(rng) for _ in range(1, n_starts)])
     # a non-finite value is counted, not warned about
     with np.errstate(invalid="ignore", divide="ignore"):
-        identity_f = negative_objective(identity[None])[0]  # by contract
         res = minimize(negative_objective, x0, budget)
 
-    # best over every evaluation: the identity point, then start by start
-    lows = np.concatenate([[identity_f if np.isfinite(identity_f) else np.inf],
-                           res.best_f])
-    i = int(np.argmin(lows))
-    best_x = identity if i == 0 else res.best_x[i - 1]
-    best = float(-lows[i])
+    i = int(np.argmin(res.best_f))
+    best = float(-res.best_f[i])
     if input_description is None:
         input_description = f"two copies, E_N(in) = {input_e_n:.6g}"
     return NogoCertificate(
         input_description=input_description,
         input_e_n=float(input_e_n),
         best_e_n=best,
-        best_params=best_x.copy(),
+        best_params=res.best_x[i].copy(),
         n_starts=n_starts,
-        n_evals=1 + int(res.nfev.sum()),
+        n_evals=int(res.nfev.sum()),
         gap=float(input_e_n - best),
         seed=int(seed),
         start_n_evals=tuple(int(n) for n in res.nfev),

@@ -56,8 +56,6 @@ class Fig1Run:
     is the last sample's state.
     """
 
-    channel: GaussianChannel
-    input_state: GaussianState
     sampled_outcomes: tuple
     corrected_output: GaussianState
     reference_output: GaussianState
@@ -108,8 +106,6 @@ def run_fig1(
     corrected = GaussianState(mean=means[-1], cov=cov)
 
     return Fig1Run(
-        channel=channel,
-        input_state=input_state,
         sampled_outcomes=tuple(outcomes),
         corrected_output=corrected,
         reference_output=reference,

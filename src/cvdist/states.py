@@ -62,6 +62,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _json_fields(data, convert: dict) -> dict:
+    """``convert[key](data[key])`` per key; MalformedInput where ``data`` is not
+    a JSON object or a value has a type its conversion refuses."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"expected a JSON object, got {type(data).__name__}")
+    fields = {}
+    for key, conv in convert.items():
+        try:
+            fields[key] = conv(data[key])
+        except TypeError:
+            raise MalformedInput(f"field {key!r} has the wrong type") from None
+    return fields
+
+
+def _float_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Immutable Gaussian state with mean ``mean`` and covariance ``cov``."""
@@ -131,9 +149,8 @@ class GaussianState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianState":
-        state = cls(mean=np.array(data["mean"], dtype=float),
-                    cov=np.array(data["cov"], dtype=float))
-        if "modes" in data and int(data["modes"]) != state.modes:
+        state = cls(**_json_fields(data, {"mean": _float_array, "cov": _float_array}))
+        if "modes" in data and _json_fields(data, {"modes": int})["modes"] != state.modes:
             raise DimensionMismatch(
                 f"declared modes {data['modes']} != inferred {state.modes}"
             )

@@ -332,6 +332,27 @@ def test_missing_file_exit_2(tmp_path):
                     str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--state", "[1, 2]"),
+    ("--state", '"hello"'),
+    ("--state", '{"mean": {"a": 1}, "cov": [[1, 0], [0, 1]]}'),
+    ("--channel", "[]"),
+], ids=["state-list", "state-string", "state-object-mean", "channel-list"])
+def test_malformed_json_exits_2(tmp_path, capsys, flag, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    st = tmp_path / "st.json"
+    assert run_cli(["state", "--kind", "vacuum", "--out", str(st)]) == 0
+    if flag == "--state":
+        argv = ["entanglement", "logneg", "--state", str(bad)]
+    else:
+        argv = ["channel", "apply", "--channel", str(bad), "--state", str(st),
+                "--out", str(tmp_path / "o.json")]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    assert "input problem" in capsys.readouterr().err
+
+
 def test_help_lists_default_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fig1", "verify", "--help"])

@@ -113,8 +113,8 @@ def test_condition_validation():
     (np.array([[1.0, 0.5], [0.0, 1.0]]), MalformedInput),
 ], ids=["sub-vacuum", "negative-definite", "nan", "asymmetric"])
 def test_general_dyne_requires_physical_gamma_m(gamma_m, error):
-    spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=gamma_m)
     with pytest.raises(error):
+        spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=gamma_m)
         condition(tmsv(0.3), spec, [0.0, 0.0])
 
 

@@ -10,7 +10,7 @@ import lockstep_oracle
 from symplectic_oracle import passive_from_angles
 
 import cvdist.nogo
-from cvdist.errors import DimensionMismatch
+from cvdist.errors import DimensionMismatch, ParamOutOfRange
 from cvdist.nogo import (
     FATOL,
     GAP_TOL,
@@ -429,10 +429,36 @@ def test_optimize_counts_evaluations_per_start():
     payload = cert.to_dict()
     starts = payload["starts"]
     assert len(starts) == 4
-    assert payload["n_evals"] == 1 + sum(s["n_evals"] for s in starts) <= 4 * 60 + 1
+    assert payload["n_evals"] == sum(s["n_evals"] for s in starts) <= 4 * 60
     assert all(s["n_evals"] == 60 and s["converged"] is False for s in starts)
     assert payload["best_EN"] == max(s["best_EN"] for s in starts)
     assert payload["n_nonfinite_evals"] == 0
+
+
+def test_optimize_evaluates_exactly_n_evals_rows(monkeypatch):
+    # the identity point is start 0's first vertex, not an evaluation of its own
+    real = cvdist.nogo.objective
+    rows = []
+
+    def counted(x, g0):
+        rows.append(len(x))
+        return real(x, g0)
+
+    monkeypatch.setattr(cvdist.nogo, "objective", counted)
+    cert = optimize(COPIES_HALF, n_starts=4, seed=8, budget=60)
+    assert sum(rows) == cert.n_evals == sum(cert.start_n_evals)
+
+
+def test_optimize_starts_are_a_prefix_of_more_starts():
+    few = optimize(COPIES_HALF, n_starts=3, seed=21, budget=80)
+    many = optimize(COPIES_HALF, n_starts=6, seed=21, budget=80)
+    assert few.to_dict()["starts"] == many.to_dict()["starts"][:3]
+
+
+@pytest.mark.parametrize("n_starts, budget", [(0, 50), (3, 0)])
+def test_optimize_refuses_no_starts_or_no_budget(n_starts, budget):
+    with pytest.raises(ParamOutOfRange):
+        optimize(COPIES_HALF, n_starts=n_starts, seed=1, budget=budget)
 
 
 def test_optimize_counts_non_finite_values(monkeypatch):
