@@ -29,9 +29,8 @@ explicit --seed flag. A CVDIST_SEED that is not an integer exits 2.
 
 ``main`` builds the argparse tree once per process and reads CVDIST_SEED on
 every call, so callers that run many commands in one process (the benchmark,
-the tests) pay for the parser once. Importing this module loads numpy but not
-scipy; scipy loads only for random states (``channel make --kind
-random-locc``).
+the tests) pay for the parser once. cvdist needs numpy alone: no command,
+random states included (``channel make --kind random-locc``), loads scipy.
 """
 
 from __future__ import annotations

@@ -16,12 +16,14 @@ grows with the condition number of Gamma, so a covariance above
 :class:`SingularConditioning` instead of returning an unresolved spectrum;
 ``GaussianState.require_physical`` refuses such a covariance the same way.
 
-The module loads numpy alone. ``random_symplectic`` imports scipy's matrix
-exponential when called, so only commands that draw random states load scipy.
+The module loads numpy alone, and so does the rest of the package: the matrix
+exponential behind ``random_symplectic`` is a numpy scaling-and-squaring Pade
+approximant, so no command of cvdist loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
     NotSymplectic,
+    ParamOutOfRange,
     SingularConditioning,
 )
 
@@ -128,18 +131,64 @@ def mode_permutation(order, n_modes: int) -> np.ndarray:
     return p
 
 
-def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
-    """Random symplectic exp(Omega H) with H symmetric Gaussian of width ``scale``.
+#: Coefficients b_0..b_13 of the [13/13] Pade approximant p(z) / p(-z) to exp,
+#: p(z) = sum_k b_k z^k (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+#: Row k combines the powers (I, A^2, A^4, A^6) into C_k; the odd part of
+#: p(A) is U = A (A^6 C_0 + C_1) and the even part V = A^6 C_2 + C_3.
+_PADE13 = np.array([
+    [0.0, 40840800.0, 16380.0, 1.0],
+    [32382376266240000.0, 1187353796428800.0, 10559470521600.0, 33522128640.0],
+    [0.0, 1323241920.0, 960960.0, 182.0],
+    [64764752532480000.0, 7771770303897600.0, 129060195264000.0, 670442572800.0],
+])
 
-    Surjective onto the identity component and numerically simple; ``scale``
-    controls how far from the identity the draw typically lands.
+#: Largest 1-norm for which the [13/13] approximant meets double precision
+#: unscaled; a larger matrix is halved s times and the result squared s times.
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small square matrix by scaling and squaring.
+
+    For a Hamiltonian ``a`` = Omega H the result is symplectic to rounding:
+    a diagonal Pade approximant r satisfies r(z) r(-z) = 1, so r(Omega H) is
+    symplectic in exact arithmetic, and so are its squares.
     """
-    from scipy.linalg import expm  # imported here: see the module docstring
+    norm = np.abs(a).sum(axis=0).max()
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    d = len(a)
+    powers = np.empty((4, d, d))
+    powers[0] = np.eye(d)
+    powers[1] = a @ a
+    powers[2] = powers[1] @ powers[1]
+    powers[3] = powers[1] @ powers[2]
+    c = (_PADE13 @ powers.reshape(4, -1)).reshape(4, d, d)
+    u = a @ (powers[3] @ c[0] + c[1])
+    v = powers[3] @ c[2] + c[3]
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
+
+def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5) -> np.ndarray:
+    """Random symplectic exp(Omega H), H = (G + G^T) / 2 with G iid N(0, scale^2).
+
+    The draw is a single exponential, so it does not reach all of Sp(2n, R):
+    diag(-2, -1/2) in Sp(2, R) = SL(2, R) has trace < -2 and is no real
+    exponential. ``scale`` controls how far from the identity the draw
+    typically lands. Refuses ``n_modes < 1`` and a negative or non-finite
+    ``scale`` with :class:`ParamOutOfRange`.
+    """
+    if n_modes < 1:
+        raise ParamOutOfRange(f"mode count must be >= 1, got {n_modes}")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ParamOutOfRange(f"scale must be finite and >= 0, got {scale}")
     dim = 2 * n_modes
     h = rng.normal(0.0, scale, size=(dim, dim))
     h = (h + h.T) / 2.0
-    return expm(omega(n_modes) @ h)
+    return _expm(omega(n_modes) @ h)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,25 @@ def test_fixed_input_commands_load_no_scipy(tmp_path, argv):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+def test_random_commands_load_no_scipy(tmp_path):
+    # random states come from a numpy matrix exponential, so drawing a
+    # channel and verifying Fig. 1 on it load no scipy either
+    ch, st = tmp_path / "ch.json", tmp_path / "st.json"
+    st.write_text(tmsv(0.5).to_json())
+    code = (
+        "import sys, cvdist.cli\n"
+        "rc = [cvdist.cli.main(a) for a in (\n"
+        f"    ['channel', 'make', '--kind', 'random-locc', '--seed', '5', '--out', {str(ch)!r}],\n"
+        f"    ['fig1', 'verify', '--channel', {str(ch)!r}, '--state', {str(st)!r},\n"
+        "     '--samples', '10', '--seed', '7'])]\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cvdist.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_parser_is_built_once_and_reads_the_seed_per_call(tmp_path, monkeypatch):
     built = []
     real = cvdist.cli.build_parser

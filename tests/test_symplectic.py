@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from cvdist.errors import (
     SingularConditioning,
 )
 from cvdist.symplectic import (
+    _THETA13,
     block_diag,
     mode_permutation,
     omega,
@@ -110,6 +112,54 @@ def test_random_symplectic_invariants(rng):
             s = random_symplectic(n, rng, scale=0.6)
             assert symplectic_error(s) <= SYMP_TOL
             assert abs(np.linalg.det(s) - 1.0) <= 1e-8
+
+
+def _same_draw(n, scale, seed):
+    """random_symplectic(n, ., scale) and its H, drawn from twin generators
+    that must end in the same state."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    s = random_symplectic(n, rng, scale=scale)
+    h = twin.normal(0.0, scale, size=(2 * n, 2 * n))
+    assert rng.random() == twin.random()  # the same stream consumption
+    return s, omega(n) @ ((h + h.T) / 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("scale", [0.3, 0.5, 0.7])
+def test_random_symplectic_matches_scipy_expm(n, scale):
+    # the package draws at 0.35 and 0.4, the tests mostly at 0.3-0.7
+    for seed in range(20):
+        s, a = _same_draw(n, scale, seed)
+        ref = linalg.expm(a)
+        assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert symplectic_error(s) <= SYMP_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_symplectic_squaring_branch_matches_30_digits(n):
+    # at scale 3 most draws have ||Omega H||_1 > theta_13 and are squared
+    # back. Here scipy's expm itself strays from a 40-digit exponential by
+    # up to 7e-13 (60 draws at 1-4 modes), so mpmath's is the reference.
+    # The entries reach hundreds, so symplecticity is held relative to
+    # max|S|^2: on such draws the exact exponential, rounded to float64,
+    # deviates by up to ~3e-10 absolute.
+    squared = 0
+    with mpmath.workdps(30):
+        for seed in range(5):
+            s, a = _same_draw(n, 3.0, seed)
+            squared += np.abs(a).sum(axis=0).max() > _THETA13
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+            assert np.abs(s - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert symplectic_error(s) <= 1e-14 * np.abs(s).max() ** 2
+    assert squared >= 3
+
+
+@pytest.mark.parametrize("n_modes, scale", [
+    (0, 0.5), (-1, 0.5), (1, float("nan")), (1, float("inf")), (1, -0.1),
+], ids=["zero-modes", "negative-modes", "nan-scale", "inf-scale", "negative-scale"])
+def test_random_symplectic_refuses_out_of_range(rng, n_modes, scale):
+    with pytest.raises(ParamOutOfRange):
+        random_symplectic(n_modes, rng, scale=scale)
 
 
 def test_orthogonal_symplectic_from_unitary(rng):
