@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,12 +46,11 @@ from .errors import (
     ParamOutOfRange,
     SingularConditioning,
 )
-from .measurements import _gaussian_update
+from .measurements import PLAN_CACHE_SIZE, _gaussian_update, _UpdatePlan
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
     _float_array,
-    _freeze,
     _json_fields,
     _require_gamma_omega_psd,
     random_state,
@@ -78,6 +77,26 @@ def _transposition_signs(n_modes: int) -> np.ndarray:
 def transposition_matrix(n_modes: int) -> np.ndarray:
     """Phase-space transposition R = diag(1, -1, 1, -1, ...)."""
     return np.diag(_transposition_signs(n_modes))
+
+
+@dataclass(frozen=True)
+class _ChoiPlan(_UpdatePlan):
+    """Read-only layout of a channel's action: the Choi input quadratures are
+    measured (``meas``, and A = choi_cov[meas_meas]), the outputs kept
+    (``keep``); ``r`` is the diagonal of R and ``rr`` = outer(r, r), so
+    R G R = G * rr."""
+
+    r: np.ndarray
+    rr: np.ndarray
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _choi_plan(n_in: int, partition: tuple) -> _ChoiPlan:
+    def quads(role):
+        return quad_indices([i for i, p in enumerate(partition) if p == role])
+
+    r = _transposition_signs(n_in)
+    return _ChoiPlan(quads("out"), quads("in"), r, np.outer(r, r))
 
 
 @dataclass(frozen=True)
@@ -122,7 +141,7 @@ class GaussianChannel:
         object.__setattr__(self, "choi_mean", choi.mean)
         object.__setattr__(self, "partition", partition)
 
-    # -- block bookkeeping: computed once per channel ------------------------
+    # -- block bookkeeping: computed once per channel, planned once per layout
 
     @cached_property
     def input_modes(self) -> tuple:
@@ -133,16 +152,20 @@ class GaussianChannel:
         return tuple(i for i, p in enumerate(self.partition) if p == "out")
 
     @cached_property
-    def _in_q(self) -> np.ndarray:
-        return _freeze(quad_indices(self.input_modes))
+    def _plan(self) -> _ChoiPlan:
+        return _choi_plan(self.n_in, self.partition)
 
-    @cached_property
+    @property
+    def _in_q(self) -> np.ndarray:
+        return self._plan.meas
+
+    @property
     def _out_q(self) -> np.ndarray:
-        return _freeze(quad_indices(self.output_modes))
+        return self._plan.keep
 
     @property
     def a_block(self) -> np.ndarray:
-        return self.choi_cov[np.ix_(self._in_q, self._in_q)]
+        return self.choi_cov[self._plan.meas_meas]
 
     # -- serialization --------------------------------------------------------
 
@@ -181,8 +204,8 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
         raise DimensionMismatch(
             f"channel expects {ch.n_in} input modes, state has {state.modes}"
         )
-    r = _transposition_signs(ch.n_in)
-    v = ch.a_block + state.cov * np.outer(r, r)
+    plan = ch._plan
+    v = ch.a_block + state.cov * plan.rr
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] < MIN_SINGULAR_VALUE or sv[0] / sv[-1] > MAX_CONDITION_NUMBER:
         raise SingularConditioning(
@@ -190,7 +213,7 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
             f"(condition number {sv[0] / sv[-1]:.3e}); the channel is "
             "over-idealized, increase the approximation squeezing"
         )
-    return v, r * state.mean
+    return v, plan.r * state.mean
 
 
 def _condition_choi(ch: GaussianChannel, v, outcome, r_d=()):
@@ -203,7 +226,7 @@ def _condition_choi(ch: GaussianChannel, v, outcome, r_d=()):
     stack = np.reshape(r_d, (-1, outcome.size))
     means = np.zeros((1 + len(stack), ch.choi_mean.size))
     means[0] = ch.choi_mean
-    _, cov, out = _gaussian_update(ch.choi_cov, means, ch._out_q, ch._in_q, v,
+    _, cov, out = _gaussian_update(ch.choi_cov, means, ch._plan, v,
                                    outcomes=np.vstack([outcome, stack]))
     return cov, out[0], out[1:].reshape(np.shape(r_d)[:-1] + (-1,))
 

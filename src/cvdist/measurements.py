@@ -15,9 +15,13 @@ Supported measurements on a subset of modes:
   update per call, however many pairs it measures.
 
 All of them, and the channel action in :mod:`cvdist.channels`, go through
-one update (``_gaussian_update``). With b the measured quadratures, a the
-kept ones and V = Gamma_bb + N (N = I per heterodyne mode, Gamma_m for
-general dyne, 0 for ideal homodyne):
+one update (``_gaussian_update``). Its index gathers, and every other array
+that depends only on the layout (mode count, measured modes, kind), are built
+once per layout into a read-only ``_UpdatePlan`` and cached (``_dyne_plan``,
+``_bell_plan``, and ``channels._choi_plan``); a call does only the
+arithmetic. With b the measured quadratures, a the kept ones and
+V = Gamma_bb + N (N = I per heterodyne mode, Gamma_m for general dyne, 0 for
+ideal homodyne):
 
     Gamma' = Gamma_aa - Gamma_ab V^{-1} Gamma_ab^T,
     d'     = d_a + Gamma_ab V^{-1} (outcome - d_b).
@@ -31,16 +35,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch
-from .states import GaussianState
+from .states import GaussianState, _freeze
 from .symplectic import quad_indices
 
 #: Measured quadrature variance below which ideal homodyne conditioning is
 #: refused: the gain divides by it, so rounding would grow by over 1e12.
 DEGENERATE_VARIANCE = 1e-12
+
+#: Layouts whose plans are kept. A program uses a handful of layouts (the
+#: Fig. 1 check four, one per channel shape), so this bounds memory without
+#: evicting plans in use.
+PLAN_CACHE_SIZE = 64
 
 
 class DyneKind(enum.Enum):
@@ -117,41 +127,67 @@ def _require_resolvable(variance) -> None:
                                    f"{DEGENERATE_VARIANCE:g}; conditioning is singular")
 
 
-def _gaussian_update(cov, means, keep, meas, v, outcomes=None, draws=None):
-    """Measure quadratures ``meas`` of K states that share ``cov``.
+@dataclass(frozen=True)
+class _UpdatePlan:
+    """Read-only gathers of one measurement layout: the kept quadratures
+    ``keep``, the measured ``meas``, the index tuples of the blocks
+    cov[meas, meas], cov[keep, meas] and cov[keep, keep], and the jitter
+    that keeps an exactly zero measured variance factorable."""
+
+    keep: np.ndarray
+    meas: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "meas_meas", np.ix_(self.meas, self.meas))
+        object.__setattr__(self, "keep_meas", np.ix_(self.keep, self.meas))
+        object.__setattr__(self, "keep_keep", np.ix_(self.keep, self.keep))
+        object.__setattr__(self, "jitter", 1e-300 * np.eye(len(self.meas)))
+        for value in vars(self).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                _freeze(array)
+
+
+def _gaussian_update(cov, means, plan: _UpdatePlan, v, outcomes=None, draws=None):
+    """Measure quadratures ``plan.meas`` of K states that share ``cov``.
 
     ``means`` is a (K, 2N) stack and ``v`` = cov[meas, meas] + N. Pass
     ``outcomes`` (K, len(meas)) to condition on them, or standard normal
     ``draws`` of that shape to sample them from N(means[:, meas], v / 2).
-    One solve serves all K. Returns the outcomes, then the covariance and
-    (K, len(keep)) means of quadratures ``keep`` (None if nothing is kept).
+    One solve serves all K. The gathers come precomputed with ``plan``, so
+    the call is arithmetic only. Returns the outcomes, then the covariance and
+    (K, len(keep)) means of quadratures ``plan.keep`` (None if nothing is kept).
     """
-    mean_b = means[:, meas]
+    mean_b = means[:, plan.meas]
     if outcomes is None:
-        # the tiny jitter keeps an exactly zero measured variance factorable
-        chol = np.linalg.cholesky(v / 2.0 + 1e-300 * np.eye(len(meas)))
+        chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
         outcomes = mean_b + draws @ chol.T
-    if len(keep) == 0:
+    if len(plan.keep) == 0:
         return outcomes, None, None
-    cross = cov[np.ix_(keep, meas)]
+    cross = cov[plan.keep_meas]
     gain = np.linalg.solve(v, cross.T).T
-    cov_out = cov[np.ix_(keep, keep)] - gain @ cross.T
-    means_out = means[:, keep] + (outcomes - mean_b) @ gain.T
+    cov_out = cov[plan.keep_keep] - gain @ cross.T
+    means_out = means[:, plan.keep] + (outcomes - mean_b) @ gain.T
     return outcomes, (cov_out + cov_out.T) / 2.0, means_out
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _dyne_plan(n_modes: int, modes: tuple, kind: DyneKind) -> _UpdatePlan:
+    keep = quad_indices(np.setdiff1d(np.arange(n_modes), modes))
+    meas = quad_indices(modes)
+    if kind in _HOMODYNES:
+        meas = meas[0::2] if kind is DyneKind.HOMODYNE_X else meas[1::2]
+    return _UpdatePlan(keep, meas)
+
+
 def _dyne_blocks(state: GaussianState, spec: DyneSpec):
-    """Kept and measured quadratures of a validated ``spec``, and V = Gamma_bb + N."""
-    keep = quad_indices(np.setdiff1d(np.arange(state.modes), spec.modes))
-    meas = quad_indices(spec.modes)
-    if spec.kind in _HOMODYNES:
-        meas = meas[0::2] if spec.kind is DyneKind.HOMODYNE_X else meas[1::2]
-    v = state.cov[np.ix_(meas, meas)]
+    """The plan of a validated ``spec`` on ``state``, and V = Gamma_bb + N."""
+    plan = _dyne_plan(state.modes, spec.modes, spec.kind)
+    v = state.cov[plan.meas_meas]
     if spec.kind is DyneKind.HETERODYNE:
-        v = v + np.eye(meas.size)
+        v = v + np.eye(plan.meas.size)
     elif spec.kind is DyneKind.GENERAL:
         v = v + spec.gamma_m
-    return keep, meas, v
+    return plan, v
 
 
 def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
@@ -168,10 +204,10 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
         raise DimensionMismatch(
             f"outcome length {outcome.size} != {spec.outcome_dim()}"
         )
-    keep, meas, v = _dyne_blocks(state, spec)
+    plan, v = _dyne_blocks(state, spec)
     if spec.kind in _HOMODYNES:
         _require_resolvable(np.linalg.eigvalsh(v)[0])
-    _, cov, means = _gaussian_update(state.cov, state.mean[None, :], keep, meas, v,
+    _, cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
                                      outcomes=outcome[None, :])
     return GaussianState(mean=means[0], cov=cov)
 
@@ -183,17 +219,45 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     """
     rng = np.random.default_rng(seed)
     spec.validate_for(state)
-    keep, meas, v = _dyne_blocks(state, spec)
-    draws = rng.standard_normal((1, meas.size))
-    if len(keep) and spec.kind in _HOMODYNES:
+    plan, v = _dyne_blocks(state, spec)
+    draws = rng.standard_normal((1, plan.meas.size))
+    if len(plan.keep) and spec.kind in _HOMODYNES:
         _require_resolvable(np.linalg.eigvalsh(v)[0])
-    outcome, cov, means = _gaussian_update(state.cov, state.mean[None, :], keep, meas,
-                                           v, draws=draws)
+    outcome, cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
+                                           draws=draws)
     return MeasurementRecord(
         outcome=outcome[0],
-        observable_map=np.eye(2 * state.modes)[meas],
+        observable_map=np.eye(2 * state.modes)[plan.meas],
         conditioned_state=None if cov is None else GaussianState(mean=means[0], cov=cov),
     )
+
+
+@dataclass(frozen=True)
+class _BellPlan(_UpdatePlan):
+    """An update plan for the homodynes of a Bell step, plus the beamsplitters
+    ``s`` that precede them and the ``scale`` that turns raw readings into
+    outcomes."""
+
+    s: np.ndarray
+    scale: np.ndarray
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _bell_plan(n_modes: int, pairs: tuple) -> _BellPlan:
+    a, b = np.array(pairs, dtype=int).T
+    qa, qb = quad_indices(a), quad_indices(b)
+    # balanced beamsplitters: mode a -> (r_a + r_b)/sqrt2, mode b -> (r_b - r_a)/sqrt2
+    s = np.eye(2 * n_modes)
+    s[qa, qa] = s[qa, qb] = s[qb, qb] = np.sqrt(0.5)
+    s[qb, qa] = -np.sqrt(0.5)
+    meas = qb.copy()
+    meas[1::2] = qa[1::2]  # x of each b, then p of its a
+    keep = np.ones(2 * n_modes, dtype=bool)
+    keep[qa] = keep[qb] = False
+    # the raw homodyne readings carry a 1/sqrt(2) from the beamsplitter, and
+    # the x readings a sign
+    scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)] * len(a))
+    return _BellPlan(np.flatnonzero(keep), meas, s, scale)
 
 
 def _bell_step(cov, means, pairs, draws):
@@ -206,38 +270,27 @@ def _bell_step(cov, means, pairs, draws):
     2m-quadrature homodyne. Ordered pair by pair, x then p, its Cholesky
     factor reproduces the chain of single-pair steps draw for draw, and its
     pivots are the variances each homodyne of that chain would condition on.
-    Returns the (K, 2m) outcomes and what ``_gaussian_update`` returns for the
-    remaining modes, in their original order.
+    The beamsplitter matrix and the gathers are planned once per
+    (mode count, pairs). Returns the (K, 2m) outcomes and what
+    ``_gaussian_update`` returns for the remaining modes, in their original
+    order.
     """
-    a, b = np.array(pairs, dtype=int).T
-    qa, qb = quad_indices(a), quad_indices(b)
-    # balanced beamsplitters: mode a -> (r_a + r_b)/sqrt2, mode b -> (r_b - r_a)/sqrt2
-    s = np.eye(cov.shape[0])
-    s[qa, qa] = s[qa, qb] = s[qb, qb] = np.sqrt(0.5)
-    s[qb, qa] = -np.sqrt(0.5)
+    plan = _bell_plan(len(cov) // 2, tuple((int(a), int(b)) for a, b in pairs))
+    s = plan.s
     cov = s @ cov @ s.T
     cov = (cov + cov.T) / 2.0
     means = means @ s.T
-
-    meas = qb.copy()
-    meas[1::2] = qa[1::2]  # x of each b, then p of its a
-    keep = np.ones(cov.shape[0], dtype=bool)
-    keep[qa] = keep[qb] = False
-    keep = np.flatnonzero(keep)
-    v = cov[np.ix_(meas, meas)]
+    v = cov[plan.meas_meas]
     # every Cholesky pivot of v is conditioned on; the last p variance only
     # when modes remain. A failed factorization means a pivot is not positive.
-    checked = v if len(keep) else v[:-1, :-1]
+    checked = v if len(plan.keep) else v[:-1, :-1]
     try:
         pivots = np.diag(np.linalg.cholesky(checked)) ** 2
     except np.linalg.LinAlgError:
         pivots = 0.0
     _require_resolvable(np.min(pivots))
-    # the raw homodyne readings carry a 1/sqrt(2) from the beamsplitter, and
-    # the x readings a sign
-    scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)] * len(a))
-    raw, cov, means = _gaussian_update(cov, means, keep, meas, v, draws=draws)
-    return raw * scale, cov, means
+    raw, cov, means = _gaussian_update(cov, means, plan, v, draws=draws)
+    return raw * plan.scale, cov, means
 
 
 def bell_measure(state: GaussianState, pair, seed) -> MeasurementRecord:

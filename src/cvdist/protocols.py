@@ -82,6 +82,11 @@ def run_fig1(
     reference and every sample's displacement. The normals come from one
     ``standard_normal((n_samples, 2 n_in))``: the same stream, in the same
     order, as one draw per homodyne per sample, pair by pair.
+
+    What depends only on the channel's layout, (n_in, partition), is planned
+    once and cached: the beamsplitter matrix, the index gathers, the
+    transposition signs and the jitter. A call checks its inputs, then does
+    arithmetic alone.
     """
     if n_samples < 1:
         raise ParamOutOfRange(f"n_samples must be >= 1, got {n_samples}")
@@ -90,8 +95,11 @@ def run_fig1(
     n_in = channel.n_in
     # the joint state: input modes, then Choi modes
     k = 2 * n_in
-    cov = block_diag(input_state.cov, channel.choi_cov)
-    means = np.empty((n_samples, len(cov)))
+    dim = k + len(channel.choi_cov)
+    cov = np.zeros((dim, dim))
+    cov[:k, :k] = input_state.cov
+    cov[k:, k:] = channel.choi_cov
+    means = np.empty((n_samples, dim))
     means[:, :k] = input_state.mean
     means[:, k:] = channel.choi_mean
 

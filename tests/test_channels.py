@@ -13,6 +13,7 @@ from fock_oracle import tmsv_cov_from_lambda
 from cvdist.channels import (
     GaussianChannel,
     LoccChannelSpec,
+    _choi_plan,
     apply,
     attenuation_channel,
     choi_from_truncated_epr,
@@ -30,7 +31,8 @@ from cvdist.errors import (
     ParamOutOfRange,
     SingularConditioning,
 )
-from cvdist.measurements import DyneKind, DyneSpec, condition
+from cvdist.measurements import DyneKind, DyneSpec, _bell_plan, _dyne_plan, condition
+from cvdist.protocols import run_fig1
 from cvdist.states import (
     GaussianState,
     partial_trace,
@@ -258,6 +260,29 @@ def test_partition_bookkeeping_is_computed_once(rng):
     for name in ("input_modes", "output_modes", "_in_q", "_out_q"):
         assert getattr(ch, name) is getattr(ch, name)
     assert not ch._in_q.flags.writeable and not ch._out_q.flags.writeable
+
+
+def test_layout_plans_are_shared_and_read_only(rng):
+    cov = random_state(4, rng, nu_spread=0.8).cov
+    ch, same = (GaussianChannel(n_in=2, n_out=2, choi_cov=cov) for _ in range(2))
+    other = GaussianChannel(n_in=2, n_out=2, choi_cov=cov,
+                            partition=("out", "in", "out", "in"))
+    assert ch._plan is same._plan and ch._plan is not other._plan
+
+    # a second channel of a planned layout plans nothing new
+    state = random_state(2, rng, nu_spread=0.8, mean_scale=0.5)
+    run_fig1(ch, state, 3, rng)
+    misses = _choi_plan.cache_info().misses, _bell_plan.cache_info().misses
+    run_fig1(same, state, 3, rng)
+    assert (_choi_plan.cache_info().misses, _bell_plan.cache_info().misses) == misses
+
+    plans = [ch._plan, other._plan, _bell_plan(6, ((2, 0), (3, 1))), _bell_plan(2, ((0, 1),))]
+    plans += [_dyne_plan(3, (2, 0), kind) for kind in DyneKind]
+    for plan in plans:
+        for value in vars(plan).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
 
 # -- separable channels ---------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
+import fig1_oracle
 from channel_helpers import choi_state, conditional_displacement, corrupt_correction_gain
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
@@ -208,6 +209,50 @@ def test_fig1_batched_matches_per_sample_oracle(ch, state):
     oracle_mean_dev = np.abs(means - reference.mean).max()
     assert abs(run.max_mean_deviation - oracle_mean_dev) <= 1e-10
     assert abs(run.max_cov_deviation - np.abs(cov - reference.cov).max()) <= 1e-10
+
+
+#: An interleaved Choi partition per shape (n_in, n_out), starting with an output.
+_INTERLEAVED = {(1, 1): ("out", "in"), (1, 2): ("out", "in", "out"),
+                (2, 1): ("in", "out", "in"), (2, 2): ("out", "in", "out", "in")}
+
+
+def _exact_oracle_cases():
+    """Every shape with the default and an interleaved partition, nonzero Choi
+    and input means, then the near-ideal channels of ``_pin_cases``."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for (n_in, n_out), interleaved in _INTERLEAVED.items():
+        for partition in (None, interleaved):
+            ch = GaussianChannel(
+                n_in=n_in, n_out=n_out, partition=partition,
+                choi_cov=random_state(n_in + n_out, rng, nu_spread=0.8,
+                                      symplectic_scale=0.35).cov,
+                choi_mean=rng.normal(0.0, 0.5, size=2 * (n_in + n_out)),
+            )
+            state = random_state(n_in, rng, nu_spread=1.0, symplectic_scale=0.4,
+                                 mean_scale=0.5)
+            cases.append(pytest.param(ch, state, id="-".join(ch.partition)))
+    near_ideal = [c for c in _pin_cases() if not c.id.startswith("random")]
+    assert len(near_ideal) == 3
+    return cases + near_ideal
+
+
+@pytest.mark.parametrize("n_samples", [1, 25])
+@pytest.mark.parametrize("ch, state", _exact_oracle_cases())
+def test_fig1_matches_the_unplanned_composition_bit_for_bit(ch, state, n_samples):
+    rng_run = np.random.default_rng(12)
+    rng_oracle = np.random.default_rng(12)
+    run = run_fig1(ch, state, n_samples, rng_run)
+    want = fig1_oracle.run_fig1(ch, state, n_samples, rng_oracle)
+
+    assert rng_run.bit_generator.state == rng_oracle.bit_generator.state
+    assert np.array_equal(run.sampled_outcomes, want.sampled_outcomes)
+    for got, ref in [(run.corrected_output, want.corrected_output),
+                     (run.reference_output, want.reference_output)]:
+        assert np.array_equal(got.mean, ref.mean)
+        assert np.array_equal(got.cov, ref.cov)
+    assert run.max_cov_deviation == want.max_cov_deviation
+    assert run.max_mean_deviation == want.max_mean_deviation
 
 
 @pytest.mark.parametrize("ch", [choi_from_truncated_epr(1, 6.0),

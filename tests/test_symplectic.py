@@ -22,6 +22,7 @@ from cvdist.errors import (
 )
 from cvdist.symplectic import (
     _THETA13,
+    assert_symplectic,
     block_diag,
     mode_permutation,
     omega,
@@ -34,7 +35,7 @@ from cvdist.symplectic import (
     williamson,
 )
 
-from cvdist.states import tmsv
+from cvdist.states import apply_symplectic, tmsv, vacuum
 
 SYMP_TOL = 1e-10
 
@@ -160,6 +161,24 @@ def test_random_symplectic_squaring_branch_matches_30_digits(n):
 def test_random_symplectic_refuses_out_of_range(rng, n_modes, scale):
     with pytest.raises(ParamOutOfRange):
         random_symplectic(n_modes, rng, scale=scale)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7, 8, 9, 10, 11])
+def test_strong_two_mode_squeezers_are_symplectic(r):
+    # S Omega S^T rounds as eps max|S|^2: 1.7e-8 absolute at r = 10
+    s = two_mode_squeezer(r)
+    assert assert_symplectic(s) is s
+    out = apply_symplectic(vacuum(2), s)
+    assert_allclose(out.cov, tmsv(r).cov, rtol=1e-13)
+
+
+@pytest.mark.parametrize("r", [0.5, 10.0], ids=["small", "large"])
+def test_a_perturbed_entry_is_not_symplectic(r):
+    for entry in (two_mode_squeezer(r)[0, 2] * (1.0 + 1e-9), np.nan):
+        s = two_mode_squeezer(r)
+        s[0, 2] = entry
+        with pytest.raises(NotSymplectic):
+            assert_symplectic(s)
 
 
 def test_orthogonal_symplectic_from_unitary(rng):
