@@ -156,14 +156,6 @@ class GaussianChannel:
         return _choi_plan(self.n_in, self.partition)
 
     @property
-    def _in_q(self) -> np.ndarray:
-        return self._plan.meas
-
-    @property
-    def _out_q(self) -> np.ndarray:
-        return self._plan.keep
-
-    @property
     def a_block(self) -> np.ndarray:
         return self.choi_cov[self._plan.meas_meas]
 
@@ -226,8 +218,8 @@ def _condition_choi(ch: GaussianChannel, v, outcome, r_d=()):
     stack = np.reshape(r_d, (-1, outcome.size))
     means = np.zeros((1 + len(stack), ch.choi_mean.size))
     means[0] = ch.choi_mean
-    _, cov, out = _gaussian_update(ch.choi_cov, means, ch._plan, v,
-                                   outcomes=np.vstack([outcome, stack]))
+    cov, out = _gaussian_update(ch.choi_cov, means, ch._plan, v,
+                                np.vstack([outcome, stack]))
     return cov, out[0], out[1:].reshape(np.shape(r_d)[:-1] + (-1,))
 
 

@@ -214,8 +214,8 @@ def _cmd_fig2_run(args) -> int:
                      seed=np.random.default_rng(args.seed),
                      sample_heterodyne=args.sample_outcomes)
     transcript = {
-        "s_a": pro.s_a.tolist(),
-        "s_b": pro.s_b.tolist(),
+        "s_a": s_a.tolist(),
+        "s_b": s_b.tolist(),
         "copies": [copy1.to_dict(), copy2.to_dict()],
         "outcomes": pro.outcomes.tolist(),
         "correction": pro.correction.tolist(),

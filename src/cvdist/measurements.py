@@ -14,12 +14,12 @@ Supported measurements on a subset of modes:
   beamsplitters commute and all of their homodynes are one homodyne: one
   update per call, however many pairs it measures.
 
-All of them, and the channel action in :mod:`cvdist.channels`, go through
-one update (``_gaussian_update``). Its index gathers, and every other array
-that depends only on the layout (mode count, measured modes, kind), are built
-once per layout into a read-only ``_UpdatePlan`` and cached (``_dyne_plan``,
-``_bell_plan``, and ``channels._choi_plan``); a call does only the
-arithmetic. With b the measured quadratures, a the kept ones and
+All of them, and the channel action in :mod:`cvdist.channels`, condition
+through one update (``_gaussian_update``). Its index gathers, and every
+other array that depends only on the layout (mode count, measured modes,
+kind), are built once per layout into a read-only ``_UpdatePlan`` and
+cached (``_dyne_plan``, ``_bell_plan``, and ``channels._choi_plan``); a call
+does only the arithmetic. With b the measured quadratures, a the kept ones and
 V = Gamma_bb + N (N = I per heterodyne mode, Gamma_m for general dyne, 0 for
 ideal homodyne):
 
@@ -28,7 +28,10 @@ ideal homodyne):
 
 Outcome statistics live in probability units: the outcomes are distributed
 as N(d_b, V/2), because Gamma doubles the covariance. The conditioning
-formulas are independent of that factor.
+formulas are independent of that factor. The update only conditions: a
+sampling call draws its outcomes d_b + L z itself, with L the Cholesky factor
+of V/2 and z standard normal, and then conditions on them. The Bell step
+reads its pivot check from that same factor, so it factors V once.
 """
 
 from __future__ import annotations
@@ -147,27 +150,22 @@ class _UpdatePlan:
                 _freeze(array)
 
 
-def _gaussian_update(cov, means, plan: _UpdatePlan, v, outcomes=None, draws=None):
-    """Measure quadratures ``plan.meas`` of K states that share ``cov``.
+def _gaussian_update(cov, means, plan: _UpdatePlan, v, outcomes):
+    """Condition K states that share ``cov`` on quadratures ``plan.meas``.
 
-    ``means`` is a (K, 2N) stack and ``v`` = cov[meas, meas] + N. Pass
-    ``outcomes`` (K, len(meas)) to condition on them, or standard normal
-    ``draws`` of that shape to sample them from N(means[:, meas], v / 2).
-    One solve serves all K. The gathers come precomputed with ``plan``, so
-    the call is arithmetic only. Returns the outcomes, then the covariance and
-    (K, len(keep)) means of quadratures ``plan.keep`` (None if nothing is kept).
+    ``means`` is a (K, 2N) stack, ``v`` = cov[meas, meas] + N and
+    ``outcomes`` (K, len(meas)). One solve serves all K. The gathers come
+    precomputed with ``plan``, so the call is arithmetic only. Returns the
+    covariance and (K, len(keep)) means of quadratures ``plan.keep`` (None,
+    None if nothing is kept).
     """
-    mean_b = means[:, plan.meas]
-    if outcomes is None:
-        chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
-        outcomes = mean_b + draws @ chol.T
     if len(plan.keep) == 0:
-        return outcomes, None, None
+        return None, None
     cross = cov[plan.keep_meas]
     gain = np.linalg.solve(v, cross.T).T
     cov_out = cov[plan.keep_keep] - gain @ cross.T
-    means_out = means[:, plan.keep] + (outcomes - mean_b) @ gain.T
-    return outcomes, (cov_out + cov_out.T) / 2.0, means_out
+    means_out = means[:, plan.keep] + (outcomes - means[:, plan.meas]) @ gain.T
+    return (cov_out + cov_out.T) / 2.0, means_out
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -207,8 +205,8 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     plan, v = _dyne_blocks(state, spec)
     if spec.kind in _HOMODYNES:
         _require_resolvable(np.linalg.eigvalsh(v)[0])
-    _, cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
-                                     outcomes=outcome[None, :])
+    cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
+                                  outcome[None, :])
     return GaussianState(mean=means[0], cov=cov)
 
 
@@ -223,8 +221,9 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     draws = rng.standard_normal((1, plan.meas.size))
     if len(plan.keep) and spec.kind in _HOMODYNES:
         _require_resolvable(np.linalg.eigvalsh(v)[0])
-    outcome, cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
-                                           draws=draws)
+    chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
+    outcome = state.mean[None, plan.meas] + draws @ chol.T
+    cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v, outcome)
     return MeasurementRecord(
         outcome=outcome[0],
         observable_map=np.eye(2 * state.modes)[plan.meas],
@@ -281,15 +280,18 @@ def _bell_step(cov, means, pairs, draws):
     cov = (cov + cov.T) / 2.0
     means = means @ s.T
     v = cov[plan.meas_meas]
-    # every Cholesky pivot of v is conditioned on; the last p variance only
-    # when modes remain. A failed factorization means a pivot is not positive.
-    checked = v if len(plan.keep) else v[:-1, :-1]
+    # the factor L of v / 2 that the outcomes are drawn with gives the pivots
+    # of v, 2 diag(L)^2. Every pivot is conditioned on; the last p variance
+    # only when modes remain. A failed factorization means a pivot is not
+    # positive, and a zero factor refuses it.
     try:
-        pivots = np.diag(np.linalg.cholesky(checked)) ** 2
+        chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
     except np.linalg.LinAlgError:
-        pivots = 0.0
-    _require_resolvable(np.min(pivots))
-    raw, cov, means = _gaussian_update(cov, means, plan, v, draws=draws)
+        chol = np.zeros_like(v)
+    pivots = 2.0 * np.diag(chol) ** 2
+    _require_resolvable(np.min(pivots if len(plan.keep) else pivots[:-1]))
+    raw = means[:, plan.meas] + draws @ chol.T
+    cov, means = _gaussian_update(cov, means, plan, v, raw)
     return raw * plan.scale, cov, means
 
 

@@ -13,7 +13,7 @@ log-negativities (K,) with array arithmetic alone, with no state objects and
 no re-validation. It realizes both parties' symplectics in real arithmetic
 (each passive entry is a cos or sin of a summed phase times a cos or sin of
 the mixing angle, laid out by fixed gathers), forms S G0 S^T from
-the 8x8 joint covariance G0 of the two copies (``joint_covariance``, built
+the 8x8 joint covariance G0 of the two copies (their ``tensor``, built
 once per certificate), takes the heterodyne Schur complement
 G = A - C (B + I)^{-1} C^T on modes A2 and B2, and applies the closed form
 of the smallest partially transposed symplectic eigenvalue of a two-mode
@@ -38,14 +38,11 @@ per live start, whatever its step, in one kernel call, and the shrinks of
 failed contractions in one more: the kernel runs once for each evaluation
 that every live start makes, not once for each phase of an iteration. The
 search carries only the live starts, and only those that ended an
-iteration in a round are sorted and tested for stopping: the stopping test
-looks at the value spread first and at the simplex spread only where that
-passes, and each start's moved worst vertex is inserted among its sorted
-others, with an argsort only where that leaves the values not strictly
-increasing (after a shrink, or on a tie or a NaN, since argsort's order
-among equal values is not emulated). A certificate records the best value
-found and the gap to the input entanglement; the no-go claim is that the
-gap never goes below -1e-6.
+iteration in a round are sorted, each by the argsort of its values that
+scipy takes, and tested for stopping: the stopping test looks at the value
+spread first and at the simplex spread only where that passes. A
+certificate records the best value found and the gap to the input
+entanglement; the no-go claim is that the gap never goes below -1e-6.
 
 Certificates are scoped to protocols built from pure Choi states (the build_fig2
 class); mixing over displacements cannot help since entanglement ignores
@@ -57,15 +54,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
 from .entanglement import BipartiteSplit, log_negativity
 from .errors import DimensionMismatch, ParamOutOfRange
-from .states import tmsv
-from .symplectic import block_diag
+from .states import tensor, tmsv
 
 #: Squeezing clamp per squeezer; beyond this, covariance entries reach ~e^6
 #: and the heterodyne conditioning starts to lose digits.
@@ -181,11 +176,6 @@ class SymplecticParams:
 # ---------------------------------------------------------------------------
 
 
-def joint_covariance(copies) -> np.ndarray:
-    """8x8 covariance of the two two-mode copies, modes (A1, B1, A2, B2)."""
-    return block_diag(copies[0].cov, copies[1].cov)
-
-
 #: Flat slots of the joint 8x8 symplectic that the parties' 4x4 entries fill,
 #: in (party, row, col) order. Joint index 4 m + 2 party + quadrature: Alice
 #: acts on rows 0, 1, 4, 5 (modes A1, A2), Bob on rows 2, 3, 6, 7 (B1, B2).
@@ -203,15 +193,14 @@ _BLOCK_ROWS = 256
 def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
     """Output log-negativities of the two-copy protocol, one per row of ``x``.
 
-    ``x`` holds parameter vectors (K, 20) and ``g0`` is ``joint_covariance``
-    of the copies. Alice's symplectic acts on rows 0, 1, 4, 5 of the joint
-    covariance (modes A1, A2), Bob's on rows 2, 3, 6, 7 (B1, B2); A2 and B2
-    are heterodyned, leaving the output on (A1, B1). Rows are independent:
+    ``x`` holds parameter vectors (K, 20) and ``g0`` is the 8x8 covariance
+    of the two copies, ``tensor(copy1, copy2).cov``, modes (A1, B1, A2, B2).
+    Alice's symplectic acts on rows 0, 1, 4, 5 of the joint covariance
+    (modes A1, A2), Bob's on rows 2, 3, 6, 7 (B1, B2); A2 and B2 are
+    heterodyned, leaving the output on (A1, B1). Rows are independent:
     a batch gives the same bits as its rows one at a time.
     """
     x = np.asarray(x, dtype=float).reshape(-1, N_PARAMS)
-    if len(x) <= _BLOCK_ROWS:
-        return _kernel(x, g0)
     return np.concatenate([_kernel(x[i:i + _BLOCK_ROWS], g0)
                            for i in range(0, len(x), _BLOCK_ROWS)])
 
@@ -280,38 +269,16 @@ class LockstepResult:
     converged: np.ndarray  # (K,) stopped by xatol and fatol within budget
 
 
-@lru_cache(maxsize=8)
-def _insertions(m: int) -> np.ndarray:
-    """Column p: the order that moves the last of ``m`` vertices to place p."""
-    j = np.arange(m)[:, None]
-    p = np.arange(m)
-    table = np.where(j == p, m - 1, j - (j > p))
-    table.flags.writeable = False
-    return table
-
-
 def _sort(sim: np.ndarray, fsim: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sort the vertices of starts ``cols`` in place, ascending in value, as scipy does.
 
     ``sim`` is vertex-major, (N + 1, K, N), and ``fsim`` (N + 1, K); the
     sorted vertices of ``cols``, (N + 1, len(cols), N), are returned too.
-    After a step that moved only the worst vertex, the others are still
-    sorted, so each start's last vertex is first inserted where it belongs
-    among them. Where that does not give strictly increasing values (after
-    a shrink, or on a tie or a NaN) the start is argsorted instead: strictly
-    increasing values have one sorted order only, which is argsort's, and
-    argsort's order among equal values is not emulated.
+    Each start's order is ``np.argsort`` of its values, as scipy's is; where
+    the values are distinct that is their one sorted order.
     """
-    m = len(fsim)
-    f = fsim[:, cols]
-    c = np.arange(len(cols))
-    order = _insertions(m)[:, (f[:-1] < f[-1]).sum(axis=0)]
-    values = f[order, c]
-    unsorted = ~(values[1:] > values[:-1]).all(axis=0)
-    if unsorted.any():
-        order[:, unsorted] = np.argsort(f[:, unsorted], axis=0)
-        values = f[order, c]
-    fsim[:, cols] = values
+    order = np.argsort(fsim[:, cols], axis=0)
+    fsim[:, cols] = fsim[order, cols]
     s = sim[order, cols]
     sim[:, cols] = s
     return s
@@ -337,9 +304,9 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
     its own. Only the starts that ended an iteration in a round are sorted
     and tested for stopping, and begin their next iteration. The others
     keep their simplex as it is: it has not moved since their last test,
-    and sorting it again would hand any ties to argsort, whose order among
-    equal values is not emulated. A row-independent ``fun`` thus sees each
-    start's points exactly as scipy would send them. The simplices are
+    and scipy sorts once per iteration (a second argsort may reorder tied
+    values). A row-independent ``fun`` thus sees each start's points exactly
+    as scipy would send them. The simplices are
     stored vertex by vertex, (N + 1, K, N), so that each vertex of all
     starts is one contiguous slab, and only the live starts are carried
     from one round to the next: a start that stops leaves the working
@@ -554,7 +521,7 @@ def optimize(
     # validation at the boundary: physical two-mode copies, each checked once
     distinct = copies[:1] if copies[1] is copies[0] else copies
     input_e_n = max(log_negativity(c, _SPLIT).log_negativity for c in distinct)
-    g0 = joint_covariance(copies)
+    g0 = tensor(*copies).cov
     n_nonfinite = 0
 
     def negative_objective(x):

@@ -230,8 +230,6 @@ def canonicalize_pure_3mode(
 class Fig2Protocol:
     """One evaluation of the two-copy protocol."""
 
-    s_a: np.ndarray
-    s_b: np.ndarray
     outcomes: np.ndarray
     correction: np.ndarray
     output: GaussianState
@@ -280,8 +278,6 @@ def build_fig2(
     output = conditioned.with_mean(conditioned.mean - correction)
     report = log_negativity(output, BipartiteSplit((0,), (1,)))
     return Fig2Protocol(
-        s_a=s_a,
-        s_b=s_b,
         outcomes=outcomes,
         correction=correction,
         output=output,

@@ -255,11 +255,12 @@ def test_partition_bookkeeping_is_computed_once(rng):
     assert ch.input_modes == ins == (1, 3)
     assert ch.output_modes == outs == (0, 2)
     q_in, q_out = quad_indices(ins), quad_indices(outs)
-    assert np.array_equal(ch._in_q, q_in) and np.array_equal(ch._out_q, q_out)
+    assert np.array_equal(ch._plan.meas, q_in) and np.array_equal(ch._plan.keep, q_out)
     assert np.array_equal(ch.a_block, ch.choi_cov[np.ix_(q_in, q_in)])
-    for name in ("input_modes", "output_modes", "_in_q", "_out_q"):
+    for name in ("input_modes", "output_modes", "_plan"):
         assert getattr(ch, name) is getattr(ch, name)
-    assert not ch._in_q.flags.writeable and not ch._out_q.flags.writeable
+    assert ch._plan.meas is ch._plan.meas and ch._plan.keep is ch._plan.keep
+    assert not ch._plan.meas.flags.writeable and not ch._plan.keep.flags.writeable
 
 
 def test_layout_plans_are_shared_and_read_only(rng):

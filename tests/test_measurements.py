@@ -352,6 +352,20 @@ def test_bell_step_skips_only_the_last_pivot_when_no_mode_remains():
             _bell_chain(st, pairs, draws=draws)
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["no-mode-left", "one-mode-left"])
+def test_bell_step_factors_the_measured_block_once(monkeypatch, extra):
+    # the pivot check reads the factor the outcomes are drawn with
+    rng = np.random.default_rng(7)
+    state = random_state(4 + extra, rng, nu_spread=1.0, symplectic_scale=0.4)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda *a, **k: calls.append(1) or cholesky(*a, **k))
+    _bell_step(state.cov, state.mean[None, :], [(0, 1), (2, 3)],
+               rng.standard_normal((3, 4)))
+    assert len(calls) == 1
+
+
 # -- integration oracle ----------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from cvdist.nogo import (
     _passive,
     _random_start,
     certificates_csv,
-    joint_covariance,
     minimize,
     objective,
     optimize,
@@ -32,7 +31,7 @@ from cvdist.states import GaussianState, tensor, thermal, tmsv
 from cvdist.symplectic import symplectic_error
 
 COPIES_HALF = (tmsv(0.5), tmsv(0.5))
-G0_HALF = joint_covariance(COPIES_HALF)
+G0_HALF = tensor(*COPIES_HALF).cov
 
 #: Criterion 4's inputs: tmsv(r) for four r, and tmsv(0.8) + 0.2 I.
 CRITERION_4_COPIES = [tmsv(r) for r in (0.2, 0.5, 0.8, 1.1)] + [
@@ -42,7 +41,7 @@ PRODUCT_COPY = tensor(thermal(0.4), thermal(0.1))
 
 
 def _objective_at(x, copies):
-    return objective(np.asarray(x)[None], joint_covariance(copies))[0]
+    return objective(np.asarray(x)[None], tensor(*copies).cov)[0]
 
 
 def _reference(x, copy):
@@ -95,7 +94,7 @@ def test_objective_zero_for_product_copies(rng):
                          ids=["tmsv0.2", "tmsv0.5", "tmsv0.8", "tmsv1.1", "mixed"])
 def test_kernel_matches_build_fig2_at_random_starts(rng, copy):
     x = np.array([_random_start(rng) for _ in range(2000)])
-    values = objective(x, joint_covariance((copy, copy)))
+    values = objective(x, tensor(copy, copy).cov)
     reference = np.array([_reference(row, copy) for row in x])
     assert np.abs(values - reference).max() <= 1e-10
 
@@ -108,14 +107,14 @@ def test_kernel_matches_build_fig2_beyond_the_clamp(rng):
         for base in (4, 14):
             x[:, base:base + 2] = (rng.choice([-1.0, 1.0], size=(100, 2))
                                    * rng.uniform(3.0, 8.0, size=(100, 2)))
-        values = objective(x, joint_covariance((copy, copy)))
+        values = objective(x, tensor(copy, copy).cov)
         reference = np.array([_reference(row, copy) for row in x])
         assert np.abs(values - reference).max() <= 1e-9
 
 
 def test_kernel_is_exactly_zero_on_ppt_outputs(rng):
     x = np.array([_random_start(rng) for _ in range(200)])
-    values = objective(x, joint_covariance((PRODUCT_COPY, PRODUCT_COPY)))
+    values = objective(x, tensor(PRODUCT_COPY, PRODUCT_COPY).cov)
     assert np.all(values == 0.0)
     assert all(_reference(row, PRODUCT_COPY) == 0.0 for row in x[:20])
 
@@ -124,7 +123,7 @@ def test_kernel_near_zero_on_pure_product_outputs(rng):
     # vacuum copies give pure product outputs, where nu~_- = nu~_+ = 1: the
     # textbook discriminant D~^2 - 4 det G read up to 1e-6 in E_N here
     x = np.array([_random_start(rng) for _ in range(2000)])
-    values = objective(x, joint_covariance((tmsv(0.0), tmsv(0.0))))
+    values = objective(x, tensor(tmsv(0.0), tmsv(0.0)).cov)
     assert values.max() <= 1e-11
 
 
@@ -132,7 +131,7 @@ def test_kernel_batch_equals_rows_bit_for_bit(rng):
     x = np.array([_random_start(rng) for _ in range(300)])
     x[:50, 4:6] *= 3.0  # some rows past the clamp
     for copy in (CRITERION_4_COPIES[3], CRITERION_4_COPIES[4]):
-        g0 = joint_covariance((copy, copy))
+        g0 = tensor(copy, copy).cov
         batch = objective(x, g0)
         rows = np.concatenate([objective(row[None], g0) for row in x])
         assert np.array_equal(batch, rows)
@@ -153,7 +152,7 @@ def test_kernel_equals_the_oracle_kernel_bit_for_bit(rng, copy):
     x = np.array([_random_start(rng) for _ in range(3000)])
     for base in (4, 14):  # a fifth of the rows squeeze past the clamp
         x[:600, base:base + 2] *= rng.uniform(1.0, 3.0, size=(600, 2))
-    g0 = joint_covariance((copy, copy))
+    g0 = tensor(copy, copy).cov
     assert np.array_equal(objective(x, g0), kernel_oracle.objective(x, g0))
     assert np.array_equal(objective(x[:1], g0), kernel_oracle.objective(x[:1], g0))
 
@@ -208,7 +207,7 @@ def _scipy_start(fun, start, budget):
 def test_minimize_matches_scipy_start_by_start(budget, copy):
     # budget 5 ends inside the initial simplex (N + 1 = 21 points); product
     # copies give a flat objective, where every step ends in a shrink
-    g0 = joint_covariance((copy, copy))
+    g0 = tensor(copy, copy).cov
 
     def fun(x):
         return -objective(x, g0)
@@ -267,7 +266,7 @@ def _same_result(res, ref):
 @pytest.mark.parametrize("copy", CRITERION_4_COPIES,
                          ids=["tmsv0.2", "tmsv0.5", "tmsv0.8", "tmsv1.1", "mixed"])
 def test_minimize_equals_the_oracle_minimizer(budget, copy):
-    g0 = joint_covariance((copy, copy))
+    g0 = tensor(copy, copy).cov
 
     def fun(x):
         return -objective(x, g0)
