@@ -7,9 +7,10 @@ covariance matrix of its Choi state, partitioned into blocks
 
 with A on the input modes, B on the output modes and C the input-output
 correlations. The action on an input state (covariance G, mean d) is
-general-dyne conditioning of the Choi input modes, by the same update as every
-measurement in :mod:`cvdist.measurements`, with detection noise R G R and
-outcome R d (R = diag(1, -1, ...) transposes the input modes):
+general-dyne conditioning of the Choi input modes, by the same update and the
+same cached plan as every measurement in :mod:`cvdist.measurements`, with
+detection noise R G R and outcome R d (R = diag(1, -1, ...) transposes the
+input modes):
 
     Gamma_out = B - C^T (A + R G R)^{-1} C,
     d_out     = m_B + C^T (A + R G R)^{-1} (R d - m_A).
@@ -46,11 +47,12 @@ from .errors import (
     ParamOutOfRange,
     SingularConditioning,
 )
-from .measurements import PLAN_CACHE_SIZE, _gaussian_update, _UpdatePlan
+from .measurements import PLAN_CACHE_SIZE, DyneKind, _dyne_plan, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
     _float_array,
+    _freeze,
     _json_fields,
     _require_gamma_omega_psd,
     random_state,
@@ -67,36 +69,18 @@ MAX_CONDITION_NUMBER = 1e12
 WITNESS_NOISE_TOL = 1e-10
 
 
-def _transposition_signs(n_modes: int) -> np.ndarray:
-    """Diagonal of the phase-space transposition R = diag(1, -1, 1, -1, ...)."""
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _transposition(n_modes: int):
+    """Diagonal r of the phase-space transposition R = diag(1, -1, 1, -1, ...)
+    and outer(r, r), so that R G R = G * outer(r, r); read-only, cached."""
     r = np.ones(2 * n_modes)
     r[1::2] = -1.0
-    return r
+    return _freeze(r), _freeze(np.outer(r, r))
 
 
 def transposition_matrix(n_modes: int) -> np.ndarray:
     """Phase-space transposition R = diag(1, -1, 1, -1, ...)."""
-    return np.diag(_transposition_signs(n_modes))
-
-
-@dataclass(frozen=True)
-class _ChoiPlan(_UpdatePlan):
-    """Read-only layout of a channel's action: the Choi input quadratures are
-    measured (``meas``, and A = choi_cov[meas_meas]), the outputs kept
-    (``keep``); ``r`` is the diagonal of R and ``rr`` = outer(r, r), so
-    R G R = G * rr."""
-
-    r: np.ndarray
-    rr: np.ndarray
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _choi_plan(n_in: int, partition: tuple) -> _ChoiPlan:
-    def quads(role):
-        return quad_indices([i for i, p in enumerate(partition) if p == role])
-
-    r = _transposition_signs(n_in)
-    return _ChoiPlan(quads("out"), quads("in"), r, np.outer(r, r))
+    return np.diag(_transposition(n_modes)[0])
 
 
 @dataclass(frozen=True)
@@ -148,16 +132,10 @@ class GaussianChannel:
         return tuple(i for i, p in enumerate(self.partition) if p == "in")
 
     @cached_property
-    def output_modes(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.partition) if p == "out")
-
-    @cached_property
-    def _plan(self) -> _ChoiPlan:
-        return _choi_plan(self.n_in, self.partition)
-
-    @property
-    def a_block(self) -> np.ndarray:
-        return self.choi_cov[self._plan.meas_meas]
+    def _plan(self):
+        """The general-dyne plan of the Choi input modes: A is the measured
+        block, the outputs are kept."""
+        return _dyne_plan(self.n_in + self.n_out, self.input_modes, DyneKind.GENERAL)
 
     # -- serialization --------------------------------------------------------
 
@@ -196,8 +174,8 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
         raise DimensionMismatch(
             f"channel expects {ch.n_in} input modes, state has {state.modes}"
         )
-    plan = ch._plan
-    v = ch.a_block + state.cov * plan.rr
+    r, rr = _transposition(ch.n_in)
+    v = ch.choi_cov[ch._plan.meas_meas] + state.cov * rr
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] < MIN_SINGULAR_VALUE or sv[0] / sv[-1] > MAX_CONDITION_NUMBER:
         raise SingularConditioning(
@@ -205,7 +183,7 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
             f"(condition number {sv[0] / sv[-1]:.3e}); the channel is "
             "over-idealized, increase the approximation squeezing"
         )
-    return v, plan.r * state.mean
+    return v, r * state.mean
 
 
 def _condition_choi(ch: GaussianChannel, v, outcome, r_d=()):

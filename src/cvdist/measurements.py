@@ -14,14 +14,14 @@ Supported measurements on a subset of modes:
   beamsplitters commute and all of their homodynes are one homodyne: one
   update per call, however many pairs it measures.
 
-All of them, and the channel action in :mod:`cvdist.channels`, condition
-through one update (``_gaussian_update``). Its index gathers, and every
-other array that depends only on the layout (mode count, measured modes,
-kind), are built once per layout into a read-only ``_UpdatePlan`` and
-cached (``_dyne_plan``, ``_bell_plan``, and ``channels._choi_plan``); a call
-does only the arithmetic. With b the measured quadratures, a the kept ones and
-V = Gamma_bb + N (N = I per heterodyne mode, Gamma_m for general dyne, 0 for
-ideal homodyne):
+All of them, and the channel action in :mod:`cvdist.channels` (a general
+dyne of the Choi input modes), condition through one update
+(``_gaussian_update``). Its index gathers, and every other array that
+depends only on the layout (mode count, measured modes, kind), are built
+once per layout into a read-only ``_UpdatePlan`` and cached (``_dyne_plan``
+and ``_bell_plan``); a call does only the arithmetic. With b the measured
+quadratures, a the kept ones and V = Gamma_bb + N (N = I per heterodyne
+mode, Gamma_m for general dyne, 0 for ideal homodyne):
 
     Gamma' = Gamma_aa - Gamma_ab V^{-1} Gamma_ab^T,
     d'     = d_a + Gamma_ab V^{-1} (outcome - d_b).
@@ -30,8 +30,11 @@ Outcome statistics live in probability units: the outcomes are distributed
 as N(d_b, V/2), because Gamma doubles the covariance. The conditioning
 formulas are independent of that factor. The update only conditions: a
 sampling call draws its outcomes d_b + L z itself, with L the Cholesky factor
-of V/2 and z standard normal, and then conditions on them. The Bell step
-reads its pivot check from that same factor, so it factors V once.
+of V/2 and z standard normal, and then conditions on them.
+
+Every measurement refuses V by one rule, read from that factor (``_factor``,
+one Cholesky per call): V must factor, and each pivot that is conditioned
+on must reach DEGENERATE_VARIANCE. Otherwise DegenerateQuadrature is raised.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .errors import DegenerateQuadrature, DimensionMismatch
 from .states import GaussianState, _freeze
 from .symplectic import quad_indices
 
-#: Measured quadrature variance below which ideal homodyne conditioning is
-#: refused: the gain divides by it, so rounding would grow by over 1e12.
+#: Pivot of the measured block below which conditioning is refused: the gain
+#: divides by it, so rounding would grow by over 1e12.
 DEGENERATE_VARIANCE = 1e-12
 
 #: Layouts whose plans are kept. A program uses a handful of layouts (the
@@ -123,13 +126,6 @@ class MeasurementRecord:
     conditioned_state: GaussianState | None
 
 
-def _require_resolvable(variance) -> None:
-    """Refuse to condition on a measured variance below DEGENERATE_VARIANCE."""
-    if variance < DEGENERATE_VARIANCE:
-        raise DegenerateQuadrature("measured quadrature variance below "
-                                   f"{DEGENERATE_VARIANCE:g}; conditioning is singular")
-
-
 @dataclass(frozen=True)
 class _UpdatePlan:
     """Read-only gathers of one measurement layout: the kept quadratures
@@ -168,9 +164,33 @@ def _gaussian_update(cov, means, plan: _UpdatePlan, v, outcomes):
     return (cov_out + cov_out.T) / 2.0, means_out
 
 
+def _factor(v, plan: _UpdatePlan):
+    """The Cholesky factor L of V/2 + jitter that outcomes are drawn with.
+
+    Its pivots 2 L_ii^2 are the variances that a chain of one-quadrature
+    measurements, in ``plan.meas`` order, conditions on: every pivot but the
+    last conditions a later quadrature, and the last one conditions the kept
+    modes when there are any. A V that does not factor, or a pivot that is
+    conditioned on below DEGENERATE_VARIANCE, raises DegenerateQuadrature.
+    """
+    try:
+        chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
+    except np.linalg.LinAlgError:
+        raise DegenerateQuadrature("measured block is not positive definite; "
+                                   "conditioning is undefined") from None
+    pivots = 2.0 * np.diag(chol) ** 2
+    if len(plan.keep) == 0:
+        pivots = pivots[:-1]  # the last outcome conditions nothing
+    if (pivots < DEGENERATE_VARIANCE).any():
+        raise DegenerateQuadrature("measured quadrature variance below "
+                                   f"{DEGENERATE_VARIANCE:g}; conditioning is singular")
+    return chol
+
+
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _dyne_plan(n_modes: int, modes: tuple, kind: DyneKind) -> _UpdatePlan:
-    keep = quad_indices(np.setdiff1d(np.arange(n_modes), modes))
+    # a list comprehension: numpy's set routines add about 1 MB of RSS on first use
+    keep = quad_indices([m for m in range(n_modes) if m not in modes])
     meas = quad_indices(modes)
     if kind in _HOMODYNES:
         meas = meas[0::2] if kind is DyneKind.HOMODYNE_X else meas[1::2]
@@ -191,8 +211,11 @@ def _dyne_blocks(state: GaussianState, spec: DyneSpec):
 def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     """State of the unmeasured modes conditioned on a dyne outcome.
 
-    The update of the module docstring; ideal homodyne has no noise to
-    regularize V, so a (nearly) singular V raises DegenerateQuadrature.
+    The update of the module docstring. V is refused by the rule every
+    measurement shares (``_factor``): a V that is not positive definite, or
+    has a Cholesky pivot below DEGENERATE_VARIANCE, raises
+    DegenerateQuadrature. Heterodyne and general dyne add noise to V, so on
+    a physical state only ideal homodyne can reach the second case.
     """
     spec.validate_for(state)
     if len(spec.modes) == state.modes:
@@ -203,8 +226,7 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
             f"outcome length {outcome.size} != {spec.outcome_dim()}"
         )
     plan, v = _dyne_blocks(state, spec)
-    if spec.kind in _HOMODYNES:
-        _require_resolvable(np.linalg.eigvalsh(v)[0])
+    _factor(v, plan)
     cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
                                   outcome[None, :])
     return GaussianState(mean=means[0], cov=cov)
@@ -219,9 +241,7 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     spec.validate_for(state)
     plan, v = _dyne_blocks(state, spec)
     draws = rng.standard_normal((1, plan.meas.size))
-    if len(plan.keep) and spec.kind in _HOMODYNES:
-        _require_resolvable(np.linalg.eigvalsh(v)[0])
-    chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
+    chol = _factor(v, plan)
     outcome = state.mean[None, plan.meas] + draws @ chol.T
     cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v, outcome)
     return MeasurementRecord(
@@ -280,16 +300,7 @@ def _bell_step(cov, means, pairs, draws):
     cov = (cov + cov.T) / 2.0
     means = means @ s.T
     v = cov[plan.meas_meas]
-    # the factor L of v / 2 that the outcomes are drawn with gives the pivots
-    # of v, 2 diag(L)^2. Every pivot is conditioned on; the last p variance
-    # only when modes remain. A failed factorization means a pivot is not
-    # positive, and a zero factor refuses it.
-    try:
-        chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
-    except np.linalg.LinAlgError:
-        chol = np.zeros_like(v)
-    pivots = 2.0 * np.diag(chol) ** 2
-    _require_resolvable(np.min(pivots if len(plan.keep) else pivots[:-1]))
+    chol = _factor(v, plan)
     raw = means[:, plan.meas] + draws @ chol.T
     cov, means = _gaussian_update(cov, means, plan, v, raw)
     return raw * plan.scale, cov, means

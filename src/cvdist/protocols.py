@@ -265,14 +265,11 @@ def build_fig2(
     # apply_symplectic validates the fused matrix, catching bad s_a / s_b
     state = apply_symplectic(state, block_diag(s_a, s_b) @ _FIG2_PERM)
 
-    spec = _FIG2_SPEC
     if sample_heterodyne:
-        rec = sample_outcome(state, spec, seed)
-        outcomes = rec.outcome
-        conditioned = rec.conditioned_state
+        outcomes = sample_outcome(state, _FIG2_SPEC, seed).outcome
     else:
         outcomes = np.zeros(4)
-        conditioned = condition(state, spec, outcomes)
+    conditioned = condition(state, _FIG2_SPEC, outcomes)
 
     correction = conditioned.mean.copy()
     output = conditioned.with_mean(conditioned.mean - correction)

@@ -1,5 +1,5 @@
-"""Channel helpers for tests: the Choi state, the conditional displacement,
-and a corrupted Fig. 1 correction.
+"""Channel helpers for tests: the Choi state, its output modes, the
+conditional displacement, and a corrupted Fig. 1 correction.
 
 ``cvdist.channels.GaussianChannel`` keeps its Choi covariance and mean as
 arrays; tests that need the Choi state itself, to tensor, trace out or
@@ -14,6 +14,11 @@ from cvdist.states import GaussianState
 def choi_state(ch) -> GaussianState:
     """The Choi state of ``ch`` as a validated ``GaussianState``."""
     return GaussianState(mean=ch.choi_mean, cov=ch.choi_cov)
+
+
+def output_modes(ch) -> tuple:
+    """The Choi modes that ``ch.partition`` marks "out", in Choi order."""
+    return tuple(i for i, p in enumerate(ch.partition) if p == "out")
 
 
 def conditional_displacement(ch, state: GaussianState, r_d):

@@ -11,9 +11,16 @@ must give the same bits; tests/test_protocols.py compares the two with
 
 import numpy as np
 
-from cvdist.channels import MAX_CONDITION_NUMBER, MIN_SINGULAR_VALUE, _transposition_signs
-from cvdist.errors import DimensionMismatch, ParamOutOfRange, SingularConditioning
-from cvdist.measurements import _require_resolvable
+from channel_helpers import output_modes
+
+from cvdist.channels import MAX_CONDITION_NUMBER, MIN_SINGULAR_VALUE
+from cvdist.errors import (
+    DegenerateQuadrature,
+    DimensionMismatch,
+    ParamOutOfRange,
+    SingularConditioning,
+)
+from cvdist.measurements import DEGENERATE_VARIANCE
 from cvdist.protocols import Fig1Run
 from cvdist.states import GaussianState
 from cvdist.symplectic import block_diag, quad_indices
@@ -56,7 +63,8 @@ def _bell_step(cov, means, pairs, draws):
         pivots = np.diag(np.linalg.cholesky(checked)) ** 2
     except np.linalg.LinAlgError:
         pivots = 0.0
-    _require_resolvable(np.min(pivots))
+    if np.min(pivots) < DEGENERATE_VARIANCE:
+        raise DegenerateQuadrature(f"measured quadrature variance below {DEGENERATE_VARIANCE:g}")
     scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)] * len(a))
     raw, cov, means = _gaussian_update(cov, means, keep, meas, v, draws=draws)
     return raw * scale, cov, means
@@ -67,7 +75,7 @@ def _choi_dyne(ch, state):
         raise DimensionMismatch(
             f"channel expects {ch.n_in} input modes, state has {state.modes}"
         )
-    r = _transposition_signs(ch.n_in)
+    r = np.tile([1.0, -1.0], ch.n_in)
     in_q = quad_indices(ch.input_modes)
     v = ch.choi_cov[np.ix_(in_q, in_q)] + state.cov * np.outer(r, r)
     sv = np.linalg.svd(v, compute_uv=False)
@@ -80,7 +88,7 @@ def _condition_choi(ch, v, outcome, r_d=()):
     stack = np.reshape(r_d, (-1, outcome.size))
     means = np.zeros((1 + len(stack), ch.choi_mean.size))
     means[0] = ch.choi_mean
-    _, cov, out = _gaussian_update(ch.choi_cov, means, quad_indices(ch.output_modes),
+    _, cov, out = _gaussian_update(ch.choi_cov, means, quad_indices(output_modes(ch)),
                                    quad_indices(ch.input_modes), v,
                                    outcomes=np.vstack([outcome, stack]))
     return cov, out[0], out[1:].reshape(np.shape(r_d)[:-1] + (-1,))

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from channel_helpers import choi_state, conditional_displacement
+from channel_helpers import choi_state, conditional_displacement, output_modes
 from fock_oracle import tmsv_cov_from_lambda
 
 from cvdist.channels import (
     GaussianChannel,
     LoccChannelSpec,
-    _choi_plan,
+    _transposition,
     apply,
     attenuation_channel,
     choi_from_truncated_epr,
@@ -78,7 +78,7 @@ def test_uncorrelated_choi_ignores_input(rng):
     ch = GaussianChannel(n_in=1, n_out=1, choi_cov=choi.cov)
     for state in (vacuum(1), random_state(1, rng, nu_spread=1.0, mean_scale=1.0)):
         out = apply(ch, state)
-        assert_allclose(out.cov, partial_trace(choi_state(ch), ch.output_modes).cov)
+        assert_allclose(out.cov, partial_trace(choi_state(ch), output_modes(ch)).cov)
         assert_allclose(out.mean, np.zeros(2), atol=1e-14)
 
 
@@ -253,11 +253,12 @@ def test_partition_bookkeeping_is_computed_once(rng):
     ins = tuple(i for i, p in enumerate(partition) if p == "in")
     outs = tuple(i for i, p in enumerate(partition) if p == "out")
     assert ch.input_modes == ins == (1, 3)
-    assert ch.output_modes == outs == (0, 2)
+    assert output_modes(ch) == outs == (0, 2)
+    assert ch._plan is _dyne_plan(4, ins, DyneKind.GENERAL)
     q_in, q_out = quad_indices(ins), quad_indices(outs)
     assert np.array_equal(ch._plan.meas, q_in) and np.array_equal(ch._plan.keep, q_out)
-    assert np.array_equal(ch.a_block, ch.choi_cov[np.ix_(q_in, q_in)])
-    for name in ("input_modes", "output_modes", "_plan"):
+    assert np.array_equal(ch.choi_cov[ch._plan.meas_meas], ch.choi_cov[np.ix_(q_in, q_in)])
+    for name in ("input_modes", "_plan"):
         assert getattr(ch, name) is getattr(ch, name)
     assert ch._plan.meas is ch._plan.meas and ch._plan.keep is ch._plan.keep
     assert not ch._plan.meas.flags.writeable and not ch._plan.keep.flags.writeable
@@ -269,21 +270,27 @@ def test_layout_plans_are_shared_and_read_only(rng):
     other = GaussianChannel(n_in=2, n_out=2, choi_cov=cov,
                             partition=("out", "in", "out", "in"))
     assert ch._plan is same._plan and ch._plan is not other._plan
+    assert ch._plan is _dyne_plan(4, (0, 1), DyneKind.GENERAL)
 
     # a second channel of a planned layout plans nothing new
+    caches = (_dyne_plan, _bell_plan, _transposition)
     state = random_state(2, rng, nu_spread=0.8, mean_scale=0.5)
     run_fig1(ch, state, 3, rng)
-    misses = _choi_plan.cache_info().misses, _bell_plan.cache_info().misses
+    apply(ch, state)
+    misses = [cache.cache_info().misses for cache in caches]
     run_fig1(same, state, 3, rng)
-    assert (_choi_plan.cache_info().misses, _bell_plan.cache_info().misses) == misses
+    apply(same, state)
+    assert [cache.cache_info().misses for cache in caches] == misses
 
     plans = [ch._plan, other._plan, _bell_plan(6, ((2, 0), (3, 1))), _bell_plan(2, ((0, 1),))]
     plans += [_dyne_plan(3, (2, 0), kind) for kind in DyneKind]
+    arrays = [*_transposition(1), *_transposition(2)]
     for plan in plans:
         for value in vars(plan).values():
-            for array in value if isinstance(value, tuple) else (value,):
-                with pytest.raises(ValueError):
-                    array[...] = 0
+            arrays += value if isinstance(value, tuple) else (value,)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 # -- separable channels ---------------------------------------------------------

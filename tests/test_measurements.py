@@ -16,6 +16,7 @@ from cvdist.measurements import (
     sample_outcome,
 )
 from cvdist.states import (
+    GaussianState,
     apply_symplectic,
     random_state,
     tensor,
@@ -94,6 +95,37 @@ def test_degenerate_quadrature_raises():
     squeezed = apply_symplectic(vacuum(2), embed(squeezer(-14.5), (1,), 2))
     with pytest.raises(DegenerateQuadrature):
         condition(squeezed, HOMX1, [0.0])
+
+
+@pytest.mark.parametrize("cov, spec", [
+    (np.diag([-1.0, 1.0]), DyneSpec(modes=(0,), kind=DyneKind.HOMODYNE_X)),
+    (np.diag([-3.0, 1.0, 1.0, 1.0]), HET0),
+], ids=["homodyne-whole-state", "heterodyne"])
+def test_sampling_refuses_a_block_that_does_not_factor_by_name(cov, spec):
+    # numpy's own LinAlgError does not escape
+    state = GaussianState(mean=np.zeros(len(cov)), cov=cov)
+    with pytest.raises(DegenerateQuadrature, match="not positive definite"):
+        sample_outcome(state, spec, 1)
+
+
+def test_heterodyne_condition_refuses_a_block_that_does_not_factor():
+    # V = diag(-2, 2): solvable, but no covariance of a measurement
+    state = GaussianState(mean=np.zeros(4), cov=np.diag([-3.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(DegenerateQuadrature, match="not positive definite"):
+        condition(state, HET0, np.zeros(2))
+
+
+@pytest.mark.parametrize("spec", [HOMX1, DyneSpec(modes=(0, 2), kind=DyneKind.HOMODYNE_P)],
+                         ids=["one-quadrature", "two-quadratures"])
+def test_homodyne_sampling_factors_the_measured_block_once(monkeypatch, spec):
+    # the refusal reads the factor the outcome is drawn with: no eigvalsh
+    state = random_state(3, np.random.default_rng(8), nu_spread=1.0, symplectic_scale=0.4)
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _real=getattr(np.linalg, name),
+                            **k: calls.append(_name) or _real(*a, **k))
+    sample_outcome(state, spec, 1)
+    assert calls == ["cholesky"]
 
 
 def test_condition_validation():

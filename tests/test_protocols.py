@@ -6,7 +6,12 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 import fig1_oracle
-from channel_helpers import choi_state, conditional_displacement, corrupt_correction_gain
+from channel_helpers import (
+    choi_state,
+    conditional_displacement,
+    corrupt_correction_gain,
+    output_modes,
+)
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import oracle_condition
 
@@ -60,7 +65,7 @@ def test_fig1_uncorrelated_channel_zero_correction(rng):
     ch = GaussianChannel(n_in=1, n_out=1,
                          choi_cov=tensor(thermal(0.4), thermal(1.0)).cov)
     run = run_fig1(ch, vacuum(1), 10, rng)
-    assert_allclose(run.corrected_output.cov, partial_trace(choi_state(ch), ch.output_modes).cov)
+    assert_allclose(run.corrected_output.cov, partial_trace(choi_state(ch), output_modes(ch)).cov)
     assert run.max_cov_deviation <= 1e-12
     assert run.max_mean_deviation <= 1e-12
 
