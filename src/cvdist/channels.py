@@ -16,7 +16,13 @@ input modes):
     d_out     = m_B + C^T (A + R G R)^{-1} (R d - m_A).
 
 A Bell outcome r_d adds to the dyne outcome: the output picks up the
-displacement C^T (A + R G R)^{-1} r_d.
+displacement C^T (A + R G R)^{-1} r_d. The conditioning matrix A + R G R is
+refused by the measurements' rule too (``measurements._factor``): it must
+factor, and each Cholesky pivot must reach 1e-12 x max(1, its diagonal entry),
+else DegenerateQuadrature. The rule reads the pivots, not the condition
+number, so a channel squeezed along its own axes (cond 1e14, every pivot near
+its diagonal) is applied, while one whose correlated inputs cancel to 1 part
+in 1e12 is refused.
 
 A Choi covariance must pass the Gamma + i Omega test of
 :meth:`GaussianState.require_physical`, but not its condition-number limit:
@@ -40,14 +46,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotPhysical,
-    NotPhysicalWitness,
-    ParamOutOfRange,
-    SingularConditioning,
-)
-from .measurements import PLAN_CACHE_SIZE, DyneKind, _dyne_plan, _gaussian_update
+from .errors import DimensionMismatch, NotPhysical, NotPhysicalWitness, ParamOutOfRange
+from .measurements import PLAN_CACHE_SIZE, DyneKind, _dyne_plan, _factor, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
@@ -59,10 +59,6 @@ from .states import (
     tmsv,
 )
 from .symplectic import block_diag, quad_indices
-
-#: Conditioning matrix (A + R G R) limits before SingularConditioning fires.
-MIN_SINGULAR_VALUE = 1e-12
-MAX_CONDITION_NUMBER = 1e12
 
 #: Most negative eigenvalue accepted in an LOCC witness's noise matrix: a
 #: PSD G G^T rounds to about -1e-16 |G|^2, while below this it is invalid.
@@ -76,11 +72,6 @@ def _transposition(n_modes: int):
     r = np.ones(2 * n_modes)
     r[1::2] = -1.0
     return _freeze(r), _freeze(np.outer(r, r))
-
-
-def transposition_matrix(n_modes: int) -> np.ndarray:
-    """Phase-space transposition R = diag(1, -1, 1, -1, ...)."""
-    return np.diag(_transposition(n_modes)[0])
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,8 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
     """V = A + R Gamma R and the outcome R d of the channel's action on ``state``.
 
     This is the one place the channel action checks the input-mode count,
-    and it refuses V too ill-conditioned to solve against.
+    and it refuses V by the rule every measurement shares
+    (``measurements._factor``), raising DegenerateQuadrature.
     """
     if state.modes != ch.n_in:
         raise DimensionMismatch(
@@ -176,13 +168,7 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
         )
     r, rr = _transposition(ch.n_in)
     v = ch.choi_cov[ch._plan.meas_meas] + state.cov * rr
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] < MIN_SINGULAR_VALUE or sv[0] / sv[-1] > MAX_CONDITION_NUMBER:
-        raise SingularConditioning(
-            f"conditioning matrix has smallest singular value {sv[-1]:.3e} "
-            f"(condition number {sv[0] / sv[-1]:.3e}); the channel is "
-            "over-idealized, increase the approximation squeezing"
-        )
+    _factor(v, ch._plan)
     return v, r * state.mean
 
 

@@ -11,11 +11,13 @@ nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
 Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (NaN/inf
-entries, asymmetric covariance) or a covariance too ill-conditioned for
+entries, asymmetric covariance), a covariance too ill-conditioned for
 float64 to resolve its symplectic spectrum or physicality
-(``SingularConditioning``), 3 unphysical input (any ``NotPhysical``: a state,
-checked when ``state`` builds it or a command loads it, or a Choi covariance
-failing Gamma + i Omega >= 0, a covariance that is not positive definite, a
+(``SingularConditioning``), or a measured block or a channel's conditioning
+matrix too degenerate to condition on (``DegenerateQuadrature``), 3
+unphysical input (any ``NotPhysical``: a state, checked when ``state``
+builds it or a command loads it, or a Choi covariance failing
+Gamma + i Omega >= 0, a covariance that is not positive definite, a
 state that is not pure, an invalid LOCC witness), 4 dimension mismatch (any
 ``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
 ``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification

@@ -41,18 +41,15 @@ class NotPhysicalWitness(NotPhysical):
 
 
 class SingularConditioning(CvdistError):
-    """A matrix is singular or too ill-conditioned for float64 to use.
-
-    Raised for a channel's conditioning matrix, which usually means the
-    channel is over-idealized (increase the approximation squeezing instead
-    of asking for a pseudo-inverse), and for a covariance too ill-conditioned
-    (condition number above 1e7) for float64 to resolve its symplectic
-    spectrum, which also leaves its physicality undecided.
-    """
+    """A covariance too ill-conditioned (condition number above 1e7) for
+    float64 to resolve its symplectic spectrum, which also leaves its
+    physicality undecided."""
 
 
 class DegenerateQuadrature(CvdistError):
-    """Homodyne measurement of a quadrature with (numerically) zero variance."""
+    """A measured block, or a channel's conditioning matrix A + R G R, is too
+    degenerate to condition on: it does not factor, or a quadrature's
+    variance given the earlier ones is below 1e-12 x max(1, its own)."""
 
 
 class InvalidSplit(DimensionMismatch):

@@ -32,9 +32,10 @@ formulas are independent of that factor. The update only conditions: a
 sampling call draws its outcomes d_b + L z itself, with L the Cholesky factor
 of V/2 and z standard normal, and then conditions on them.
 
-Every measurement refuses V by one rule, read from that factor (``_factor``,
-one Cholesky per call): V must factor, and each pivot that is conditioned
-on must reach DEGENERATE_VARIANCE. Otherwise DegenerateQuadrature is raised.
+Every measurement, and the channel action, refuses V by one rule, read from
+that factor (``_factor``, one Cholesky per call): V must factor, and each
+pivot 2 L_ii^2 that is conditioned on must reach
+DEGENERATE_VARIANCE * max(1, V_ii). Otherwise DegenerateQuadrature is raised.
 """
 
 from __future__ import annotations
@@ -49,8 +50,13 @@ from .errors import DegenerateQuadrature, DimensionMismatch
 from .states import GaussianState, _freeze
 from .symplectic import quad_indices
 
-#: Pivot of the measured block below which conditioning is refused: the gain
-#: divides by it, so rounding would grow by over 1e12.
+#: Floor on the pivots of the measured block, relative to the quadrature's own
+#: variance: a pivot 2 L_ii^2 that is conditioned on must reach
+#: DEGENERATE_VARIANCE * max(1, V_ii). The pivot is V_ii less what the earlier
+#: quadratures predict of it, so it rounds with V_ii, not with itself; below
+#: 1e-12 V_ii it keeps under four correct digits, and the gain divides by it.
+#: The floor scales as ``symplectic.assert_symplectic``'s bound does, and at
+#: V_ii <= 1 it is the absolute 1e-12.
 DEGENERATE_VARIANCE = 1e-12
 
 #: Layouts whose plans are kept. A program uses a handful of layouts (the
@@ -171,19 +177,22 @@ def _factor(v, plan: _UpdatePlan):
     measurements, in ``plan.meas`` order, conditions on: every pivot but the
     last conditions a later quadrature, and the last one conditions the kept
     modes when there are any. A V that does not factor, or a pivot that is
-    conditioned on below DEGENERATE_VARIANCE, raises DegenerateQuadrature.
+    conditioned on below DEGENERATE_VARIANCE * max(1, V_ii), raises
+    DegenerateQuadrature.
     """
     try:
         chol = np.linalg.cholesky(v / 2.0 + plan.jitter)
     except np.linalg.LinAlgError:
         raise DegenerateQuadrature("measured block is not positive definite; "
                                    "conditioning is undefined") from None
-    pivots = 2.0 * np.diag(chol) ** 2
+    pivots = 2.0 * chol.diagonal() ** 2
+    floors = DEGENERATE_VARIANCE * np.maximum(1.0, v.diagonal())
     if len(plan.keep) == 0:
-        pivots = pivots[:-1]  # the last outcome conditions nothing
-    if (pivots < DEGENERATE_VARIANCE).any():
-        raise DegenerateQuadrature("measured quadrature variance below "
-                                   f"{DEGENERATE_VARIANCE:g}; conditioning is singular")
+        pivots, floors = pivots[:-1], floors[:-1]  # the last outcome conditions nothing
+    if (pivots < floors).any():
+        raise DegenerateQuadrature(
+            f"measured quadrature variance below {DEGENERATE_VARIANCE:g} x max(1, its "
+            "unconditioned variance); conditioning is singular")
     return chol
 
 
@@ -213,9 +222,9 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
 
     The update of the module docstring. V is refused by the rule every
     measurement shares (``_factor``): a V that is not positive definite, or
-    has a Cholesky pivot below DEGENERATE_VARIANCE, raises
-    DegenerateQuadrature. Heterodyne and general dyne add noise to V, so on
-    a physical state only ideal homodyne can reach the second case.
+    has a Cholesky pivot below DEGENERATE_VARIANCE * max(1, V_ii), raises
+    DegenerateQuadrature. Heterodyne adds I to V, so on a physical state its
+    pivots exceed 1, above that floor while every V_ii is below 1e12.
     """
     spec.validate_for(state)
     if len(spec.modes) == state.modes:

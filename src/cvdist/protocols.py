@@ -266,10 +266,11 @@ def build_fig2(
     state = apply_symplectic(state, block_diag(s_a, s_b) @ _FIG2_PERM)
 
     if sample_heterodyne:
-        outcomes = sample_outcome(state, _FIG2_SPEC, seed).outcome
+        record = sample_outcome(state, _FIG2_SPEC, seed)
+        outcomes, conditioned = record.outcome, record.conditioned_state
     else:
         outcomes = np.zeros(4)
-    conditioned = condition(state, _FIG2_SPEC, outcomes)
+        conditioned = condition(state, _FIG2_SPEC, outcomes)
 
     correction = conditioned.mean.copy()
     output = conditioned.with_mean(conditioned.mean - correction)

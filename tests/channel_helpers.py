@@ -1,13 +1,16 @@
 """Channel helpers for tests: the Choi state, its output modes, the
-conditional displacement, and a corrupted Fig. 1 correction.
+phase-space transposition, the conditional displacement, and a corrupted
+Fig. 1 correction.
 
 ``cvdist.channels.GaussianChannel`` keeps its Choi covariance and mean as
 arrays; tests that need the Choi state itself, to tensor, trace out or
 condition it through the public state API, build it here.
 """
 
+import numpy as np
+
 from cvdist import protocols
-from cvdist.channels import _bell_outcome, _choi_dyne, _condition_choi
+from cvdist.channels import _bell_outcome, _choi_dyne, _condition_choi, _transposition
 from cvdist.states import GaussianState
 
 
@@ -19,6 +22,12 @@ def choi_state(ch) -> GaussianState:
 def output_modes(ch) -> tuple:
     """The Choi modes that ``ch.partition`` marks "out", in Choi order."""
     return tuple(i for i, p in enumerate(ch.partition) if p == "out")
+
+
+def transposition_matrix(n_modes: int) -> np.ndarray:
+    """Phase-space transposition R = diag(1, -1, 1, -1, ...), from the signs
+    the channel action uses."""
+    return np.diag(_transposition(n_modes)[0])
 
 
 def conditional_displacement(ch, state: GaussianState, r_d):

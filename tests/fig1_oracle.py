@@ -13,13 +13,7 @@ import numpy as np
 
 from channel_helpers import output_modes
 
-from cvdist.channels import MAX_CONDITION_NUMBER, MIN_SINGULAR_VALUE
-from cvdist.errors import (
-    DegenerateQuadrature,
-    DimensionMismatch,
-    ParamOutOfRange,
-    SingularConditioning,
-)
+from cvdist.errors import DegenerateQuadrature, DimensionMismatch, ParamOutOfRange
 from cvdist.measurements import DEGENERATE_VARIANCE
 from cvdist.protocols import Fig1Run
 from cvdist.states import GaussianState
@@ -41,6 +35,18 @@ def _gaussian_update(cov, means, keep, meas, v, outcomes=None, draws=None):
     return outcomes, (cov_out + cov_out.T) / 2.0, means_out
 
 
+def _require_pivots(checked):
+    """Refuse a block that does not factor, or whose pivot L_ii^2 is below
+    DEGENERATE_VARIANCE * max(1, checked_ii)."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(checked)) ** 2
+    except np.linalg.LinAlgError:
+        raise DegenerateQuadrature("measured block is not positive definite") from None
+    if (pivots < DEGENERATE_VARIANCE * np.maximum(1.0, np.diag(checked))).any():
+        raise DegenerateQuadrature(f"measured quadrature variance below {DEGENERATE_VARIANCE:g}"
+                                   " x max(1, its unconditioned variance)")
+
+
 def _bell_step(cov, means, pairs, draws):
     a, b = np.array(pairs, dtype=int).T
     qa, qb = quad_indices(a), quad_indices(b)
@@ -58,13 +64,7 @@ def _bell_step(cov, means, pairs, draws):
     keep[qa] = keep[qb] = False
     keep = np.flatnonzero(keep)
     v = cov[np.ix_(meas, meas)]
-    checked = v if len(keep) else v[:-1, :-1]
-    try:
-        pivots = np.diag(np.linalg.cholesky(checked)) ** 2
-    except np.linalg.LinAlgError:
-        pivots = 0.0
-    if np.min(pivots) < DEGENERATE_VARIANCE:
-        raise DegenerateQuadrature(f"measured quadrature variance below {DEGENERATE_VARIANCE:g}")
+    _require_pivots(v if len(keep) else v[:-1, :-1])
     scale = np.array([-np.sqrt(2.0), np.sqrt(2.0)] * len(a))
     raw, cov, means = _gaussian_update(cov, means, keep, meas, v, draws=draws)
     return raw * scale, cov, means
@@ -78,9 +78,7 @@ def _choi_dyne(ch, state):
     r = np.tile([1.0, -1.0], ch.n_in)
     in_q = quad_indices(ch.input_modes)
     v = ch.choi_cov[np.ix_(in_q, in_q)] + state.cov * np.outer(r, r)
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] < MIN_SINGULAR_VALUE or sv[0] / sv[-1] > MAX_CONDITION_NUMBER:
-        raise SingularConditioning(f"conditioning matrix has smallest singular value {sv[-1]:.3e}")
+    _require_pivots(v)
     return v, r * state.mean
 
 

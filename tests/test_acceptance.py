@@ -15,7 +15,6 @@ from cvdist.channels import (
     filter_channel,
     make_separable_channel,
     random_locc_spec,
-    transposition_matrix,
 )
 from cvdist.entanglement import BipartiteSplit, log_negativity
 from cvdist.measurements import (
@@ -47,7 +46,7 @@ from cvdist.symplectic import (
     williamson,
 )
 from scipy.linalg import block_diag
-from channel_helpers import choi_state
+from channel_helpers import choi_state, transposition_matrix
 from symplectic_oracle import beamsplitter, bloch_messiah, embed
 from wigner_oracle import oracle_condition
 

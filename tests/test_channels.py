@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from channel_helpers import choi_state, conditional_displacement, output_modes
+from channel_helpers import (
+    choi_state,
+    conditional_displacement,
+    output_modes,
+    transposition_matrix,
+)
 from fock_oracle import tmsv_cov_from_lambda
 
 from cvdist.channels import (
@@ -21,15 +27,14 @@ from cvdist.channels import (
     filter_channel,
     make_separable_channel,
     random_locc_spec,
-    transposition_matrix,
 )
 from cvdist.errors import (
+    DegenerateQuadrature,
     DimensionMismatch,
     MalformedInput,
     NotPhysical,
     NotPhysicalWitness,
     ParamOutOfRange,
-    SingularConditioning,
 )
 from cvdist.measurements import DyneKind, DyneSpec, _bell_plan, _dyne_plan, condition
 from cvdist.protocols import run_fig1
@@ -42,7 +47,12 @@ from cvdist.states import (
     tmsv,
     vacuum,
 )
-from cvdist.symplectic import quad_indices, squeezer, symplectic_eigenvalues
+from cvdist.symplectic import (
+    quad_indices,
+    squeezer,
+    symplectic_eigenvalues,
+    two_mode_squeezer,
+)
 
 TANH_HALF = 0.46211715726000974
 
@@ -112,13 +122,58 @@ def test_choi_state_with_a_hidden_sub_vacuum_mode_is_refused():
     assert type(exc.value) is NotPhysical
 
 
-def test_singular_conditioning_raises():
-    # squeeze the Choi input side hard: A + R Gamma R becomes ill-conditioned
+def test_channel_squeezed_along_its_axes_is_applied_exactly():
+    # A + I has condition number 1.2e14, but its pivots are its diagonal:
+    # float64 matches the 50-digit Schur complement of the same inputs
     sq = block_diag(squeezer(16.0), np.eye(2))
-    choi_cov = sq @ tmsv(0.5).cov @ sq.T
-    ch = GaussianChannel(n_in=1, n_out=1, choi_cov=choi_cov)
-    with pytest.raises(SingularConditioning):
-        apply(ch, vacuum(1))
+    ch = GaussianChannel(n_in=1, n_out=1, choi_cov=sq @ tmsv(0.5).cov @ sq.T)
+    v = ch.choi_cov[:2, :2] + np.eye(2)
+    assert np.linalg.cond(v) > 1e14
+    out = apply(ch, vacuum(1))
+    with mpmath.workdps(50):
+        g = mpmath.matrix(ch.choi_cov.tolist())
+        a, c, b = g[0:2, 0:2], g[0:2, 2:4], g[2:4, 2:4]
+        ref = np.array((b - c.T * mpmath.inverse(a + mpmath.eye(2)) * c).tolist(), dtype=float)
+    assert np.abs(out.cov - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _correlated_channel(s, rng):
+    """A 2 -> 2 channel whose Choi inputs are two-mode squeezed by 2 s: against
+    the input tmsv(r), A + R Gamma R cancels to about e^{-4 s - 2 r} of its
+    diagonal."""
+    sq = block_diag(two_mode_squeezer(2.0 * s), np.eye(4))
+    g = random_state(4, rng, nu_spread=0.5, symplectic_scale=0.3).cov
+    return GaussianChannel(n_in=2, n_out=2, choi_cov=sq @ g @ sq.T)
+
+
+def _conditioning_matrix(ch, state):
+    r = transposition_matrix(ch.n_in)
+    return ch.choi_cov[ch._plan.meas_meas] + r @ state.cov @ r
+
+
+def test_channel_whose_conditioning_cancels_is_refused():
+    # each V factors, but a pivot is below 1e-12 of its diagonal entry
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        ch, state = _correlated_channel(6, rng), tmsv(3.0)
+        v = _conditioning_matrix(ch, state)
+        pivots = np.diag(np.linalg.cholesky(v)) ** 2
+        assert 1e-14 < (pivots / np.diag(v)).min() < 1e-12
+        with pytest.raises(DegenerateQuadrature, match="variance below"):
+            apply(ch, state)
+        with pytest.raises(DegenerateQuadrature, match="variance below"):
+            run_fig1(ch, state, 3, rng)
+
+
+def test_conditioning_matrix_that_does_not_factor_is_refused_by_name():
+    # numpy's own LinAlgError does not escape
+    ch, state = _correlated_channel(9, np.random.default_rng(19)), tmsv(3.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(_conditioning_matrix(ch, state))
+    for call in (lambda: apply(ch, state),
+                 lambda: conditional_output_mean(ch, state, np.zeros(4))):
+        with pytest.raises(DegenerateQuadrature, match="not positive definite"):
+            call()
 
 
 def test_conditional_displacement_gain():

@@ -97,6 +97,22 @@ def test_degenerate_quadrature_raises():
         condition(squeezed, HOMX1, [0.0])
 
 
+def test_homodyne_predicted_to_one_part_in_1e12_is_refused():
+    # x_1 -> 1e3 x_0 + 1e-4 x_1 (p_1 -> 1e4 p_1, p_0 -> p_0 - 1e7 p_1 keep it
+    # symplectic): x_1's variance is about 1e6 and given x_0 about 1e-8, a
+    # pivot above 1e-12 that keeps only a few correct digits
+    s = np.eye(6)
+    s[2, 0], s[2, 2], s[3, 3], s[1, 3] = 1e3, 1e-4, 1e4, -1e7
+    spec = DyneSpec(modes=(0, 1), kind=DyneKind.HOMODYNE_X)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        state = apply_symplectic(random_state(3, rng, nu_spread=0.5, symplectic_scale=0.3), s)
+        with pytest.raises(DegenerateQuadrature, match="variance below"):
+            condition(state, spec, np.zeros(2))
+        with pytest.raises(DegenerateQuadrature, match="variance below"):
+            sample_outcome(state, spec, 1)
+
+
 @pytest.mark.parametrize("cov, spec", [
     (np.diag([-1.0, 1.0]), DyneSpec(modes=(0,), kind=DyneKind.HOMODYNE_X)),
     (np.diag([-3.0, 1.0, 1.0, 1.0]), HET0),

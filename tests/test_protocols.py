@@ -99,13 +99,15 @@ def test_fig1_corrupted_correction_is_detected(rng, monkeypatch):
 
 
 def test_fig1_checks_the_conditioning_matrix_once(rng, monkeypatch):
-    # the reference and every correction share one (A + R G R) and its check
+    # the reference and every correction share one (A + R G R) and its check;
+    # the Bell step and the Choi step each factor their block once, no SVD
     ch, state = make_separable_channel(random_locc_spec(rng)), tmsv(0.5)
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for name in ("cholesky", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _real=getattr(np.linalg, name),
+                            **k: calls.append(_name) or _real(*a, **k))
     run_fig1(ch, state, 10, rng)
-    assert len(calls) == 1
+    assert calls == ["cholesky", "cholesky"]
 
 
 @pytest.mark.parametrize("n_in", [1, 2])
