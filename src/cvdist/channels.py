@@ -46,19 +46,24 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPhysical, NotPhysicalWitness, ParamOutOfRange
+from .errors import (
+    DegenerateQuadrature,
+    DimensionMismatch,
+    NotPhysical,
+    NotPhysicalWitness,
+    ParamOutOfRange,
+)
 from .measurements import PLAN_CACHE_SIZE, DyneKind, _dyne_plan, _factor, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
     _float_array,
-    _freeze,
     _json_fields,
     _require_gamma_omega_psd,
     random_state,
     tmsv,
 )
-from .symplectic import block_diag, quad_indices
+from .symplectic import _freeze, block_diag, quad_indices
 
 #: Most negative eigenvalue accepted in an LOCC witness's noise matrix: a
 #: PSD G G^T rounds to about -1e-16 |G|^2, while below this it is invalid.
@@ -160,7 +165,8 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
 
     This is the one place the channel action checks the input-mode count,
     and it refuses V by the rule every measurement shares
-    (``measurements._factor``), raising DegenerateQuadrature.
+    (``measurements._factor``), raising DegenerateQuadrature with that rule's
+    message, prefixed by what was refused.
     """
     if state.modes != ch.n_in:
         raise DimensionMismatch(
@@ -168,7 +174,12 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
         )
     r, rr = _transposition(ch.n_in)
     v = ch.choi_cov[ch._plan.meas_meas] + state.cov * rr
-    _factor(v, ch._plan)
+    try:
+        _factor(v, ch._plan)
+    except DegenerateQuadrature as exc:
+        raise DegenerateQuadrature(
+            "the channel's conditioning matrix A + R Gamma R with this input is "
+            f"refused: {exc}") from None
     return v, r * state.mean
 
 

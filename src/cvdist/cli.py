@@ -213,8 +213,7 @@ def _cmd_fig2_run(args) -> int:
     s_a = np.array(_parse_floats(args.sa)).reshape(4, 4) if args.sa else np.eye(4)
     s_b = np.array(_parse_floats(args.sb)).reshape(4, 4) if args.sb else np.eye(4)
     pro = build_fig2(s_a, s_b, copy1, copy2,
-                     seed=np.random.default_rng(args.seed),
-                     sample_heterodyne=args.sample_outcomes)
+                     seed=np.random.default_rng(args.seed) if args.sample_outcomes else None)
     transcript = {
         "s_a": s_a.tolist(),
         "s_b": s_b.tolist(),

@@ -28,9 +28,10 @@ mode, Gamma_m for general dyne, 0 for ideal homodyne):
 
 Outcome statistics live in probability units: the outcomes are distributed
 as N(d_b, V/2), because Gamma doubles the covariance. The conditioning
-formulas are independent of that factor. The update only conditions: a
-sampling call draws its outcomes d_b + L z itself, with L the Cholesky factor
-of V/2 and z standard normal, and then conditions on them.
+formulas are independent of that factor. The update only conditions; every
+sampling call draws through one helper (``_sample``): outcomes d_b + L z,
+with L the Cholesky factor of V/2 and z standard normal, then the update on
+them. A ``MeasurementRecord`` holds the outcome and the conditioned state.
 
 Every measurement, and the channel action, refuses V by one rule, read from
 that factor (``_factor``, one Cholesky per call): V must factor, and each
@@ -47,8 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch
-from .states import GaussianState, _freeze
-from .symplectic import quad_indices
+from .states import GaussianState
+from .symplectic import _freeze, quad_indices
 
 #: Floor on the pivots of the measured block, relative to the quadrature's own
 #: variance: a pivot 2 L_ii^2 that is conditioned on must reach
@@ -70,9 +71,6 @@ class DyneKind(enum.Enum):
     HOMODYNE_X = "homodyne_x"
     HOMODYNE_P = "homodyne_p"
     GENERAL = "general_dyne"
-
-
-_HOMODYNES = (DyneKind.HOMODYNE_X, DyneKind.HOMODYNE_P)
 
 
 @dataclass(frozen=True)
@@ -97,9 +95,8 @@ class DyneSpec:
                                     "non-negative and at least one")
         object.__setattr__(self, "modes", modes)
         if self.gamma_m is not None:
-            gm = np.asarray(self.gamma_m, dtype=float)
-            gm.flags.writeable = False
-            object.__setattr__(self, "gamma_m", gm)
+            object.__setattr__(self, "gamma_m",
+                               _freeze(np.asarray(self.gamma_m, dtype=float)))
         if self.kind is DyneKind.GENERAL:
             if self.gamma_m is None or self.gamma_m.shape != (2 * m, 2 * m):
                 raise DimensionMismatch(
@@ -107,28 +104,17 @@ class DyneSpec:
                 )
             GaussianState(mean=np.zeros(2 * m), cov=self.gamma_m).require_physical()
 
-    def validate_for(self, state: GaussianState) -> None:
-        """Refuse measured modes beyond ``state``'s; the rest was checked at construction."""
-        if max(self.modes) >= state.modes:
-            raise DimensionMismatch(
-                f"measured modes {self.modes} outside 0..{state.modes - 1}"
-            )
-
-    def outcome_dim(self) -> int:
-        return len(self.modes) if self.kind in _HOMODYNES else 2 * len(self.modes)
-
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Sampled outcome, the linear observables it refers to, and the result.
+    """A sampled outcome and the state of the unmeasured modes conditioned on
+    it (None when every mode was measured).
 
-    ``observable_map`` rows give the measured observables as m = M r over the
-    pre-measurement quadratures. The conditioned covariance never depends on
-    the outcome value; only the conditioned mean does.
+    The conditioned covariance never depends on the outcome value; only the
+    conditioned mean does.
     """
 
     outcome: np.ndarray
-    observable_map: np.ndarray
     conditioned_state: GaussianState | None
 
 
@@ -196,18 +182,34 @@ def _factor(v, plan: _UpdatePlan):
     return chol
 
 
+def _sample(cov, means, plan: _UpdatePlan, v, draws):
+    """Outcomes means[:, meas] + draws L^T for K states sharing ``cov``, with
+    L from ``_factor``, and the update on them: (outcomes, cov, means)."""
+    outcomes = means[:, plan.meas] + draws @ _factor(v, plan).T
+    return (outcomes, *_gaussian_update(cov, means, plan, v, outcomes))
+
+
+def _record(outcomes, cov, means) -> MeasurementRecord:
+    """The record of row 0 of what ``_sample`` returns."""
+    state = None if cov is None else GaussianState(mean=means[0], cov=cov)
+    return MeasurementRecord(outcome=outcomes[0], conditioned_state=state)
+
+
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _dyne_plan(n_modes: int, modes: tuple, kind: DyneKind) -> _UpdatePlan:
     # a list comprehension: numpy's set routines add about 1 MB of RSS on first use
     keep = quad_indices([m for m in range(n_modes) if m not in modes])
     meas = quad_indices(modes)
-    if kind in _HOMODYNES:
+    if kind in (DyneKind.HOMODYNE_X, DyneKind.HOMODYNE_P):
         meas = meas[0::2] if kind is DyneKind.HOMODYNE_X else meas[1::2]
     return _UpdatePlan(keep, meas)
 
 
 def _dyne_blocks(state: GaussianState, spec: DyneSpec):
-    """The plan of a validated ``spec`` on ``state``, and V = Gamma_bb + N."""
+    """The plan of ``spec`` on ``state``, and V = Gamma_bb + N. Refuses modes
+    beyond ``state``'s; the rest of the spec was checked when it was built."""
+    if max(spec.modes) >= state.modes:
+        raise DimensionMismatch(f"measured modes {spec.modes} outside 0..{state.modes - 1}")
     plan = _dyne_plan(state.modes, spec.modes, spec.kind)
     v = state.cov[plan.meas_meas]
     if spec.kind is DyneKind.HETERODYNE:
@@ -226,15 +228,12 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     DegenerateQuadrature. Heterodyne adds I to V, so on a physical state its
     pivots exceed 1, above that floor while every V_ii is below 1e12.
     """
-    spec.validate_for(state)
+    plan, v = _dyne_blocks(state, spec)
     if len(spec.modes) == state.modes:
         raise DimensionMismatch("cannot condition on every mode; nothing would remain")
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
-    if outcome.size != spec.outcome_dim():
-        raise DimensionMismatch(
-            f"outcome length {outcome.size} != {spec.outcome_dim()}"
-        )
-    plan, v = _dyne_blocks(state, spec)
+    if outcome.size != plan.meas.size:
+        raise DimensionMismatch(f"outcome length {outcome.size} != {plan.meas.size}")
     _factor(v, plan)
     cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
                                   outcome[None, :])
@@ -247,17 +246,9 @@ def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRec
     Deterministic for a fixed seed; pass a Generator to chain several draws.
     """
     rng = np.random.default_rng(seed)
-    spec.validate_for(state)
     plan, v = _dyne_blocks(state, spec)
     draws = rng.standard_normal((1, plan.meas.size))
-    chol = _factor(v, plan)
-    outcome = state.mean[None, plan.meas] + draws @ chol.T
-    cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v, outcome)
-    return MeasurementRecord(
-        outcome=outcome[0],
-        observable_map=np.eye(2 * state.modes)[plan.meas],
-        conditioned_state=None if cov is None else GaussianState(mean=means[0], cov=cov),
-    )
+    return _record(*_sample(state.cov, state.mean[None, :], plan, v, draws))
 
 
 @dataclass(frozen=True)
@@ -299,19 +290,15 @@ def _bell_step(cov, means, pairs, draws):
     factor reproduces the chain of single-pair steps draw for draw, and its
     pivots are the variances each homodyne of that chain would condition on.
     The beamsplitter matrix and the gathers are planned once per
-    (mode count, pairs). Returns the (K, 2m) outcomes and what
-    ``_gaussian_update`` returns for the remaining modes, in their original
-    order.
+    (mode count, pairs). Returns the (K, 2m) outcomes and the conditioned
+    covariance and means of the remaining modes, in their original order.
     """
     plan = _bell_plan(len(cov) // 2, tuple((int(a), int(b)) for a, b in pairs))
     s = plan.s
     cov = s @ cov @ s.T
     cov = (cov + cov.T) / 2.0
     means = means @ s.T
-    v = cov[plan.meas_meas]
-    chol = _factor(v, plan)
-    raw = means[:, plan.meas] + draws @ chol.T
-    cov, means = _gaussian_update(cov, means, plan, v, raw)
+    raw, cov, means = _sample(cov, means, plan, cov[plan.meas_meas], draws)
     return raw * plan.scale, cov, means
 
 
@@ -331,12 +318,4 @@ def bell_measure(state: GaussianState, pair, seed) -> MeasurementRecord:
     if min(a, b) < 0 or max(a, b) >= state.modes:
         raise DimensionMismatch(f"pair {pair} outside 0..{state.modes - 1}")
     draws = np.random.default_rng(seed).standard_normal((1, 2))
-    rec, cov, means = _bell_step(state.cov, state.mean[None, :], [(a, b)], draws)
-
-    m = np.zeros((2, 2 * state.modes))
-    m[[0, 0, 1, 1], [2 * a, 2 * b, 2 * a + 1, 2 * b + 1]] = [1.0, -1.0, 1.0, 1.0]
-    return MeasurementRecord(
-        outcome=rec[0],
-        observable_map=m,
-        conditioned_state=None if cov is None else GaussianState(mean=means[0], cov=cov),
-    )
+    return _record(*_bell_step(state.cov, state.mean[None, :], [(a, b)], draws))

@@ -486,14 +486,15 @@ _START_SPAN = np.tile(np.r_[np.full(4, 2.0 * np.pi), np.full(2, 2.0 * SQUEEZE_CL
                             np.full(4, 2.0 * np.pi)], 2)
 
 
-def _random_start(rng: np.random.Generator) -> np.ndarray:
-    """A uniform random start, one ``rng.random`` draw for all coordinates.
+def _random_starts(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` uniform random starts, (k, N_PARAMS), from one ``rng.random`` draw.
 
     ``rng.uniform(low, high)`` is low + (high - low) u, with u read from the
-    stream that ``rng.random`` reads, so this is the point that drawing each
-    party's angles and squeezers with ``uniform`` in turn gives.
+    stream that ``rng.random`` reads, here row by row. So row j is the point
+    that drawing start j's angles and squeezers party by party with
+    ``uniform`` gives, after the j starts before it.
     """
-    return _START_LOW + _START_SPAN * rng.random(N_PARAMS)
+    return _START_LOW + _START_SPAN * rng.random((k, N_PARAMS))
 
 
 def optimize(
@@ -531,7 +532,7 @@ def optimize(
         return -values
 
     rng = np.random.default_rng(seed)
-    x0 = np.array([np.zeros(N_PARAMS)] + [_random_start(rng) for _ in range(1, n_starts)])
+    x0 = np.vstack([np.zeros(N_PARAMS), _random_starts(rng, n_starts - 1)])
     # a non-finite value is counted, not warned about
     with np.errstate(invalid="ignore", divide="ignore"):
         res = minimize(negative_objective, x0, budget)

@@ -242,7 +242,6 @@ def build_fig2(
     copy1: GaussianState,
     copy2: GaussianState,
     seed=None,
-    sample_heterodyne: bool = False,
 ) -> Fig2Protocol:
     """Run the two-copy protocol with party symplectics ``s_a``, ``s_b``.
 
@@ -250,8 +249,9 @@ def build_fig2(
     four modes are arranged as (A1, A2, B1, B2); s_a acts on (A1, A2), s_b on
     (B1, B2); modes A2 and B2 are heterodyned and the outcome-dependent
     displacement is subtracted (the classical-communication step). The output
-    covariance does not depend on the heterodyne outcomes, so they default to
-    zero for reproducibility; set ``sample_heterodyne`` to draw them.
+    covariance does not depend on the heterodyne outcomes. They are drawn
+    from ``seed`` (an int or a Generator) when one is given, and are zero
+    otherwise.
     """
     if copy1.modes != 2 or copy2.modes != 2:
         raise DimensionMismatch("both copies must be two-mode states")
@@ -265,7 +265,7 @@ def build_fig2(
     # apply_symplectic validates the fused matrix, catching bad s_a / s_b
     state = apply_symplectic(state, block_diag(s_a, s_b) @ _FIG2_PERM)
 
-    if sample_heterodyne:
+    if seed is not None:
         record = sample_outcome(state, _FIG2_SPEC, seed)
         outcomes, conditioned = record.outcome, record.conditioned_state
     else:

@@ -21,6 +21,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .symplectic import (
+    _freeze,
     _require_resolvable,
     assert_symplectic,
     block_diag,
@@ -55,11 +56,6 @@ def _require_gamma_omega_psd(cov: np.ndarray, t: float) -> None:
     lam = float(np.linalg.eigvalsh(t * cov + 1j * omega(len(cov) // 2))[0])
     if lam < -_gamma_omega_rounding(cov):
         raise NotPhysical(f"Gamma + i Omega has eigenvalue {lam:.3e} < 0")
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _json_fields(data, convert: dict) -> dict:

@@ -62,12 +62,15 @@ _Z = np.diag([1.0, -1.0])
 _I2 = np.eye(2)
 
 
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for ``n_modes`` modes in xpxp ordering (read-only)."""
-    om = np.kron(np.eye(n_modes), _J)
-    om.flags.writeable = False
-    return om
+    return _freeze(np.kron(np.eye(n_modes), _J))
 
 
 def quad_indices(modes) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Channel helpers for tests: the Choi state, its output modes, the
-phase-space transposition, the conditional displacement, and a corrupted
-Fig. 1 correction.
+phase-space transposition, the conditional displacement, a channel whose
+conditioning matrix cancels, and a corrupted Fig. 1 correction.
 
 ``cvdist.channels.GaussianChannel`` keeps its Choi covariance and mean as
 arrays; tests that need the Choi state itself, to tensor, trace out or
@@ -10,8 +10,15 @@ condition it through the public state API, build it here.
 import numpy as np
 
 from cvdist import protocols
-from cvdist.channels import _bell_outcome, _choi_dyne, _condition_choi, _transposition
-from cvdist.states import GaussianState
+from cvdist.channels import (
+    GaussianChannel,
+    _bell_outcome,
+    _choi_dyne,
+    _condition_choi,
+    _transposition,
+)
+from cvdist.states import GaussianState, random_state
+from cvdist.symplectic import block_diag, two_mode_squeezer
 
 
 def choi_state(ch) -> GaussianState:
@@ -39,6 +46,15 @@ def conditional_displacement(ch, state: GaussianState, r_d):
     """
     r_d = _bell_outcome(ch, r_d)
     return _condition_choi(ch, *_choi_dyne(ch, state), r_d)[2]
+
+
+def correlated_channel(s, rng) -> GaussianChannel:
+    """A 2 -> 2 channel whose Choi inputs are two-mode squeezed by 2 s: against
+    the input tmsv(r), A + R Gamma R cancels to about e^{-4 s - 2 r} of its
+    diagonal."""
+    sq = block_diag(two_mode_squeezer(2.0 * s), np.eye(4))
+    g = random_state(4, rng, nu_spread=0.5, symplectic_scale=0.3).cov
+    return GaussianChannel(n_in=2, n_out=2, choi_cov=sq @ g @ sq.T)
 
 
 def corrupt_correction_gain(monkeypatch, gain: float) -> None:

@@ -13,11 +13,17 @@ A change that moves output bits on purpose regenerates the files:
     PYTHONPATH=src python tests/golden_outputs.py
 
 and lists each moved file in CHANGES.md with its largest numeric difference.
+
+``api-calls.sha256`` pins the library calls the CLI cases never reach: a
+SHA-256 over the float64 bits that a fixed, seeded list of measurement,
+channel, protocol and no-go calls returns (``api_calls_digest``). It is
+regenerated with the other files.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -28,12 +34,17 @@ from pathlib import Path
 
 import numpy as np
 
+from cvdist.channels import GaussianChannel, apply, choi_from_truncated_epr, conditional_output_mean
 from cvdist.cli import main
-from cvdist.states import GaussianState, apply_symplectic, tmsv, vacuum
+from cvdist.measurements import DyneKind, DyneSpec, bell_measure, condition, sample_outcome
+from cvdist.nogo import optimize
+from cvdist.protocols import build_fig2, run_fig1
+from cvdist.states import GaussianState, apply_symplectic, random_state, tmsv, vacuum
 from cvdist.symplectic import random_symplectic
 
 GOLDEN = Path(__file__).parent / "golden"
 ENVIRONMENT = "environment.json"
+API_CALLS = "api-calls.sha256"
 SEED = "404"
 
 #: A 50:50 beamsplitter on a party's two modes, and its mirror image, as the
@@ -139,6 +150,88 @@ def environment_difference(recorded: dict) -> list:
             if current.get(key) != recorded.get(key)]
 
 
+def _hash(digest, *values) -> None:
+    """Add each value's float64 bits and shape; None and states too."""
+    for value in values:
+        if isinstance(value, GaussianState):
+            _hash(digest, value.mean, value.cov)
+        elif value is None:
+            digest.update(b"none")
+        else:
+            array = np.ascontiguousarray(value, dtype=float)
+            digest.update(repr(array.shape).encode() + array.tobytes())
+
+
+def _random_channel(rng) -> tuple:
+    """A channel of random shape, partition, Choi state and mean, and an input."""
+    n_in, n_out = rng.integers(1, 3, size=2)
+    partition = tuple(rng.permutation(["in"] * n_in + ["out"] * n_out))
+    choi = random_state(n_in + n_out, rng, nu_spread=0.5, symplectic_scale=0.3,
+                        mean_scale=0.5)
+    ch = GaussianChannel(n_in=int(n_in), n_out=int(n_out), choi_cov=choi.cov,
+                         choi_mean=choi.mean, partition=partition)
+    return ch, random_state(int(n_in), rng, mean_scale=1.0)
+
+
+def api_calls_digest() -> str:
+    """SHA-256 of what a fixed list of seeded library calls returns.
+
+    It covers ``sample_outcome`` and ``condition`` under six specs and
+    under all-mode homodyne and heterodyne, ``bell_measure`` with and
+    without remaining modes, ``run_fig1``, ``apply`` and
+    ``conditional_output_mean`` on random channels of every shape,
+    ``build_fig2`` with zero and with sampled outcomes, and three small
+    ``optimize`` runs. Any change to those bits changes the digest.
+    """
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2020)
+    specs = [DyneSpec((0,), DyneKind.HETERODYNE), DyneSpec((0, 2), DyneKind.HETERODYNE),
+             DyneSpec((1,), DyneKind.HOMODYNE_X), DyneSpec((1,), DyneKind.HOMODYNE_P),
+             DyneSpec((0, 2), DyneKind.HOMODYNE_X),
+             DyneSpec((2, 0), DyneKind.GENERAL, random_state(2, rng).cov)]
+    every_mode = [DyneSpec((0, 1, 2), kind) for kind in DyneKind if kind is not DyneKind.GENERAL]
+    for _ in range(100):
+        state = random_state(3, rng, mean_scale=1.0)
+        for spec in specs:
+            record = sample_outcome(state, spec, rng)
+            _hash(digest, record.outcome, record.conditioned_state,
+                  condition(state, spec, record.outcome))
+        for spec in every_mode:
+            record = sample_outcome(state, spec, rng)
+            _hash(digest, record.outcome, record.conditioned_state)
+        for pair in [(0, 2), (2, 1)]:
+            record = bell_measure(state, pair, rng)
+            _hash(digest, record.outcome, record.conditioned_state)
+        record = bell_measure(random_state(2, rng, mean_scale=1.0), (1, 0), rng)
+        _hash(digest, record.outcome, record.conditioned_state)
+    channels = [choi_from_truncated_epr(n, r) for n in (1, 2) for r in (2.0, 6.0)]
+    for k in range(200):
+        if k < len(channels):
+            ch = channels[k]
+            state = random_state(ch.n_in, rng, mean_scale=1.0)
+        else:
+            ch, state = _random_channel(rng)
+        run = run_fig1(ch, state, int(rng.integers(1, 20)), rng)
+        _hash(digest, np.array(run.sampled_outcomes), run.corrected_output,
+              run.reference_output, [run.max_cov_deviation, run.max_mean_deviation],
+              apply(ch, state),
+              conditional_output_mean(ch, state, rng.normal(size=2 * ch.n_in)))
+    for k in range(100):
+        s_a, s_b = random_symplectic(2, rng, scale=0.5), random_symplectic(2, rng, scale=0.5)
+        copy1 = tmsv(float(rng.uniform(0.1, 1.0))).with_mean(rng.normal(size=4))
+        copy2 = random_state(2, rng, mean_scale=1.0)
+        for pro in [build_fig2(s_a, s_b, copy1, copy2),
+                    build_fig2(s_a, s_b, copy1, copy2, seed=rng)]:
+            _hash(digest, pro.outcomes, pro.correction, pro.output,
+                  [pro.report.log_negativity])
+    for seed, r in [(0, 0.3), (404, 0.5), (12345, 0.8)]:
+        cert = optimize((tmsv(r), tmsv(r)), n_starts=4, seed=seed, budget=100)
+        _hash(digest, [cert.best_e_n, cert.gap, cert.n_evals, cert.n_nonfinite_evals],
+              cert.best_params, cert.start_n_evals,
+              [np.nan if e is None else e for e in cert.start_best_e_n])
+    return digest.hexdigest()
+
+
 def run_case(case: dict) -> str:
     """Run ``case`` in the current directory; its stdout. Raises unless it exits 0."""
     out = io.StringIO()
@@ -175,6 +268,7 @@ def regenerate() -> None:
             os.chdir(cwd)
         for path in work.iterdir():
             shutil.copyfile(path, GOLDEN / path.name)
+    (GOLDEN / API_CALLS).write_text(api_calls_digest() + "\n")
     (GOLDEN / ENVIRONMENT).write_text(json.dumps(environment(), indent=1) + "\n")
 
 

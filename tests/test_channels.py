@@ -11,6 +11,7 @@ from scipy.linalg import block_diag
 from channel_helpers import (
     choi_state,
     conditional_displacement,
+    correlated_channel,
     output_modes,
     transposition_matrix,
 )
@@ -51,7 +52,6 @@ from cvdist.symplectic import (
     quad_indices,
     squeezer,
     symplectic_eigenvalues,
-    two_mode_squeezer,
 )
 
 TANH_HALF = 0.46211715726000974
@@ -137,15 +137,6 @@ def test_channel_squeezed_along_its_axes_is_applied_exactly():
     assert np.abs(out.cov - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-def _correlated_channel(s, rng):
-    """A 2 -> 2 channel whose Choi inputs are two-mode squeezed by 2 s: against
-    the input tmsv(r), A + R Gamma R cancels to about e^{-4 s - 2 r} of its
-    diagonal."""
-    sq = block_diag(two_mode_squeezer(2.0 * s), np.eye(4))
-    g = random_state(4, rng, nu_spread=0.5, symplectic_scale=0.3).cov
-    return GaussianChannel(n_in=2, n_out=2, choi_cov=sq @ g @ sq.T)
-
-
 def _conditioning_matrix(ch, state):
     r = transposition_matrix(ch.n_in)
     return ch.choi_cov[ch._plan.meas_meas] + r @ state.cov @ r
@@ -155,7 +146,7 @@ def test_channel_whose_conditioning_cancels_is_refused():
     # each V factors, but a pivot is below 1e-12 of its diagonal entry
     rng = np.random.default_rng(19)
     for _ in range(3):
-        ch, state = _correlated_channel(6, rng), tmsv(3.0)
+        ch, state = correlated_channel(6, rng), tmsv(3.0)
         v = _conditioning_matrix(ch, state)
         pivots = np.diag(np.linalg.cholesky(v)) ** 2
         assert 1e-14 < (pivots / np.diag(v)).min() < 1e-12
@@ -167,12 +158,13 @@ def test_channel_whose_conditioning_cancels_is_refused():
 
 def test_conditioning_matrix_that_does_not_factor_is_refused_by_name():
     # numpy's own LinAlgError does not escape
-    ch, state = _correlated_channel(9, np.random.default_rng(19)), tmsv(3.0)
+    ch, state = correlated_channel(9, np.random.default_rng(19)), tmsv(3.0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(_conditioning_matrix(ch, state))
     for call in (lambda: apply(ch, state),
                  lambda: conditional_output_mean(ch, state, np.zeros(4))):
-        with pytest.raises(DegenerateQuadrature, match="not positive definite"):
+        with pytest.raises(DegenerateQuadrature, match=r"^the channel's conditioning "
+                           r"matrix A \+ R Gamma R .*not positive definite"):
             call()
 
 

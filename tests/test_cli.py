@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from channel_helpers import corrupt_correction_gain
+from channel_helpers import correlated_channel, corrupt_correction_gain
 
 import cvdist
 import cvdist.cli
@@ -136,6 +136,21 @@ def test_singular_pure_state_exits_3_everywhere(tmp_path, capsys, argv):
     argv = [a.format(state=st, out=out) for a in argv]
     assert run_cli(argv) == 3
     assert "smallest eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["channel", "apply"], ["fig1", "verify"]],
+                         ids=["channel-apply", "fig1-verify"])
+def test_refused_channel_names_its_conditioning_matrix(tmp_path, capsys, command):
+    ch = tmp_path / "ch.json"
+    st = tmp_path / "st.json"
+    ch.write_text(correlated_channel(6, np.random.default_rng(19)).to_json())
+    st.write_text(tmsv(3.0).to_json())
+    out = tmp_path / "out.json"
+    assert run_cli([*command, "--channel", str(ch), "--state", str(st), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the channel's conditioning matrix A + R Gamma R" in err
+    assert "measured quadrature variance below 1e-12" in err
     assert not out.exists()
 
 

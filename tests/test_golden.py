@@ -1,4 +1,5 @@
-"""Every golden CLI run reproduces its committed stdout and files byte for byte.
+"""Every golden CLI run reproduces its committed stdout and files byte for byte,
+and the seeded library calls reproduce their committed digest.
 
 The cases and their regeneration are in ``golden_outputs.py``.
 """
@@ -8,7 +9,15 @@ import shutil
 
 import pytest
 
-from golden_outputs import CASES, ENVIRONMENT, GOLDEN, environment_difference, run_case
+from golden_outputs import (
+    API_CALLS,
+    CASES,
+    ENVIRONMENT,
+    GOLDEN,
+    api_calls_digest,
+    environment_difference,
+    run_case,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,3 +38,7 @@ def test_cli_output_matches_golden(case, recorded_environment, tmp_path, monkeyp
     assert stdout.encode() == (GOLDEN / f"{case['name']}.stdout").read_bytes()
     for name in case["writes"]:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_api_calls_match_golden(recorded_environment):
+    assert api_calls_digest() + "\n" == (GOLDEN / API_CALLS).read_text()

@@ -19,7 +19,7 @@ from cvdist.nogo import (
     XATOL,
     SymplecticParams,
     _passive,
-    _random_start,
+    _random_starts,
     certificates_csv,
     minimize,
     objective,
@@ -93,7 +93,7 @@ def test_objective_zero_for_product_copies(rng):
 @pytest.mark.parametrize("copy", CRITERION_4_COPIES,
                          ids=["tmsv0.2", "tmsv0.5", "tmsv0.8", "tmsv1.1", "mixed"])
 def test_kernel_matches_build_fig2_at_random_starts(rng, copy):
-    x = np.array([_random_start(rng) for _ in range(2000)])
+    x = _random_starts(rng, 2000)
     values = objective(x, tensor(copy, copy).cov)
     reference = np.array([_reference(row, copy) for row in x])
     assert np.abs(values - reference).max() <= 1e-10
@@ -103,7 +103,7 @@ def test_kernel_matches_build_fig2_beyond_the_clamp(rng):
     # both parties squeeze past |r| = 3; entries reach e^12, so both paths
     # lose digits (each is off by up to ~2e-10 from a 50-digit evaluation)
     for copy in CRITERION_4_COPIES:
-        x = np.array([_random_start(rng) for _ in range(100)])
+        x = _random_starts(rng, 100)
         for base in (4, 14):
             x[:, base:base + 2] = (rng.choice([-1.0, 1.0], size=(100, 2))
                                    * rng.uniform(3.0, 8.0, size=(100, 2)))
@@ -113,7 +113,7 @@ def test_kernel_matches_build_fig2_beyond_the_clamp(rng):
 
 
 def test_kernel_is_exactly_zero_on_ppt_outputs(rng):
-    x = np.array([_random_start(rng) for _ in range(200)])
+    x = _random_starts(rng, 200)
     values = objective(x, tensor(PRODUCT_COPY, PRODUCT_COPY).cov)
     assert np.all(values == 0.0)
     assert all(_reference(row, PRODUCT_COPY) == 0.0 for row in x[:20])
@@ -122,13 +122,13 @@ def test_kernel_is_exactly_zero_on_ppt_outputs(rng):
 def test_kernel_near_zero_on_pure_product_outputs(rng):
     # vacuum copies give pure product outputs, where nu~_- = nu~_+ = 1: the
     # textbook discriminant D~^2 - 4 det G read up to 1e-6 in E_N here
-    x = np.array([_random_start(rng) for _ in range(2000)])
+    x = _random_starts(rng, 2000)
     values = objective(x, tensor(tmsv(0.0), tmsv(0.0)).cov)
     assert values.max() <= 1e-11
 
 
 def test_kernel_batch_equals_rows_bit_for_bit(rng):
-    x = np.array([_random_start(rng) for _ in range(300)])
+    x = _random_starts(rng, 300)
     x[:50, 4:6] *= 3.0  # some rows past the clamp
     for copy in (CRITERION_4_COPIES[3], CRITERION_4_COPIES[4]):
         g0 = tensor(copy, copy).cov
@@ -149,7 +149,7 @@ def test_passive_equals_the_complex_unitary_form_bit_for_bit(rng):
 @pytest.mark.parametrize("copy", CRITERION_4_COPIES,
                          ids=["tmsv0.2", "tmsv0.5", "tmsv0.8", "tmsv1.1", "mixed"])
 def test_kernel_equals_the_oracle_kernel_bit_for_bit(rng, copy):
-    x = np.array([_random_start(rng) for _ in range(3000)])
+    x = _random_starts(rng, 3000)
     for base in (4, 14):  # a fifth of the rows squeeze past the clamp
         x[:600, base:base + 2] *= rng.uniform(1.0, 3.0, size=(600, 2))
     g0 = tensor(copy, copy).cov
@@ -168,20 +168,25 @@ def _three_draws_per_party(rng):
 
 
 def test_random_start_is_the_three_draws_per_party_point():
+    # row by row, and the stream is left where the per-party draws leave it
     for seed in range(1000):
-        for start in (1, 49):
-            ref = _three_draws_per_party(np.random.default_rng([seed, start]))
-            rng = np.random.default_rng([seed, start])
-            assert np.array_equal(_random_start(rng), ref)
-            assert rng.random() == np.random.default_rng([seed, start]).random(N_PARAMS + 1)[-1]
+        for k in (1, 49):
+            ref_rng = np.random.default_rng([seed, k])
+            refs = [_three_draws_per_party(ref_rng) for _ in range(k)]
+            rng = np.random.default_rng([seed, k])
+            starts = _random_starts(rng, k)
+            assert starts.shape == (k, N_PARAMS)
+            for row, ref in zip(starts, refs):
+                assert np.array_equal(row, ref)
+            assert rng.random() == ref_rng.random()
 
 
 # -- the lockstep minimizer against scipy's Nelder-Mead ------------------------
 
 
 def _starts(n, seed):
-    return np.array([np.zeros(N_PARAMS)] + [
-        _random_start(np.random.default_rng([seed, k])) for k in range(1, n)])
+    return np.vstack([np.zeros(N_PARAMS)] + [
+        _random_starts(np.random.default_rng([seed, k]), 1) for k in range(1, n)])
 
 
 def _scipy_start(fun, start, budget):

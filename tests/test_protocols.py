@@ -365,9 +365,10 @@ def test_fig2_product_copies_stay_unentangled(rng):
 def test_fig2_output_covariance_outcome_independent(rng):
     bs = beamsplitter(0.5)
     base = build_fig2(bs, bs, tmsv(0.5), tmsv(0.5))
+    assert np.array_equal(base.outcomes, np.zeros(4))
     for k in range(10):
-        sampled = build_fig2(bs, bs, tmsv(0.5), tmsv(0.5),
-                             seed=k, sample_heterodyne=True)
+        sampled = build_fig2(bs, bs, tmsv(0.5), tmsv(0.5), seed=k)
+        assert np.abs(sampled.outcomes).min() > 0.0
         assert np.abs(sampled.output.cov - base.output.cov).max() <= 1e-10
         assert np.abs(sampled.output.mean).max() == 0.0  # recentred
 

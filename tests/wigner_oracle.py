@@ -84,12 +84,12 @@ def oracle_condition(
     """
     if state.modes > 3:
         raise TooManyModes(f"oracle limited to 3 modes, state has {state.modes}")
-    spec.validate_for(state)
+    if max(spec.modes) >= state.modes:
+        raise DimensionMismatch(f"measured modes {spec.modes} outside 0..{state.modes - 1}")
+    homodyne = spec.kind in (DyneKind.HOMODYNE_X, DyneKind.HOMODYNE_P)
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
-    if outcome.size != spec.outcome_dim():
-        raise DimensionMismatch(
-            f"outcome length {outcome.size} != {spec.outcome_dim()}"
-        )
+    if outcome.size != (1 if homodyne else 2) * len(spec.modes):
+        raise DimensionMismatch(f"outcome length {outcome.size} does not fit {spec}")
 
     dim_total = 2 * state.modes
     q_keep = quad_indices([m for m in range(state.modes) if m not in spec.modes])
@@ -99,7 +99,7 @@ def oracle_condition(
     # delta-fixed coordinates (ideal homodyne) are substituted, the rest stay
     fixed_mask = np.zeros(dim_total, dtype=bool)
     fixed_vals = np.zeros(dim_total)
-    if spec.kind in (DyneKind.HOMODYNE_X, DyneKind.HOMODYNE_P):
+    if homodyne:
         rows = q_meas[0::2] if spec.kind is DyneKind.HOMODYNE_X else q_meas[1::2]
         fixed_mask[rows] = True
         fixed_vals[rows] = outcome
