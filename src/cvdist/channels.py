@@ -46,13 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    DegenerateQuadrature,
-    DimensionMismatch,
-    NotPhysical,
-    NotPhysicalWitness,
-    ParamOutOfRange,
-)
+from .errors import DegenerateQuadrature, DimensionError, DimensionMismatch, ParamOutOfRange
 from .measurements import PLAN_CACHE_SIZE, DyneKind, _dyne_plan, _factor, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
@@ -64,11 +58,6 @@ from .states import (
     tmsv,
 )
 from .symplectic import _freeze, block_diag, quad_indices
-
-#: Most negative eigenvalue accepted in an LOCC witness's noise matrix: a
-#: PSD G G^T rounds to about -1e-16 |G|^2, while below this it is invalid.
-WITNESS_NOISE_TOL = 1e-10
-
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _transposition(n_modes: int):
@@ -246,6 +235,8 @@ def choi_from_truncated_epr(n: int, r_approx: float) -> GaussianChannel:
     squeezing ``r_approx``, the first member of each pair being the input.
     The channel converges to the identity as r_approx grows.
     """
+    if n < 1:
+        raise DimensionError(f"mode count must be >= 1, got {n}")
     if r_approx <= 0.0:
         raise ParamOutOfRange(f"approximation squeezing must be > 0, got {r_approx}")
     pair = tmsv(r_approx).cov
@@ -285,92 +276,26 @@ def attenuation_channel(eta: float, r_approx: float) -> GaussianChannel:
 
 
 # ---------------------------------------------------------------------------
-# separable (LOCC) channels
+# random separable (LOCC) channels
 # ---------------------------------------------------------------------------
 
+def random_locc_channel(rng: np.random.Generator) -> GaussianChannel:
+    """Random separable (LOCC) 1+1 -> 1+1 channel in witness form.
 
-@dataclass(frozen=True)
-class LoccChannelSpec:
-    """Witness-form description of a separable (LOCC) Gaussian channel.
-
-    The Choi covariance is assembled as (gamma_a on Alice's Choi modes) +
-    (gamma_b on Bob's) + noise, with gamma_a, gamma_b physical and noise
-    positive semidefinite. Any such Choi state is separable across the
-    Alice|Bob cut by construction, which makes the form a constructive
-    generator of random LOCC channels. ``partition`` assigns in/out roles to
-    the Choi modes exactly as in :class:`GaussianChannel`.
-    """
-
-    alice_modes: tuple
-    bob_modes: tuple
-    gamma_a: np.ndarray
-    gamma_b: np.ndarray
-    noise: np.ndarray
-    partition: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "alice_modes", tuple(int(m) for m in self.alice_modes))
-        object.__setattr__(self, "bob_modes", tuple(int(m) for m in self.bob_modes))
-        object.__setattr__(self, "partition", tuple(self.partition))
-        object.__setattr__(self, "gamma_a", np.asarray(self.gamma_a, dtype=float))
-        object.__setattr__(self, "gamma_b", np.asarray(self.gamma_b, dtype=float))
-        object.__setattr__(self, "noise", np.asarray(self.noise, dtype=float))
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.alice_modes) + len(self.bob_modes)
-
-
-def make_separable_channel(spec: LoccChannelSpec) -> GaussianChannel:
-    """Build the channel for a witness spec, validating the witness."""
-    n = spec.n_modes
-    if set(spec.alice_modes) & set(spec.bob_modes) or \
-            set(spec.alice_modes) | set(spec.bob_modes) != set(range(n)):
-        raise NotPhysicalWitness(
-            f"alice {spec.alice_modes} / bob {spec.bob_modes} is not a partition"
-        )
-    for name, gamma, party in [("gamma_a", spec.gamma_a, spec.alice_modes),
-                               ("gamma_b", spec.gamma_b, spec.bob_modes)]:
-        if gamma.shape != (2 * len(party), 2 * len(party)):
-            raise NotPhysicalWitness(f"{name} shape {gamma.shape} does not fit {party}")
-        try:
-            GaussianState(mean=np.zeros(len(gamma)), cov=gamma).require_physical()
-        except NotPhysical as exc:
-            raise NotPhysicalWitness(f"{name} unphysical: {exc}") from None
-    if spec.noise.shape != (2 * n, 2 * n):
-        raise NotPhysicalWitness(f"noise shape {spec.noise.shape} != {(2 * n, 2 * n)}")
-    cov = (spec.noise + spec.noise.T) / 2.0
-    y_min = float(np.linalg.eigvalsh(cov)[0])
-    if y_min < -WITNESS_NOISE_TOL:
-        raise NotPhysicalWitness(f"noise matrix has eigenvalue {y_min:.3e} < 0")
-
-    qa = quad_indices(spec.alice_modes)
-    qb = quad_indices(spec.bob_modes)
-    cov[np.ix_(qa, qa)] += spec.gamma_a
-    cov[np.ix_(qb, qb)] += spec.gamma_b
-    n_in = spec.partition.count("in")
-    return GaussianChannel(
-        n_in=n_in, n_out=n - n_in, choi_cov=cov, partition=spec.partition
-    )
-
-
-def random_locc_spec(rng: np.random.Generator) -> LoccChannelSpec:
-    """Random witness spec for a separable 1+1 -> 1+1 channel.
-
-    Choi modes are ordered (A_in, B_in, A_out, B_out), so Alice holds Choi
-    modes (0, 2) and Bob (1, 3), matching the input ordering (A_in, B_in) ->
-    (A_out, B_out). Each party's gamma is a random two-mode state with nus
-    in [1, 1.8] and symplectic width 0.35, Alice's drawn first; the noise is
-    G G^T / 8 with G an 8x8 Gaussian of width 0.3, drawn last.
+    The Choi covariance is gamma_A (+) gamma_B + Y (Werner and Wolf, PRL 86,
+    3658 (2001)), with Choi modes ordered (A_in, B_in, A_out, B_out): Alice
+    holds Choi modes (0, 2) and Bob (1, 3). Each party's gamma is a random
+    two-mode state with nus in [1, 1.8] and symplectic width 0.35, Alice's
+    drawn first; Y = G G^T / 8, with G an 8x8 Gaussian of width 0.3, is drawn
+    last. Physical gammas and Y >= 0 make the Choi state separable across the
+    Alice|Bob cut by construction; ``GaussianChannel`` checks physicality.
     """
     gamma_a = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
     gamma_b = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
     g = rng.normal(0.0, 0.3, size=(8, 8))
-    return LoccChannelSpec(
-        alice_modes=(0, 2),
-        bob_modes=(1, 3),
-        gamma_a=gamma_a,
-        gamma_b=gamma_b,
-        noise=g @ g.T / 8.0,
-        partition=("in", "in", "out", "out"),
+    cov = g @ g.T / 8.0
+    q = quad_indices((0, 2, 1, 3))  # Alice's Choi modes, then Bob's
+    cov[np.ix_(q, q)] += block_diag(gamma_a, gamma_b)
+    return GaussianChannel(
+        n_in=2, n_out=2, choi_cov=cov, partition=("in", "in", "out", "out")
     )

@@ -17,8 +17,8 @@ float64 to resolve its symplectic spectrum or physicality
 matrix too degenerate to condition on (``DegenerateQuadrature``), 3
 unphysical input (any ``NotPhysical``: a state, checked when ``state``
 builds it or a command loads it, or a Choi covariance failing
-Gamma + i Omega >= 0, a covariance that is not positive definite, a
-state that is not pure, an invalid LOCC witness), 4 dimension mismatch (any
+Gamma + i Omega >= 0, a covariance that is not positive definite, or a
+state that is not pure), 4 dimension mismatch (any
 ``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
 ``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification
 failure or an apparent distillation gap, which CI should treat as an alarm,
@@ -52,8 +52,7 @@ from .channels import (
     attenuation_channel,
     choi_from_truncated_epr,
     filter_channel,
-    make_separable_channel,
-    random_locc_spec,
+    random_locc_channel,
 )
 from .entanglement import BipartiteSplit, log_negativity
 from .errors import CvdistError, DimensionMismatch, NotPhysical
@@ -158,8 +157,7 @@ def _cmd_channel_make(args) -> int:
     elif args.kind == "attenuation":
         ch = attenuation_channel(args.eta, args.r_approx)
     elif args.kind == "random-locc":
-        rng = np.random.default_rng(args.seed)
-        ch = make_separable_channel(random_locc_spec(rng))
+        ch = random_locc_channel(np.random.default_rng(args.seed))
     write_text_atomic(args.out, ch.to_json())
     print(f"wrote {args.kind} channel ({ch.n_in}-in/{ch.n_out}-out) to {args.out}")
     return EXIT_OK

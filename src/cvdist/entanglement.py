@@ -34,6 +34,8 @@ class BipartiteSplit:
         bob = tuple(int(m) for m in self.bob)
         if not alice or not bob:
             raise InvalidSplit("both parties need at least one mode")
+        if len(set(alice)) < len(alice) or len(set(bob)) < len(bob):
+            raise InvalidSplit(f"a party lists a mode twice: {alice}|{bob}")
         if set(alice) & set(bob):
             raise InvalidSplit(f"parties overlap: {set(alice) & set(bob)}")
         object.__setattr__(self, "alice", alice)

@@ -3,8 +3,9 @@
 Every error raised on purpose by this package derives from :class:`CvdistError`,
 so callers (and the CLI) can map failures to exit codes without matching on
 message strings. The CLI's exit codes follow the class tree: every
-:class:`NotPhysical` exits 3, every :class:`DimensionMismatch` exits 4, and
-any other :class:`CvdistError` exits 2.
+:class:`NotPhysical` (an unphysical state or Choi covariance, a covariance
+that is not positive definite, or a state that is not pure) exits 3, every
+:class:`DimensionMismatch` exits 4, and any other :class:`CvdistError` exits 2.
 """
 
 
@@ -34,10 +35,6 @@ class NotPhysical(CvdistError):
 
 class NotPositiveDefinite(NotPhysical):
     """Matrix required to be positive definite is not."""
-
-
-class NotPhysicalWitness(NotPhysical):
-    """Separable-channel witness (gamma_A, gamma_B, Y) is not valid."""
 
 
 class SingularConditioning(CvdistError):

@@ -45,8 +45,9 @@ certificate records the best value found and the gap to the input
 entanglement; the no-go claim is that the gap never goes below -1e-6.
 
 Certificates are scoped to protocols built from pure Choi states (the build_fig2
-class); mixing over displacements cannot help since entanglement ignores
-them, which is why the optimum lies in this class.
+class), searched at the given input. Every other local Gaussian protocol is
+checked step by step instead, on one to three copies, by
+``tests/test_proof_steps.py``: each step keeps nu~_- >= min(its input's, 1).
 """
 
 from __future__ import annotations

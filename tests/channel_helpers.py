@@ -1,6 +1,7 @@
 """Channel helpers for tests: the Choi state, its output modes, the
-phase-space transposition, the conditional displacement, a channel whose
-conditioning matrix cancels, and a corrupted Fig. 1 correction.
+phase-space transposition, the conditional displacement, a witness-form
+Choi covariance, a channel whose conditioning matrix cancels, and a
+corrupted Fig. 1 correction.
 
 ``cvdist.channels.GaussianChannel`` keeps its Choi covariance and mean as
 arrays; tests that need the Choi state itself, to tensor, trace out or
@@ -18,7 +19,7 @@ from cvdist.channels import (
     _transposition,
 )
 from cvdist.states import GaussianState, random_state
-from cvdist.symplectic import block_diag, two_mode_squeezer
+from cvdist.symplectic import block_diag, quad_indices, two_mode_squeezer
 
 
 def choi_state(ch) -> GaussianState:
@@ -46,6 +47,16 @@ def conditional_displacement(ch, state: GaussianState, r_d):
     """
     r_d = _bell_outcome(ch, r_d)
     return _condition_choi(ch, *_choi_dyne(ch, state), r_d)[2]
+
+
+def witness_cov(gamma_a, gamma_b, noise) -> np.ndarray:
+    """Witness-form Choi covariance gamma_A (+) gamma_B + Y of a 1+1 -> 1+1
+    channel, with Alice on Choi modes (0, 2) and Bob on (1, 3); unvalidated."""
+    cov = np.array(noise, dtype=float)
+    for modes, gamma in (((0, 2), gamma_a), ((1, 3), gamma_b)):
+        q = quad_indices(modes)
+        cov[np.ix_(q, q)] += gamma
+    return cov
 
 
 def correlated_channel(s, rng) -> GaussianChannel:

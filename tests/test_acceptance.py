@@ -13,8 +13,7 @@ from cvdist.channels import (
     apply,
     choi_from_truncated_epr,
     filter_channel,
-    make_separable_channel,
-    random_locc_spec,
+    random_locc_channel,
 )
 from cvdist.entanglement import BipartiteSplit, log_negativity
 from cvdist.measurements import (
@@ -111,7 +110,7 @@ def test_criterion_3_single_copy_no_distillation():
         e_in = log_negativity(state, SPLIT01).log_negativity
         if e_in <= 1e-6:
             continue  # resample: input must be entangled
-        ch = make_separable_channel(random_locc_spec(rng))
+        ch = random_locc_channel(rng)
         e_out = log_negativity(apply(ch, state), SPLIT01).log_negativity
         worst_gain = max(worst_gain, e_out - e_in)
         checked += 1
@@ -280,7 +279,7 @@ def test_criterion_7_physicality_and_symplectic_suites():
 
         state2 = random_state(2, rng, nu_spread=1.0, symplectic_scale=0.4,
                               mean_scale=0.3)
-        ch = make_separable_channel(random_locc_spec(rng))
+        ch = random_locc_channel(rng)
         check_state(apply(ch, state2))
         check_state(condition(state2, DyneSpec((1,), DyneKind.HETERODYNE),
                               rng.normal(size=2)))

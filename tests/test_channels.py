@@ -14,27 +14,26 @@ from channel_helpers import (
     correlated_channel,
     output_modes,
     transposition_matrix,
+    witness_cov,
 )
 from fock_oracle import tmsv_cov_from_lambda
 
 from cvdist.channels import (
     GaussianChannel,
-    LoccChannelSpec,
     _transposition,
     apply,
     attenuation_channel,
     choi_from_truncated_epr,
     conditional_output_mean,
     filter_channel,
-    make_separable_channel,
-    random_locc_spec,
+    random_locc_channel,
 )
 from cvdist.errors import (
     DegenerateQuadrature,
+    DimensionError,
     DimensionMismatch,
     MalformedInput,
     NotPhysical,
-    NotPhysicalWitness,
     ParamOutOfRange,
 )
 from cvdist.measurements import DyneKind, DyneSpec, _bell_plan, _dyne_plan, condition
@@ -260,6 +259,12 @@ def test_truncated_epr_requires_positive_squeezing():
         choi_from_truncated_epr(1, 0.0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_truncated_epr_requires_a_mode(n):
+    with pytest.raises(DimensionError, match="mode count must be >= 1"):
+        choi_from_truncated_epr(n, 6.0)
+
+
 def test_attenuation_channel(rng):
     ch = attenuation_channel(0.7, 8.0)
     state = random_state(1, rng, nu_spread=1.0)
@@ -347,69 +352,28 @@ def test_two_sided_filter_composes_tanh_squared():
     # gamma_A = gamma_B = tmsv(r) witness blocks, no classical noise: two
     # independent local filters; Fock oracle fixes the expected output
     r, s = 0.5, 0.5
-    spec = LoccChannelSpec(
-        alice_modes=(0, 2),
-        bob_modes=(1, 3),
-        gamma_a=tmsv(r).cov,
-        gamma_b=tmsv(r).cov,
-        noise=np.zeros((8, 8)),
-        partition=("in", "in", "out", "out"),
-    )
-    ch = make_separable_channel(spec)
+    cov = witness_cov(tmsv(r).cov, tmsv(r).cov, np.zeros((8, 8)))
+    ch = GaussianChannel(n_in=2, n_out=2, choi_cov=cov,
+                         partition=("in", "in", "out", "out"))
     out = apply(ch, tmsv(s))
     lam = np.tanh(s) * np.tanh(r) ** 2
     assert np.abs(out.cov - tmsv_cov_from_lambda(lam)).max() <= 1e-9
 
 
-def test_witness_validation():
-    bad_gamma = 0.5 * np.eye(4)
-    spec = LoccChannelSpec(
-        alice_modes=(0, 2), bob_modes=(1, 3),
-        gamma_a=bad_gamma, gamma_b=tmsv(0.3).cov,
-        noise=np.zeros((8, 8)),
-        partition=("in", "in", "out", "out"),
-    )
-    with pytest.raises(NotPhysicalWitness):
-        make_separable_channel(spec)
-
-    neg_noise = np.zeros((8, 8))
-    neg_noise[0, 0] = -1e-6
-    spec2 = LoccChannelSpec(
-        alice_modes=(0, 2), bob_modes=(1, 3),
-        gamma_a=tmsv(0.3).cov, gamma_b=tmsv(0.3).cov,
-        noise=neg_noise,
-        partition=("in", "in", "out", "out"),
-    )
-    with pytest.raises(NotPhysicalWitness):
-        make_separable_channel(spec2)
-
-
-def test_witness_rejects_negative_definite_gamma():
-    spec = LoccChannelSpec(
-        alice_modes=(0, 2), bob_modes=(1, 3),
-        gamma_a=tmsv(0.3).cov, gamma_b=-np.eye(4),
-        noise=np.zeros((8, 8)),
-        partition=("in", "in", "out", "out"),
-    )
-    with pytest.raises(NotPhysicalWitness, match="gamma_b"):
-        make_separable_channel(spec)
-
-
-def test_random_locc_spec_layout_and_draw_order():
+def test_random_locc_channel_layout_and_draw_order():
     # Alice on Choi modes (0, 2), Bob on (1, 3); her gamma, his, then the noise
-    spec = random_locc_spec(np.random.default_rng(17))
+    ch = random_locc_channel(np.random.default_rng(17))
     rng = np.random.default_rng(17)
     gamma_a = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
     gamma_b = random_state(2, rng, nu_spread=0.8, symplectic_scale=0.35).cov
     g = rng.normal(0.0, 0.3, size=(8, 8))
-    assert (spec.alice_modes, spec.bob_modes) == ((0, 2), (1, 3))
-    assert spec.partition == ("in", "in", "out", "out")
-    assert np.array_equal(spec.gamma_a, gamma_a)
-    assert np.array_equal(spec.gamma_b, gamma_b)
-    assert np.array_equal(spec.noise, g @ g.T / 8.0)
+    assert (ch.n_in, ch.n_out) == (2, 2)
+    assert ch.partition == ("in", "in", "out", "out")
+    assert np.array_equal(ch.choi_cov, witness_cov(gamma_a, gamma_b, g @ g.T / 8.0))
+    assert not ch.choi_mean.any()
     # nothing more was drawn
     rest = np.random.default_rng(17)
-    random_locc_spec(rest)
+    random_locc_channel(rest)
     assert rest.random() == rng.random()
 
 
@@ -417,7 +381,7 @@ def test_apply_outputs_are_physical(rng):
     # randomized corpus: separable and generic channels on random inputs
     for k in range(500):
         if k % 2:
-            ch = make_separable_channel(random_locc_spec(rng))
+            ch = random_locc_channel(rng)
             state = random_state(2, rng, nu_spread=1.0, symplectic_scale=0.4,
                                  mean_scale=0.4)
         else:
@@ -455,7 +419,7 @@ def test_apply_matches_general_dyne_conditioning(rng):
 
 
 def test_channel_json_roundtrip(rng):
-    ch = make_separable_channel(random_locc_spec(rng))
+    ch = random_locc_channel(rng)
     back = GaussianChannel.from_dict(json.loads(ch.to_json()))
     assert np.array_equal(back.choi_cov, ch.choi_cov)
     assert back.partition == ch.partition

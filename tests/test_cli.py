@@ -94,6 +94,16 @@ def test_channel_apply_dimension_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("modes", ["0", "-1"])
+def test_identity_approx_without_modes_exits_4(tmp_path, capsys, modes):
+    out = tmp_path / "ch.json"
+    code = run_cli(["channel", "make", "--kind", "identity-approx", "--modes", modes,
+                    "--out", str(out)])
+    assert code == 4
+    assert "mode count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pure_state_the_nu_test_refused_round_trips(tmp_path, capsys):
     # the nu test refused tmsv(3.96) (nu_min 0.999999998628, exit 3)
     out = tmp_path / "st.json"
@@ -161,6 +171,18 @@ def test_logneg_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert abs(report["log_negativity"] - 1.0) <= 1e-9
     assert report["ppt"] is False
+
+
+@pytest.mark.parametrize("flags", [["--alice", "0,0"], ["--bob", "1,1"]],
+                         ids=["alice", "bob"])
+def test_logneg_repeated_mode_exits_4(tmp_path, capsys, flags):
+    st = tmp_path / "st.json"
+    run_cli(["state", "--kind", "tmsv", "--r", "0.5", "--out", str(st)])
+    capsys.readouterr()
+    assert run_cli(["entanglement", "logneg", "--state", str(st), *flags]) == 4
+    captured = capsys.readouterr()
+    assert "lists a mode twice" in captured.err
+    assert "ppt_conclusive" not in captured.out
 
 
 def test_fig1_verify_pass_and_negative_control(tmp_path, capsys, monkeypatch):
@@ -446,7 +468,6 @@ EXIT_CODES = {
     errors.ParamOutOfRange: 2,
     errors.NotPhysical: 3,
     errors.NotPositiveDefinite: 3,
-    errors.NotPhysicalWitness: 3,
     errors.NotPure: 3,
     errors.DimensionMismatch: 4,
     errors.DimensionError: 4,

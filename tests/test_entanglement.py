@@ -5,7 +5,7 @@ from scipy.linalg import block_diag
 
 from channel_helpers import choi_state
 
-from cvdist.channels import make_separable_channel, random_locc_spec
+from cvdist.channels import random_locc_channel
 from cvdist.entanglement import (
     BipartiteSplit,
     log_negativity,
@@ -23,6 +23,10 @@ def test_split_validation():
         BipartiteSplit((), (1,))
     with pytest.raises(InvalidSplit):
         BipartiteSplit((0, 1), (1,))
+    with pytest.raises(InvalidSplit, match="lists a mode twice"):
+        BipartiteSplit((0, 0), (1,))
+    with pytest.raises(InvalidSplit, match="lists a mode twice"):
+        BipartiteSplit((0,), (1, 1))
     with pytest.raises(InvalidSplit):
         partial_transpose_cov(np.eye(4), BipartiteSplit((0,), (2,)))
 
@@ -117,9 +121,8 @@ def test_ppt_separable_cases(rng):
 
 def test_separable_choi_states_are_ppt(rng):
     for _ in range(100):
-        spec = random_locc_spec(rng)
-        ch = make_separable_channel(spec)
-        split = BipartiteSplit(spec.alice_modes, spec.bob_modes)
+        ch = random_locc_channel(rng)
+        split = BipartiteSplit((0, 2), (1, 3))
         assert log_negativity(choi_state(ch), split).ppt
 
 

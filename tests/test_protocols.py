@@ -21,8 +21,7 @@ from cvdist.channels import (
     attenuation_channel,
     choi_from_truncated_epr,
     filter_channel,
-    make_separable_channel,
-    random_locc_spec,
+    random_locc_channel,
 )
 from cvdist import measurements
 from cvdist.entanglement import BipartiteSplit
@@ -71,7 +70,7 @@ def test_fig1_uncorrelated_channel_zero_correction(rng):
 
 
 def test_fig1_random_locc_on_tmsv_matches_apply(rng):
-    ch = make_separable_channel(random_locc_spec(rng))
+    ch = random_locc_channel(rng)
     run = run_fig1(ch, tmsv(0.5), 100, rng)
     # every sampled outcome shares one covariance, equal to the closed form
     assert run.max_cov_deviation <= 1e-10
@@ -92,7 +91,7 @@ def test_fig1_nonzero_mean_input_is_recentred(rng):
 
 
 def test_fig1_corrupted_correction_is_detected(rng, monkeypatch):
-    ch = make_separable_channel(random_locc_spec(rng))
+    ch = random_locc_channel(rng)
     corrupt_correction_gain(monkeypatch, 0.9)
     run = run_fig1(ch, tmsv(0.5), 5, rng)
     assert run.max_mean_deviation > 1e-3  # negative control
@@ -101,7 +100,7 @@ def test_fig1_corrupted_correction_is_detected(rng, monkeypatch):
 def test_fig1_checks_the_conditioning_matrix_once(rng, monkeypatch):
     # the reference and every correction share one (A + R G R) and its check;
     # the Bell step and the Choi step each factor their block once, no SVD
-    ch, state = make_separable_channel(random_locc_spec(rng)), tmsv(0.5)
+    ch, state = random_locc_channel(rng), tmsv(0.5)
     calls = []
     for name in ("cholesky", "svd"):
         monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _real=getattr(np.linalg, name),
