@@ -22,17 +22,21 @@ state that is not pure), 4 dimension mismatch (any
 ``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
 ``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification
 failure or an apparent distillation gap, which CI should treat as an alarm,
-not a crash).
+not a crash). Each error class carries its exit code and the label printed
+before its message (``cvdist.errors``), so ``main`` has one handler for them.
 
 All file writes are atomic (temp file + rename). Every command is
 deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
 overridden by the CVDIST_SEED environment variable, which in turn loses to an
-explicit --seed flag. A CVDIST_SEED that is not an integer exits 2.
+explicit --seed flag. A CVDIST_SEED that is not an integer exits 2. The
+seeded commands (``channel make``, ``fig1 verify``, ``fig2 run``, ``nogo``)
+share one --seed option, so its default and help text are stated once.
 
 ``main`` builds the argparse tree once per process and reads CVDIST_SEED on
-every call, so callers that run many commands in one process (the benchmark,
-the tests) pay for the parser once. cvdist needs numpy alone: no command,
-random states included (``channel make --kind random-locc``), loads scipy.
+every call into that option's default, so callers that run many commands in
+one process (the benchmark, the tests) pay for the parser once. cvdist needs
+numpy alone: no command, random states included (``channel make --kind
+random-locc``), loads scipy.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .channels import (
     random_locc_channel,
 )
 from .entanglement import BipartiteSplit, log_negativity
-from .errors import CvdistError, DimensionMismatch, NotPhysical
+from .errors import CvdistError
 from .protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from .states import GaussianState, thermal, tmsv, vacuum
 
@@ -69,9 +73,12 @@ FIG1_TOL = 1e-9
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_UNPHYSICAL = 3
-EXIT_DIMENSION = 4
 EXIT_CLAIM = 5
+
+#: The one --seed option, added to every seeded command through ``parents``;
+#: argparse adds this action object itself, so ``main`` sets its default once.
+_SEEDED = argparse.ArgumentParser(add_help=False)
+_SEED = _SEEDED.add_argument("--seed", type=int, help="RNG seed")
 
 
 def _default_seed() -> int:
@@ -140,8 +147,7 @@ def _cmd_state(args) -> int:
         state = thermal(args.nbar, args.modes)
     elif args.kind == "custom-json":
         if not args.input:
-            print("state --kind custom-json needs --input", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("state --kind custom-json needs --input")
         state = GaussianState.from_dict(_load_json(args.input))
     state.require_physical()
     write_text_atomic(args.out, state.to_json())
@@ -286,7 +292,7 @@ def _cmd_canon(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree; ``main`` sets every ``--seed`` default per call."""
+    """The argparse tree; ``main`` sets the shared ``--seed`` default per call."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="cvdist",
@@ -309,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("channel", help="make or apply Gaussian channels")
     ch_sub = p.add_subparsers(dest="channel_command", required=True)
 
-    pm = ch_sub.add_parser("make", help="write a channel JSON", formatter_class=fmt)
+    pm = ch_sub.add_parser("make", help="write a channel JSON", formatter_class=fmt,
+                           parents=[_SEEDED])
     pm.add_argument("--kind",
                     choices=["identity-approx", "filter", "attenuation", "random-locc"],
                     required=True)
@@ -318,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--r-approx", type=float, default=6.0,
                     help="finite-squeezing approximation parameter")
     pm.add_argument("--eta", type=float, default=0.5, help="attenuation transmissivity")
-    pm.add_argument("--seed", type=int, help="seed for random-locc")
     pm.add_argument("--out", required=True, help="output path")
     pm.set_defaults(func=_cmd_channel_make)
 
@@ -342,17 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig1", help="deterministic-equivalence verification")
     f1_sub = p.add_subparsers(dest="fig1_command", required=True)
     pv = f1_sub.add_parser("verify", help="run the teleportation protocol and "
-                           "compare against the closed form", formatter_class=fmt)
+                           "compare against the closed form", formatter_class=fmt,
+                           parents=[_SEEDED])
     pv.add_argument("--channel", required=True, help="channel JSON path")
     pv.add_argument("--state", required=True, help="input state JSON path")
     pv.add_argument("--samples", type=_count, default=20, help="Bell outcome samples")
-    pv.add_argument("--seed", type=int, help="RNG seed")
     pv.add_argument("--out", default=None, help="optional JSON report path")
     pv.set_defaults(func=_cmd_fig1_verify)
 
     p = sub.add_parser("fig2", help="two-copy distillation protocol")
     f2_sub = p.add_subparsers(dest="fig2_command", required=True)
-    pr = f2_sub.add_parser("run", help="run the protocol once", formatter_class=fmt)
+    pr = f2_sub.add_parser("run", help="run the protocol once", formatter_class=fmt,
+                           parents=[_SEEDED])
     pr.add_argument("--r", type=float, default=0.5, help="tmsv copies squeezing")
     pr.add_argument("--copy1", default=None, help="state JSON overriding --r")
     pr.add_argument("--copy2", default=None, help="second copy (defaults to copy1)")
@@ -360,19 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sb", default=None, help="16 comma-separated floats (4x4)")
     pr.add_argument("--sample-outcomes", action="store_true",
                     help="sample heterodyne outcomes instead of forcing 0")
-    pr.add_argument("--seed", type=int, help="RNG seed")
     pr.add_argument("--out", default=None, help="transcript JSON path")
     pr.set_defaults(func=_cmd_fig2_run)
 
     p = sub.add_parser("nogo", help="no-go certification sweep",
-                       formatter_class=fmt)
+                       formatter_class=fmt, parents=[_SEEDED])
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--rs", help="comma-separated tmsv squeezings")
     source.add_argument("--input", help="state JSON used for both copies")
     p.add_argument("--starts", type=_count, default=50, help="optimizer starts")
     p.add_argument("--budget", type=_count, default=2000,
                    help="objective evaluations per start")
-    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--csv", default=None, help="CSV output path")
     p.add_argument("--certificates", default=None,
                    help="JSON path for full certificates (incl. best params)")
@@ -394,33 +399,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _set_seed_defaults(parser: argparse.ArgumentParser, seed: int) -> None:
-    """Make ``seed`` the default of every --seed option in the tree."""
-    for action in parser._actions:  # argparse has no public walk of the tree
-        if action.dest == "seed":
-            action.default = seed
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                _set_seed_defaults(sub, seed)
-
-
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        _set_seed_defaults(parser, _default_seed())
+        _SEED.default = _default_seed()
         args = parser.parse_args(argv)
         return args.func(args)
+    except CvdistError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input problem: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DimensionMismatch as exc:
-        print(f"dimension problem: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except NotPhysical as exc:
-        print(f"unphysical input: {exc}", file=sys.stderr)
-        return EXIT_UNPHYSICAL
-    except CvdistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

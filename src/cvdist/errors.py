@@ -2,23 +2,30 @@
 
 Every error raised on purpose by this package derives from :class:`CvdistError`,
 so callers (and the CLI) can map failures to exit codes without matching on
-message strings. The CLI's exit codes follow the class tree: every
-:class:`NotPhysical` (an unphysical state or Choi covariance, a covariance
-that is not positive definite, or a state that is not pure) exits 3, every
-:class:`DimensionMismatch` exits 4, and any other :class:`CvdistError` exits 2.
+message strings. Each class carries its CLI exit code (``exit_code``) and the
+label the CLI prints before its message (``label``), and subclasses inherit
+both: every :class:`NotPhysical` (an unphysical state or Choi covariance, a
+covariance that is not positive definite, or a state that is not pure) exits
+3, every :class:`DimensionMismatch` exits 4, and any other
+:class:`CvdistError` exits 2.
 """
 
 
 class CvdistError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 2
+    label = "error"
 
 
 class MalformedInput(CvdistError, ValueError):
     """Numeric input is malformed: non-finite entries or an asymmetric covariance."""
+    label = "input problem"
 
 
 class DimensionMismatch(CvdistError):
     """Two objects that must share a dimension do not."""
+    exit_code = 4
+    label = "dimension problem"
 
 
 class DimensionError(DimensionMismatch):
@@ -31,6 +38,8 @@ class NotSymplectic(CvdistError):
 
 class NotPhysical(CvdistError):
     """Input is not physical: Gamma + i Omega >= 0 fails; see subclasses."""
+    exit_code = 3
+    label = "unphysical input"
 
 
 class NotPositiveDefinite(NotPhysical):

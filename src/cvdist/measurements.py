@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateQuadrature, DimensionMismatch
+from .errors import DegenerateQuadrature, DimensionMismatch, ParamOutOfRange
 from .states import GaussianState
 from .symplectic import _freeze, quad_indices
 
@@ -78,9 +78,10 @@ class DyneSpec:
     """Which modes are measured and how.
 
     ``gamma_m`` is the measurement covariance for GENERAL dyne (2m x 2m,
-    physical); it is ignored for the named kinds. A spec is checked once,
-    when it is built: its modes are non-empty, distinct and non-negative,
-    and a GENERAL ``gamma_m`` has the right shape and is physical.
+    physical); the named kinds fix their own and refuse one. A spec is
+    checked once, when it is built: its modes are non-empty, distinct and
+    non-negative, a named kind has no ``gamma_m``, and a GENERAL ``gamma_m``
+    has the right shape and is physical.
     """
 
     modes: tuple
@@ -95,6 +96,9 @@ class DyneSpec:
                                     "non-negative and at least one")
         object.__setattr__(self, "modes", modes)
         if self.gamma_m is not None:
+            if self.kind is not DyneKind.GENERAL:
+                raise ParamOutOfRange(f"{self.kind.name} dyne takes no gamma_m; "
+                                      "use GENERAL for a given measurement covariance")
             object.__setattr__(self, "gamma_m",
                                _freeze(np.asarray(self.gamma_m, dtype=float)))
         if self.kind is DyneKind.GENERAL:

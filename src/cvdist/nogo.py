@@ -44,10 +44,11 @@ spread first and at the simplex spread only where that passes. A
 certificate records the best value found and the gap to the input
 entanglement; the no-go claim is that the gap never goes below -1e-6.
 
-Certificates are scoped to protocols built from pure Choi states (the build_fig2
-class), searched at the given input. Every other local Gaussian protocol is
-checked step by step instead, on one to three copies, by
-``tests/test_proof_steps.py``: each step keeps nu~_- >= min(its input's, 1).
+A certificate's ``scope`` names both parts of the evidence. What is searched
+is the Fig. 2 layout (pure-Choi two-copy protocols, the build_fig2 class) at
+the given input. What is checked step by step, by
+``tests/test_proof_steps.py``, is each local Gaussian operation, on one to
+three copies: each step keeps nu~_- >= min(its input's, 1).
 """
 
 from __future__ import annotations
@@ -367,7 +368,6 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
             done = near[np.abs(s[1:] - s[:1]).max(axis=(0, 2)) <= XATOL]
             res.converged[live[rest[done]]] = True
             stop = np.concatenate([stop, rest[done]])
-            rest = np.delete(rest, done)
         if stop.size:
             out = live[stop]
             res.nfev[out], res.best_f[out] = nfev[stop], best_f[stop]
@@ -457,7 +457,11 @@ class NogoCertificate:
     start_converged: tuple
     n_nonfinite_evals: int
     squeeze_clamp: ClassVar[float] = SQUEEZE_CLAMP
-    scope: ClassVar[str] = "pure-Choi two-copy protocols"
+    scope: ClassVar[str] = (
+        "searched: the Fig. 2 layout (pure-Choi two-copy protocols) at this input; "
+        "checked step by step: each local Gaussian operation, on one to three "
+        "copies, by tests/test_proof_steps.py"
+    )
 
     def to_dict(self) -> dict:
         return {

@@ -1,9 +1,16 @@
-"""No module in ``src/cvdist`` keeps an import it does not use.
+"""Import hygiene of ``src/cvdist``, read from each module's syntax tree.
 
-No linter ships with the test dependencies, so this reads each module's
-syntax tree: every name an import binds must be read somewhere in that
-module, as a name or as the root of an attribute chain. Unquoted
-annotations are names in the tree, so they count as uses.
+No linter ships with the test dependencies, so two checks read the trees:
+
+- No module keeps an import it does not use: every name an import binds
+  must be read somewhere in that module, as a name or as the root of an
+  attribute chain. Unquoted annotations are names in the tree, so they
+  count as uses.
+- No module reads a private (``_``-prefixed, non-dunder) attribute of a
+  module it imports from outside the package, such as
+  ``argparse._SubParsersAction``: such names may change in any release.
+  Reads are attribute chains rooted at an imported name, and
+  ``from x import _y`` imports.
 """
 
 import ast
@@ -28,11 +35,65 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_external_reads(source: str) -> list:
+    tree = ast.parse(source)
+    external = set()
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            external.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module != "__future__":
+            for alias in node.names:
+                external.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    hits.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        chain = []
+        root = node
+        while isinstance(root, ast.Attribute):
+            chain.append(root.attr)
+            root = root.value
+        # report each private read once, at its own node
+        if isinstance(root, ast.Name) and root.id in external and _private(node.attr):
+            hits.append((node.lineno, ".".join([root.id, *reversed(chain)])))
+    return sorted(hits)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_private_attribute_of_an_outside_module(path):
+    assert private_external_reads(path.read_text()) == []
+
+
 def test_unused_import_is_found():
     source = "from .errors import NotPhysical, ParamOutOfRange\nraise ParamOutOfRange\n"
     assert unused_imports(source) == [(1, "NotPhysical")]
+
+
+def test_private_external_read_is_found():
+    source = (
+        "import argparse\n"
+        "import numpy as np\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "from .symplectic import _freeze\n"
+        "def walk(parser):\n"
+        "    _freeze(np.__version__)\n"
+        "    return isinstance(parser, argparse._SubParsersAction), np.linalg._umath_linalg\n"
+    )
+    assert private_external_reads(source) == [
+        (3, "numpy.linalg._umath_linalg"),
+        (7, "argparse._SubParsersAction"),
+        (7, "np.linalg._umath_linalg"),
+    ]

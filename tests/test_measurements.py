@@ -6,7 +6,13 @@ from channel_helpers import choi_state
 from symplectic_oracle import beamsplitter, embed
 from wigner_oracle import TooManyModes, oracle_condition
 
-from cvdist.errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, NotPhysical
+from cvdist.errors import (
+    DegenerateQuadrature,
+    DimensionMismatch,
+    MalformedInput,
+    NotPhysical,
+    ParamOutOfRange,
+)
 from cvdist.measurements import (
     DyneKind,
     DyneSpec,
@@ -166,6 +172,15 @@ def test_general_dyne_requires_physical_gamma_m(gamma_m, error):
     with pytest.raises(error):
         spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=gamma_m)
         condition(tmsv(0.3), spec, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", [k for k in DyneKind if k is not DyneKind.GENERAL],
+                         ids=lambda k: k.value)
+def test_named_dyne_refuses_gamma_m(kind):
+    # a named kind fixes its own measurement covariance: a gamma_m the caller
+    # meant for a general dyne would be kept and never read
+    with pytest.raises(ParamOutOfRange, match="GENERAL"):
+        DyneSpec(modes=(1,), kind=kind, gamma_m=np.diag([2.0, 0.5]))
 
 
 # -- outcome statistics ---------------------------------------------------------

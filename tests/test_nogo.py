@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -509,6 +510,26 @@ def test_certificate_scope_metadata():
     cert = optimize(COPIES_HALF, n_starts=1, seed=2, budget=100)
     payload = cert.to_dict()
     assert payload["squeeze_clamp"] == SQUEEZE_CLAMP
-    assert "pure-Choi" in payload["scope"]
+    # what the search covers, and what is checked step by step instead
+    searched, checked = payload["scope"].split("; ")
+    assert searched.startswith("searched: ")
+    assert "Fig. 2" in searched and "pure-Choi" in searched and "this input" in searched
+    assert checked.startswith("checked step by step: ")
+    assert "local Gaussian operation" in checked and "one to three copies" in checked
+    steps = checked.rsplit(" by ", 1)[1]
+    assert (Path(__file__).parent.parent / steps).is_file()
     assert payload["best_EN"] >= payload["input_EN"] - 1e-9
     assert_allclose(payload["gap"], payload["input_EN"] - payload["best_EN"])
+
+
+@pytest.mark.parametrize("r1, r2", [(0.2, 0.8), (0.3, 1.1)])
+def test_search_finds_the_better_copy(r1, r2):
+    # positive control: the identity protocol outputs the first copy
+    # (E_N = 2 r1), so reaching the better copy's 2 r2 takes a protocol
+    # away from the start that routes the second copy to the output
+    copies = (tmsv(r1), tmsv(r2))
+    assert_allclose(objective(np.zeros((1, N_PARAMS)), tensor(*copies).cov), [2 * r1],
+                    rtol=0, atol=1e-9)
+    cert = optimize(copies, n_starts=20, seed=404, budget=2000)
+    assert cert.best_e_n >= 2 * max(r1, r2) - 1e-8
+    assert cert.gap >= -GAP_TOL
