@@ -204,7 +204,7 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     is zero for zero channel displacement and zero input mean.
     """
     cov, mean, _ = _condition_choi(ch, *_choi_dyne(ch, state))
-    return GaussianState(mean=mean, cov=cov)
+    return GaussianState._computed(mean, cov)
 
 
 def conditional_output_mean(

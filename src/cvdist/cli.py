@@ -31,6 +31,8 @@ overridden by the CVDIST_SEED environment variable, which in turn loses to an
 explicit --seed flag. A CVDIST_SEED that is not an integer exits 2. The
 seeded commands (``channel make``, ``fig1 verify``, ``fig2 run``, ``nogo``)
 share one --seed option, so its default and help text are stated once.
+``state`` and ``channel make`` refuse, with exit 2 and no file written, an
+option that their ``--kind`` does not read, rather than ignore it.
 
 ``main`` builds the argparse tree once per process and reads CVDIST_SEED on
 every call into that option's default, so callers that run many commands in
@@ -79,6 +81,31 @@ EXIT_CLAIM = 5
 #: argparse adds this action object itself, so ``main`` sets its default once.
 _SEEDED = argparse.ArgumentParser(add_help=False)
 _SEED = _SEEDED.add_argument("--seed", type=int, help="RNG seed")
+
+
+#: The options each ``--kind`` of ``state`` and ``channel make`` reads. A kind
+#: refuses any other of them that is given, rather than ignore it; ``--seed``
+#: is shared by every seeded command and never refused.
+_STATE_READS = {"vacuum": {"modes"}, "tmsv": {"r"}, "thermal": {"nbar", "modes"},
+                "custom-json": {"input"}}
+_CHANNEL_READS = {"identity-approx": {"modes", "r_approx"}, "filter": {"r"},
+                  "attenuation": {"eta", "r_approx"}, "random-locc": set()}
+
+
+class _Given(argparse.Action):
+    """Store the value, and record in ``given`` that the option was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {**getattr(namespace, "given", {}), self.dest: None}
+
+
+def _refuse_unread(args, reads: dict) -> None:
+    """ValueError naming each given option that ``args.kind`` does not read."""
+    unread = [f"--{dest.replace('_', '-')}" for dest in getattr(args, "given", {})
+              if dest not in reads[args.kind]]
+    if unread:
+        raise ValueError(f"--kind {args.kind} does not read {', '.join(unread)}")
 
 
 def _default_seed() -> int:
@@ -139,6 +166,7 @@ def _count(text: str) -> int:
 
 
 def _cmd_state(args) -> int:
+    _refuse_unread(args, _STATE_READS)
     if args.kind == "vacuum":
         state = vacuum(args.modes)
     elif args.kind == "tmsv":
@@ -156,6 +184,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_channel_make(args) -> int:
+    _refuse_unread(args, _CHANNEL_READS)
     if args.kind == "identity-approx":
         ch = choi_from_truncated_epr(args.modes, args.r_approx)
     elif args.kind == "filter":
@@ -303,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="write a Gaussian state JSON",
                        formatter_class=fmt)
-    p.add_argument("--kind", choices=["vacuum", "tmsv", "thermal", "custom-json"],
-                   required=True)
-    p.add_argument("--modes", type=int, default=1, help="mode count")
-    p.add_argument("--r", type=float, default=0.5, help="tmsv squeezing")
-    p.add_argument("--nbar", type=float, default=0.0, help="thermal occupation")
-    p.add_argument("--input", default=None, help="input JSON for custom-json")
+    p.add_argument("--kind", choices=list(_STATE_READS), required=True)
+    p.add_argument("--modes", type=int, default=1, action=_Given, help="mode count")
+    p.add_argument("--r", type=float, default=0.5, action=_Given, help="tmsv squeezing")
+    p.add_argument("--nbar", type=float, default=0.0, action=_Given,
+                   help="thermal occupation")
+    p.add_argument("--input", default=None, action=_Given, help="input JSON for custom-json")
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=_cmd_state)
 
@@ -317,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = ch_sub.add_parser("make", help="write a channel JSON", formatter_class=fmt,
                            parents=[_SEEDED])
-    pm.add_argument("--kind",
-                    choices=["identity-approx", "filter", "attenuation", "random-locc"],
-                    required=True)
-    pm.add_argument("--modes", type=int, default=1, help="identity-approx modes")
-    pm.add_argument("--r", type=float, default=0.5, help="filter strength")
-    pm.add_argument("--r-approx", type=float, default=6.0,
+    pm.add_argument("--kind", choices=list(_CHANNEL_READS), required=True)
+    pm.add_argument("--modes", type=int, default=1, action=_Given,
+                    help="identity-approx modes")
+    pm.add_argument("--r", type=float, default=0.5, action=_Given, help="filter strength")
+    pm.add_argument("--r-approx", type=float, default=6.0, action=_Given,
                     help="finite-squeezing approximation parameter")
-    pm.add_argument("--eta", type=float, default=0.5, help="attenuation transmissivity")
+    pm.add_argument("--eta", type=float, default=0.5, action=_Given,
+                    help="attenuation transmissivity")
     pm.add_argument("--out", required=True, help="output path")
     pm.set_defaults(func=_cmd_channel_make)
 

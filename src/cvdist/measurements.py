@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateQuadrature, DimensionMismatch, ParamOutOfRange
+from .errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, ParamOutOfRange
 from .states import GaussianState
 from .symplectic import _freeze, quad_indices
 
@@ -195,7 +195,7 @@ def _sample(cov, means, plan: _UpdatePlan, v, draws):
 
 def _record(outcomes, cov, means) -> MeasurementRecord:
     """The record of row 0 of what ``_sample`` returns."""
-    state = None if cov is None else GaussianState(mean=means[0], cov=cov)
+    state = None if cov is None else GaussianState._computed(means[0], cov)
     return MeasurementRecord(outcome=outcomes[0], conditioned_state=state)
 
 
@@ -231,6 +231,12 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     has a Cholesky pivot below DEGENERATE_VARIANCE * max(1, V_ii), raises
     DegenerateQuadrature. Heterodyne adds I to V, so on a physical state its
     pivots exceed 1, above that floor while every V_ii is below 1e12.
+
+    ``outcome`` is the one array from outside that reaches the result, so it
+    is checked here: a NaN or inf entry, or one so large that the
+    conditioned mean overflows, raises MalformedInput. The result is built
+    unchecked (``GaussianState._computed``), from the checked state and the
+    update's exactly symmetric covariance.
     """
     plan, v = _dyne_blocks(state, spec)
     if len(spec.modes) == state.modes:
@@ -238,10 +244,14 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
     if outcome.size != plan.meas.size:
         raise DimensionMismatch(f"outcome length {outcome.size} != {plan.meas.size}")
+    if not np.isfinite(outcome).all():
+        raise MalformedInput("outcome has non-finite (NaN or inf) entries")
     _factor(v, plan)
     cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
                                   outcome[None, :])
-    return GaussianState(mean=means[0], cov=cov)
+    if not np.isfinite(means).all():
+        raise MalformedInput("outcome too large: the conditioned mean overflows")
+    return GaussianState._computed(means[0], cov)
 
 
 def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRecord:

@@ -86,7 +86,10 @@ def run_fig1(
     What depends only on the channel's layout, (n_in, partition), is planned
     once and cached: the beamsplitter matrix, the index gathers, the
     transposition signs and the jitter. A call checks its inputs, then does
-    arithmetic alone.
+    arithmetic alone: the reference and corrected states are built unchecked
+    (``GaussianState._computed``), because both covariances come out of the
+    measurement update exactly symmetric and everything they are computed
+    from was checked when the channel and the input state were built.
     """
     if n_samples < 1:
         raise ParamOutOfRange(f"n_samples must be >= 1, got {n_samples}")
@@ -109,9 +112,9 @@ def run_fig1(
                                       draws=rng.standard_normal((n_samples, k)))
 
     ref_cov, ref_mean, shifts = _condition_choi(channel, *dyne, outcomes)
-    reference = GaussianState(mean=ref_mean, cov=ref_cov)
+    reference = GaussianState._computed(ref_mean, ref_cov)
     means = means - shifts
-    corrected = GaussianState(mean=means[-1], cov=cov)
+    corrected = GaussianState._computed(means[-1], cov)
 
     return Fig1Run(
         sampled_outcomes=tuple(outcomes),

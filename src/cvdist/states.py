@@ -78,7 +78,17 @@ def _float_array(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Immutable Gaussian state with mean ``mean`` and covariance ``cov``."""
+    """Immutable Gaussian state with mean ``mean`` and covariance ``cov``.
+
+    ``GaussianState(mean, cov)`` checks what it is given: an even mean
+    length, a matching square covariance, finite entries and symmetry to
+    SYMMETRY_RTOL; it copies both arrays and symmetrizes the covariance.
+    That is the constructor for arrays from outside the library: JSON, the
+    CLI, ``with_mean``, ``apply_symplectic`` and ``random_state`` (whose
+    products are symmetric only to rounding). The library's own updates of
+    checked states build their results with ``_computed``, which checks
+    nothing.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -105,6 +115,23 @@ class GaussianState:
         cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "cov", _freeze(cov))
+
+    @classmethod
+    def _computed(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
+        """Wrap arrays computed from checked states, without checking them.
+
+        The caller vouches for what ``__post_init__`` would establish: a
+        finite float mean of length 2N and a finite 2N x 2N float covariance
+        that is exactly symmetric, so that symmetrizing it would return it
+        bit for bit. ``measurements._gaussian_update`` symmetrizes what it
+        returns, and ``block_diag`` and principal submatrices of symmetric
+        blocks are symmetric. Both arrays are frozen in place, not copied:
+        nothing may write to them afterwards, through them or a view.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "mean", _freeze(mean))
+        object.__setattr__(state, "cov", _freeze(cov))
+        return state
 
     @property
     def modes(self) -> int:
@@ -198,10 +225,8 @@ def apply_symplectic(state: GaussianState, s: np.ndarray) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product: block-diagonal covariance, concatenated means."""
-    return GaussianState(
-        mean=np.concatenate([a.mean, b.mean]),
-        cov=block_diag(a.cov, b.cov),
-    )
+    return GaussianState._computed(np.concatenate([a.mean, b.mean]),
+                                   block_diag(a.cov, b.cov))
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
@@ -216,7 +241,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     if keep[0] < 0 or keep[-1] >= state.modes:
         raise DimensionMismatch(f"keep modes {keep} outside 0..{state.modes - 1}")
     q = quad_indices(keep)
-    return GaussianState(mean=state.mean[q], cov=state.cov[np.ix_(q, q)])
+    return GaussianState._computed(state.mean[q], state.cov[np.ix_(q, q)])
 
 
 def random_state(

@@ -492,3 +492,44 @@ def test_every_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, 
     assert run_cli(["state", "--kind", "vacuum", "--out", str(tmp_path / "v.json")]) \
         == EXIT_CODES[cls]
     assert "injected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["state", "--kind", "tmsv", "--modes", "3"], "--modes"),
+    (["state", "--kind", "vacuum", "--r", "2", "--nbar", "4"], "--r, --nbar"),
+    (["state", "--kind", "vacuum", "--input", "x.json"], "--input"),
+    (["state", "--kind", "thermal", "--r", "0.3"], "--r"),
+    (["state", "--kind", "custom-json", "--input", "x.json", "--modes", "2"], "--modes"),
+    (["channel", "make", "--kind", "filter", "--eta", "0.3"], "--eta"),
+    (["channel", "make", "--kind", "identity-approx", "--r", "0.3"], "--r"),
+    (["channel", "make", "--kind", "attenuation", "--modes", "2"], "--modes"),
+    (["channel", "make", "--kind", "random-locc", "--r-approx", "3"], "--r-approx"),
+], ids=["tmsv-modes", "vacuum-r-nbar", "vacuum-input", "thermal-r", "custom-json-modes",
+        "filter-eta", "identity-approx-r", "attenuation-modes", "random-locc-r-approx"])
+def test_kind_refuses_an_option_it_does_not_read(tmp_path, capsys, argv, unread):
+    out = tmp_path / "out.json"
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip().endswith(f"does not read {unread}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field, expected", [
+    (["state", "--kind", "vacuum", "--modes", "3"], "modes", 3),
+    (["state", "--kind", "tmsv", "--r", "0.3"], "modes", 2),
+    (["state", "--kind", "thermal", "--nbar", "0.3", "--modes", "2"], "modes", 2),
+    (["state", "--kind", "custom-json", "--input", "{state}"], "modes", 2),
+    (["channel", "make", "--kind", "identity-approx", "--modes", "2", "--r-approx", "3",
+      "--seed", "5"], "n_in", 2),
+    (["channel", "make", "--kind", "filter", "--r", "0.3", "--seed", "5"], "n_in", 1),
+    (["channel", "make", "--kind", "attenuation", "--eta", "0.3", "--r-approx", "3",
+      "--seed", "5"], "n_in", 1),
+    (["channel", "make", "--kind", "random-locc", "--seed", "5"], "n_in", 2),
+], ids=["vacuum", "tmsv", "thermal", "custom-json", "identity-approx", "filter",
+        "attenuation", "random-locc"])
+def test_kind_reads_its_own_options(tmp_path, argv, field, expected):
+    state = tmp_path / "in.json"
+    state.write_text(tmsv(0.2).to_json())
+    out = tmp_path / "out.json"
+    argv = [a.format(state=state) for a in argv]
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())[field] == expected

@@ -1,6 +1,6 @@
 """Import hygiene of ``src/cvdist``, read from each module's syntax tree.
 
-No linter ships with the test dependencies, so two checks read the trees:
+No linter ships with the test dependencies, so three checks read the trees:
 
 - No module keeps an import it does not use: every name an import binds
   must be read somewhere in that module, as a name or as the root of an
@@ -11,6 +11,8 @@ No linter ships with the test dependencies, so two checks read the trees:
   ``argparse._SubParsersAction``: such names may change in any release.
   Reads are attribute chains rooted at an imported name, and
   ``from x import _y`` imports.
+- Library code never prints: no module but ``cli.py`` calls ``print``.
+  The library reports through return values, exceptions and ``logging``.
 """
 
 import ast
@@ -67,6 +69,13 @@ def private_external_reads(source: str) -> list:
     return sorted(hits)
 
 
+def print_calls(source: str) -> list:
+    """Lines that call the builtin ``print`` by name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print")
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -75,6 +84,12 @@ def test_module_has_no_unused_import(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_private_attribute_of_an_outside_module(path):
     assert private_external_reads(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_library_module_does_not_print(path):
+    assert print_calls(path.read_text()) == []
 
 
 def test_unused_import_is_found():
@@ -97,3 +112,13 @@ def test_private_external_read_is_found():
         (7, "argparse._SubParsersAction"),
         (7, "np.linalg._umath_linalg"),
     ]
+
+
+def test_print_call_is_found():
+    source = (
+        "def report(x, log):\n"
+        "    log.print(x)\n"
+        "    print(x, end='')\n"
+        "    return [print(y) for y in x]\n"
+    )
+    assert print_calls(source) == [3, 4]

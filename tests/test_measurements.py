@@ -485,3 +485,24 @@ def test_oracle_bell_pipeline_matches_eq7():
     corr = conditional_output_mean(ch, single, [x_d, p_d])
     assert np.abs(step2.cov - ref.cov).max() <= 1e-6
     assert np.abs(step2.mean - corr).max() <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_condition_refuses_a_non_finite_outcome(bad):
+    """The outcome is the one outside array that reaches ``condition``'s
+    unchecked result, so ``condition`` checks it and names it."""
+    state = random_state(2, np.random.default_rng(3), mean_scale=0.5)
+    spec = DyneSpec(modes=(1,), kind=DyneKind.HETERODYNE)
+    with pytest.raises(MalformedInput, match="outcome has non-finite"):
+        condition(state, spec, [0.1, bad])
+
+
+def test_condition_refuses_an_outcome_that_overflows_the_mean():
+    """A finite outcome whose conditioned mean overflows float64 is refused
+    too: homodyne x of a mode squeezed by e^-3 and entangled by tmsv(1) has
+    gain 19, so an outcome of 1e307 gives a mean beyond 1.8e308."""
+    state = apply_symplectic(tmsv(1.0), np.diag([1.0, 1.0, np.exp(-3.0), np.exp(3.0)]))
+    spec = DyneSpec(modes=(1,), kind=DyneKind.HOMODYNE_X)
+    assert np.isfinite(condition(state, spec, [1e306]).mean).all()
+    with np.errstate(over="ignore"), pytest.raises(MalformedInput, match="overflows"):
+        condition(state, spec, [1e307])

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from symplectic_oracle import beamsplitter
 
+from cvdist import channels
+from cvdist.channels import attenuation_channel, random_locc_channel
 from cvdist.errors import (
     DimensionError,
     DimensionMismatch,
@@ -18,6 +21,8 @@ from cvdist.errors import (
     ParamOutOfRange,
     SingularConditioning,
 )
+from cvdist.measurements import DyneKind, DyneSpec, bell_measure, condition, sample_outcome
+from cvdist.protocols import run_fig1
 from cvdist.states import (
     _PHYSICALITY_RTOL,
     PHYSICALITY_TOL,
@@ -286,3 +291,54 @@ def test_json_roundtrip_is_bit_identical(rng):
     assert back.to_json() == text
     payload = json.loads(text)
     assert payload["modes"] == 2
+
+
+_HETERODYNE_1 = DyneSpec(modes=(1,), kind=DyneKind.HETERODYNE)
+
+#: Each library update of checked states: given ``rng``, build its inputs and
+#: return the call, so that the inputs' own checks happen before it.
+UPDATES = {
+    "run_fig1-n_in-1": lambda rng: functools.partial(
+        run_fig1, attenuation_channel(0.4, 2.0), random_state(1, rng, mean_scale=0.5), 5, 1),
+    "run_fig1-n_in-2": lambda rng: functools.partial(
+        run_fig1, random_locc_channel(rng), random_state(2, rng, mean_scale=0.5), 5, 1),
+    "channels.apply": lambda rng: functools.partial(
+        channels.apply, random_locc_channel(rng), random_state(2, rng, mean_scale=0.5)),
+    "condition": lambda rng: functools.partial(
+        condition, random_state(3, rng, mean_scale=0.5), _HETERODYNE_1, [0.3, -0.2]),
+    "sample_outcome": lambda rng: functools.partial(
+        sample_outcome, random_state(3, rng, mean_scale=0.5), _HETERODYNE_1, 7),
+    "bell_measure": lambda rng: functools.partial(
+        bell_measure, random_state(3, rng, mean_scale=0.5), (0, 2), 7),
+    "tensor": lambda rng: functools.partial(
+        tensor, random_state(2, rng, mean_scale=0.5), random_state(1, rng, mean_scale=0.5)),
+    "partial_trace": lambda rng: functools.partial(
+        partial_trace, random_state(3, rng, mean_scale=0.5), (0, 2)),
+}
+
+
+def _returned_states(result) -> list:
+    if hasattr(result, "reference_output"):
+        return [result.reference_output, result.corrected_output]
+    if hasattr(result, "conditioned_state"):
+        return [result.conditioned_state]
+    return [result]
+
+
+@pytest.mark.parametrize("name", UPDATES)
+def test_library_updates_build_no_checked_state(name, rng, monkeypatch):
+    """Validate once: an update of checked states builds its result with the
+    unchecked ``GaussianState._computed``, and the result is bit for bit what
+    the checking constructor makes of the same arrays, and as read-only."""
+    call = UPDATES[name](rng)
+    checks = []
+    post_init = GaussianState.__post_init__
+    monkeypatch.setattr(GaussianState, "__post_init__",
+                        lambda self: checks.append(name) or post_init(self))
+    result = call()
+    assert checks == []
+    for state in _returned_states(result):
+        checked = GaussianState(mean=state.mean, cov=state.cov)
+        assert np.array_equal(checked.mean, state.mean)
+        assert np.array_equal(checked.cov, state.cov)
+        assert not state.mean.flags.writeable and not state.cov.flags.writeable
