@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionError, DimensionMismatch, ParamOutOfRange
-from .measurements import PLAN_CACHE_SIZE, DyneKind, _dyne_plan, _factor, _gaussian_update
+from .measurements import DyneKind, _dyne_plan, _factor, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
@@ -57,15 +57,7 @@ from .states import (
     random_state,
     tmsv,
 )
-from .symplectic import _freeze, block_diag, quad_indices
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _transposition(n_modes: int):
-    """Diagonal r of the phase-space transposition R = diag(1, -1, 1, -1, ...)
-    and outer(r, r), so that R G R = G * outer(r, r); read-only, cached."""
-    r = np.ones(2 * n_modes)
-    r[1::2] = -1.0
-    return _freeze(r), _freeze(np.outer(r, r))
+from .symplectic import _momentum_flip, block_diag, quad_indices
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ def _choi_dyne(ch: GaussianChannel, state: GaussianState):
         raise DimensionMismatch(
             f"channel expects {ch.n_in} input modes, state has {state.modes}"
         )
-    r, rr = _transposition(ch.n_in)
+    r, rr = _momentum_flip(ch.n_in, tuple(range(ch.n_in)))
     v = ch.choi_cov[ch._plan.meas_meas] + state.cov * rr
     try:
         _factor(v, ch._plan)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidSplit
 from .states import GaussianState
-from .symplectic import quad_indices, symplectic_eigenvalues
+from .symplectic import _momentum_flip, symplectic_eigenvalues
 
 #: PPT threshold on the smallest PT symplectic eigenvalue.
 PPT_TOL = 1e-9
@@ -80,9 +80,7 @@ def partial_transpose_cov(cov: np.ndarray, split: BipartiteSplit) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0] // 2
     split.validate_for(n)
-    lam = np.ones(2 * n)
-    lam[quad_indices(split.bob)[1::2]] = -1.0
-    return cov * np.outer(lam, lam)
+    return cov * _momentum_flip(n, split.bob)[1]
 
 
 def log_negativity(state: GaussianState, split: BipartiteSplit) -> EntanglementReport:

@@ -12,18 +12,21 @@ fused batched kernel: ``objective`` maps parameter vectors (K, 20) to output
 log-negativities (K,) with array arithmetic alone, with no state objects and
 no re-validation. It realizes both parties' symplectics in real arithmetic
 (each passive entry is a cos or sin of a summed phase times a cos or sin of
-the mixing angle, laid out by fixed gathers), forms S G0 S^T from
-the 8x8 joint covariance G0 of the two copies (their ``tensor``, built
-once per certificate), takes the heterodyne Schur complement
+the mixing angle, laid out by fixed gathers), writes them into the
+slots of the 8x8 joint symplectic S that the Fig. 2 layout fixes, forms
+S G0 S^T from the joint covariance G0 of the two copies (their ``tensor``,
+built once per certificate), takes the heterodyne Schur complement
 G = A - C (B + I)^{-1} C^T on modes A2 and B2, and applies the closed form
 of the smallest partially transposed symplectic eigenvalue of a two-mode
 state, nu~_-^2 = (D~ - sqrt(D~^2 - 4 det G)) / 2 with
 D~ = det A + det B - 2 det C (Serafini, Illuminati and De Siena,
 quant-ph/0307073), giving E_N = max(0, -ln nu~_-). ``protocols.build_fig2``
 runs the same protocol through validated states and stays the reference
-the kernel is tested against. Array-wide steps (the three 2x2 determinants,
-the two adjugates) are taken in one stacked operation each, so a kernel call
-costs a fixed number of numpy calls per block of up to 256 rows.
+the kernel is tested against; the layout, its party rows and slots, is
+stated once, in ``protocols``, and both paths pick modes by index.
+Array-wide steps (the three 2x2 determinants, the two adjugates) are taken
+in one stacked operation each, so a kernel call costs a fixed number of
+numpy calls per block of up to 256 rows.
 
 The objective has max(0, .) kinks where partially transposed symplectic
 eigenvalues cross 1, which makes finite-difference gradients unreliable;
@@ -62,6 +65,7 @@ import numpy as np
 
 from .entanglement import BipartiteSplit, log_negativity
 from .errors import DimensionMismatch, ParamOutOfRange
+from .protocols import _FIG2_SLOTS
 from .states import tensor, tmsv
 
 #: Squeezing clamp per squeezer; beyond this, covariance entries reach ~e^6
@@ -178,11 +182,6 @@ class SymplecticParams:
 # ---------------------------------------------------------------------------
 
 
-#: Flat slots of the joint 8x8 symplectic that the parties' 4x4 entries fill,
-#: in (party, row, col) order. Joint index 4 m + 2 party + quadrature: Alice
-#: acts on rows 0, 1, 4, 5 (modes A1, A2), Bob on rows 2, 3, 6, 7 (B1, B2).
-_JOINT_ROWS = np.array([[0, 1, 4, 5], [2, 3, 6, 7]])
-_JOINT_SLOTS = (8 * _JOINT_ROWS[:, :, None] + _JOINT_ROWS[:, None, :]).ravel()
 _EYE4 = np.eye(4)
 
 #: Rows the kernel evaluates at a time. Its temporaries grow with the rows,
@@ -196,11 +195,11 @@ def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
     """Output log-negativities of the two-copy protocol, one per row of ``x``.
 
     ``x`` holds parameter vectors (K, 20) and ``g0`` is the 8x8 covariance
-    of the two copies, ``tensor(copy1, copy2).cov``, modes (A1, B1, A2, B2).
-    Alice's symplectic acts on rows 0, 1, 4, 5 of the joint covariance
-    (modes A1, A2), Bob's on rows 2, 3, 6, 7 (B1, B2); A2 and B2 are
-    heterodyned, leaving the output on (A1, B1). Rows are independent:
-    a batch gives the same bits as its rows one at a time.
+    of the two copies, ``tensor(copy1, copy2).cov``, modes (A1, B1, A2, B2),
+    in the layout of ``build_fig2`` (``protocols._FIG2_SLOTS``): Alice acts
+    on A1 and A2, Bob on B1 and B2, and A2 and B2 are heterodyned, leaving
+    the output on (A1, B1). Rows are independent: a batch gives the same
+    bits as its rows one at a time.
     """
     x = np.asarray(x, dtype=float).reshape(-1, N_PARAMS)
     return np.concatenate([_kernel(x[i:i + _BLOCK_ROWS], g0)
@@ -211,7 +210,7 @@ def _kernel(x, g0):
     """``objective`` on one block of rows (K, 20)."""
     k = x.shape[0]
     s = np.zeros((k, 64))
-    s[:, _JOINT_SLOTS] = _party_symplectic(x.reshape(k, 2, PARAMS_PER_PARTY)).reshape(k, 32)
+    s[:, _FIG2_SLOTS] = _party_symplectic(x.reshape(k, 2, PARAMS_PER_PARTY)).reshape(k, 32)
     s = s.reshape(k, 8, 8)
     m = s @ g0 @ s.transpose(0, 2, 1)
     c = m[:, :4, 4:]

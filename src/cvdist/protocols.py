@@ -11,7 +11,8 @@ worst deviations so the equivalence can be asserted.
 ``build_fig2`` implements the optimal two-copy distillation layout: local
 two-mode symplectics on each party's pair of modes, eight-port homodyne
 (heterodyne) of the second mode on each side, and a displacement correction.
-It returns the remaining two-mode state with its entanglement report.
+It returns the remaining two-mode state with its entanglement report. The
+layout is stated once, here; the no-go kernel of :mod:`cvdist.nogo` shares it.
 
 ``canonicalize_pure_3mode`` implements the canonical-form reduction behind
 the protocol: any pure three-mode party map reduces, after local
@@ -29,14 +30,19 @@ from .channels import GaussianChannel, _choi_dyne, _condition_choi
 from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
-from .states import GaussianState, apply_symplectic, tensor
-from .symplectic import block_diag, mode_permutation, williamson
+from .states import GaussianState, _on_modes, apply_symplectic, tensor
+from .symplectic import block_diag, williamson
 
 #: Purity gate: all symplectic eigenvalues within this of 1.
 PURITY_TOL = 1e-7
 
-_FIG2_PERM = mode_permutation((0, 2, 1, 3), 4)  # (A1, B1, A2, B2) -> (A1, A2, B1, B2)
-_FIG2_SPEC = DyneSpec(modes=(1, 3), kind=DyneKind.HETERODYNE)
+#: The Fig. 2 layout of ``build_fig2`` and the no-go kernel, copies in ``tensor``
+#: order (A1, B1, A2, B2): Alice acts on rows 0, 1, 4, 5 (A1, A2), Bob on 2, 3,
+#: 6, 7 (B1, B2), their 4x4 entries filling the flat slots of the 8x8 joint
+#: symplectic in (party, row, col) order; A2 and B2 are heterodyned.
+_FIG2_ROWS = np.array([[0, 1, 4, 5], [2, 3, 6, 7]])
+_FIG2_SLOTS = (8 * _FIG2_ROWS[:, :, None] + _FIG2_ROWS[:, None, :]).ravel()
+_FIG2_SPEC = DyneSpec(modes=(2, 3), kind=DyneKind.HETERODYNE)
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +180,26 @@ def canonicalize_pure_3mode(
 ) -> ThreeModeCanonicalForm:
     """Bring a pure three-mode state to the canonical sparse form.
 
-    Williamson on the two-input marginal makes it diag(a, a, b, b) with
-    a >= b and kills input-input correlations; Williamson on the output
-    marginal gives c. The leftover rotations of input 1 and the output make
-    their block diag(d1, d2) with d1 >= |d2| (the sign of d2 is a rotation
-    invariant, negative for two-mode-squeezed correlations). Purity leaves
-    input 2 uncorrelated with the output, so it needs no rotation.
+    After an index gather to (input1, input2, output), Williamson on the
+    two-input marginal makes it diag(a, a, b, b) with a >= b and kills
+    input-input correlations; Williamson on the output marginal gives c. The
+    leftover rotations of input 1 and the output make their block
+    diag(d1, d2) with d1 >= |d2| (the sign of d2 is a rotation invariant,
+    negative for two-mode-squeezed correlations). Purity leaves input 2
+    uncorrelated with the output, so it needs no rotation.
     """
     if state.modes != 3:
         raise NotThreeMode(f"state has {state.modes} modes")
-    input_modes = tuple(int(m) for m in input_modes)
-    if sorted((*input_modes, int(output_mode))) != [0, 1, 2]:
+    order = (*(int(m) for m in input_modes), int(output_mode))
+    if sorted(order) != [0, 1, 2]:
         raise DimensionMismatch(
-            f"input modes {input_modes} + output {output_mode} must cover 0,1,2"
+            f"input modes {order[:-1]} + output {output_mode} must cover 0,1,2"
         )
     nus = state.symplectic_spectrum()
     if np.abs(nus - 1.0).max() > PURITY_TOL:
         raise NotPure(f"symplectic eigenvalues {nus} not all 1")
 
-    # reorder to (input1, input2, output)
-    perm = mode_permutation((*input_modes, int(output_mode)), 3)
-    work = apply_symplectic(state, perm)
+    work = _on_modes(state, order)
 
     win = williamson(work.cov[:4, :4])
     s_in = np.linalg.inv(win.s)
@@ -248,25 +253,22 @@ def build_fig2(
 ) -> Fig2Protocol:
     """Run the two-copy protocol with party symplectics ``s_a``, ``s_b``.
 
-    Copies are two-mode states with mode 0 at Alice and mode 1 at Bob. The
-    four modes are arranged as (A1, A2, B1, B2); s_a acts on (A1, A2), s_b on
-    (B1, B2); modes A2 and B2 are heterodyned and the outcome-dependent
-    displacement is subtracted (the classical-communication step). The output
-    covariance does not depend on the heterodyne outcomes. They are drawn
-    from ``seed`` (an int or a Generator) when one is given, and are zero
-    otherwise.
+    Copies are two-mode states with mode 0 at Alice and mode 1 at Bob, kept
+    in ``tensor`` order (A1, B1, A2, B2). s_a (on A1, A2) and s_b (on B1, B2)
+    fill the ``_FIG2_SLOTS`` of one symplectic, which ``apply_symplectic``
+    checks; A2 and B2 are heterodyned and the outcome-dependent displacement
+    is subtracted (the classical-communication step). The output covariance
+    does not depend on the outcomes, drawn from ``seed`` (an int or a
+    Generator) when one is given and zero otherwise.
     """
     if copy1.modes != 2 or copy2.modes != 2:
         raise DimensionMismatch("both copies must be two-mode states")
-    s_a = np.asarray(s_a, dtype=float)
-    s_b = np.asarray(s_b, dtype=float)
-    if s_a.shape != (4, 4) or s_b.shape != (4, 4):
+    if np.shape(s_a) != (4, 4) or np.shape(s_b) != (4, 4):
         raise DimensionMismatch("party symplectics must be 4x4 (two modes each)")
 
-    state = tensor(copy1, copy2)  # (A1, B1, A2, B2)
-    # reorder to (A1, A2, B1, B2) and apply both parties in one sandwich;
-    # apply_symplectic validates the fused matrix, catching bad s_a / s_b
-    state = apply_symplectic(state, block_diag(s_a, s_b) @ _FIG2_PERM)
+    s = np.zeros(64)
+    s[_FIG2_SLOTS] = np.ravel([s_a, s_b])
+    state = apply_symplectic(tensor(copy1, copy2), s.reshape(8, 8))
 
     if seed is not None:
         record = sample_outcome(state, _FIG2_SPEC, seed)

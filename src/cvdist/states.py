@@ -240,7 +240,13 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
         raise EmptyKeepSet("keep set must contain at least one mode")
     if keep[0] < 0 or keep[-1] >= state.modes:
         raise DimensionMismatch(f"keep modes {keep} outside 0..{state.modes - 1}")
-    q = quad_indices(keep)
+    return _on_modes(state, keep)
+
+
+def _on_modes(state: GaussianState, modes) -> GaussianState:
+    """The state of ``modes``, in that order, unchecked: a reordered principal
+    submatrix of an exactly symmetric covariance is exactly symmetric."""
+    q = quad_indices(modes)
     return GaussianState._computed(state.mean[q], state.cov[np.ix_(q, q)])
 
 

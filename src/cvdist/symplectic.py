@@ -79,6 +79,15 @@ def quad_indices(modes) -> np.ndarray:
     return (2 * modes.reshape(-1, 1) + np.arange(2)).ravel()
 
 
+@lru_cache(maxsize=64)
+def _momentum_flip(n_modes: int, modes: tuple):
+    """Signs r (-1 on the momenta of ``modes``) and outer(r, r): transposing
+    ``modes`` maps G to G * outer(r, r). Read-only, cached."""
+    r = np.ones(2 * n_modes)
+    r[quad_indices(modes)[1::2]] = -1.0
+    return _freeze(r), _freeze(np.outer(r, r))
+
+
 def block_diag(*blocks) -> np.ndarray:
     """Square blocks placed along the diagonal of a zero matrix, in order."""
     blocks = [np.asarray(b) for b in blocks]
@@ -137,11 +146,7 @@ def mode_permutation(order, n_modes: int) -> np.ndarray:
     order = tuple(order)
     if sorted(order) != list(range(n_modes)):
         raise DimensionMismatch(f"{order} is not a permutation of {n_modes} modes")
-    p = np.zeros((2 * n_modes, 2 * n_modes))
-    for new, old in enumerate(order):
-        p[2 * new, 2 * old] = 1.0
-        p[2 * new + 1, 2 * old + 1] = 1.0
-    return p
+    return np.eye(2 * n_modes)[quad_indices(order)]
 
 
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant p(z) / p(-z) to exp,

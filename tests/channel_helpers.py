@@ -16,10 +16,9 @@ from cvdist.channels import (
     _bell_outcome,
     _choi_dyne,
     _condition_choi,
-    _transposition,
 )
 from cvdist.states import GaussianState, random_state
-from cvdist.symplectic import block_diag, quad_indices, two_mode_squeezer
+from cvdist.symplectic import _momentum_flip, block_diag, quad_indices, two_mode_squeezer
 
 
 def choi_state(ch) -> GaussianState:
@@ -35,7 +34,7 @@ def output_modes(ch) -> tuple:
 def transposition_matrix(n_modes: int) -> np.ndarray:
     """Phase-space transposition R = diag(1, -1, 1, -1, ...), from the signs
     the channel action uses."""
-    return np.diag(_transposition(n_modes)[0])
+    return np.diag(_momentum_flip(n_modes, tuple(range(n_modes)))[0])
 
 
 def conditional_displacement(ch, state: GaussianState, r_d):

@@ -20,7 +20,6 @@ from fock_oracle import tmsv_cov_from_lambda
 
 from cvdist.channels import (
     GaussianChannel,
-    _transposition,
     apply,
     attenuation_channel,
     choi_from_truncated_epr,
@@ -48,6 +47,7 @@ from cvdist.states import (
     vacuum,
 )
 from cvdist.symplectic import (
+    _momentum_flip,
     quad_indices,
     squeezer,
     symplectic_eigenvalues,
@@ -325,7 +325,7 @@ def test_layout_plans_are_shared_and_read_only(rng):
     assert ch._plan is _dyne_plan(4, (0, 1), DyneKind.GENERAL)
 
     # a second channel of a planned layout plans nothing new
-    caches = (_dyne_plan, _bell_plan, _transposition)
+    caches = (_dyne_plan, _bell_plan, _momentum_flip)
     state = random_state(2, rng, nu_spread=0.8, mean_scale=0.5)
     run_fig1(ch, state, 3, rng)
     apply(ch, state)
@@ -336,7 +336,7 @@ def test_layout_plans_are_shared_and_read_only(rng):
 
     plans = [ch._plan, other._plan, _bell_plan(6, ((2, 0), (3, 1))), _bell_plan(2, ((0, 1),))]
     plans += [_dyne_plan(3, (2, 0), kind) for kind in DyneKind]
-    arrays = [*_transposition(1), *_transposition(2)]
+    arrays = [*_momentum_flip(1, (0,)), *_momentum_flip(2, (0, 1)), *_momentum_flip(2, (1,))]
     for plan in plans:
         for value in vars(plan).values():
             arrays += value if isinstance(value, tuple) else (value,)

@@ -217,6 +217,57 @@ def test_fig1_verify_reports_mean_deviation(tmp_path, capsys):
     assert payload["max_mean_deviation"] <= 1e-9
 
 
+def _fig1_verify(tmp_path, channel_argv, mean):
+    ch = tmp_path / "ch.json"
+    st = tmp_path / "st.json"
+    assert run_cli(["channel", "make", *channel_argv, "--out", str(ch)]) == 0
+    st.write_text(GaussianState(mean=mean, cov=np.eye(2)).to_json())
+    return run_cli(["fig1", "verify", "--channel", str(ch), "--state", str(st),
+                    "--samples", "20", "--seed", "7"])
+
+
+@pytest.mark.parametrize("channel_argv, mean", [
+    (["--kind", "identity-approx"], [1e7, -3e6]),
+    (["--kind", "identity-approx", "--r-approx", "9"], [0.0, 0.0]),
+    (["--kind", "identity-approx", "--r-approx", "15"], [0.0, 0.0]),
+], ids=["mean-1e7", "r-approx-9", "r-approx-15"])
+def test_fig1_verify_bound_scales_with_the_entries(tmp_path, capsys, channel_argv, mean):
+    # rounding of a correct run grows with the entries: 3.7e-9 absolute here
+    assert _fig1_verify(tmp_path, channel_argv, mean) == 0
+    assert "equivalence: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("channel_argv, mean", [
+    (["--kind", "filter"], [1.0, -0.3]),
+    (["--kind", "identity-approx"], [1e7, -3e6]),
+], ids=["unit-scale", "mean-1e7"])
+def test_fig1_verify_fails_a_ten_percent_gain_error(tmp_path, capsys, monkeypatch,
+                                                    channel_argv, mean):
+    corrupt_correction_gain(monkeypatch, 0.9)
+    assert _fig1_verify(tmp_path, channel_argv, mean) == 5
+    assert "equivalence: FAIL" in capsys.readouterr().out
+
+
+#: Two-mode squeezer(8) with entry (0, 2) off by a relative 1e-10, as --sa
+#: or --sb takes it: refused by the relative part of the symplectic bound.
+_SQUEEZER8_OFF = ("1490.479161252178,0.0,1490.4788259385982,0.0,0.0,1490.479161252178,0.0,"
+                  "-1490.4788257895502,1490.4788257895502,0.0,1490.479161252178,0.0,0.0,"
+                  "-1490.4788257895502,0.0,1490.479161252178")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sb", "1,0,0,0,0,1,0,0.3,0,0,1,0,0,0,0,1.001"], "3.000e-01 > 1.0e-10"),
+    (["--sa", "2,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"], "1.000e+00 > 1.0e-10"),
+    (["--sa", _SQUEEZER8_OFF], "2.222e-04 > 2.2e-08"),
+    (["--sb", _SQUEEZER8_OFF, "--sa", "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1.5"],
+     "5.000e-01 > 2.2e-08"),
+], ids=["sb-shear", "sa-scaled", "sa-squeezer-off", "sa-scaled-sb-squeezer"])
+def test_fig2_run_refuses_a_non_symplectic_party(capsys, argv, message):
+    # the messages of the permuted product build_fig2 checked before
+    assert run_cli(["fig2", "run", *argv]) == 2
+    assert capsys.readouterr().err == f"error: ||S Omega S^T - Omega||_max = {message}\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["fig1", "verify", "--channel", "c.json", "--state", "s.json",
       "--samples", "0"], "--samples"),
@@ -488,7 +539,7 @@ def test_every_error_class_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, 
     def fail(*args):
         raise cls("injected")
 
-    monkeypatch.setattr(cvdist.cli, "vacuum", fail)
+    monkeypatch.setitem(cvdist.cli._STATE_KINDS, "vacuum", (("modes",), fail))
     assert run_cli(["state", "--kind", "vacuum", "--out", str(tmp_path / "v.json")]) \
         == EXIT_CODES[cls]
     assert "injected" in capsys.readouterr().err

@@ -13,6 +13,12 @@ No linter ships with the test dependencies, so three checks read the trees:
   ``from x import _y`` imports.
 - Library code never prints: no module but ``cli.py`` calls ``print``.
   The library reports through return values, exceptions and ``logging``.
+- Code used only by tests lives in ``tests/``: every public top-level
+  function or class of ``src/cvdist`` is referenced, by name, from
+  ``src/``, the acceptance suite or the benchmark. A reference is a name,
+  an attribute, a ``from x import`` name or a dotted string constant (the
+  benchmark names the functions it times in strings); a definition is not
+  a reference to itself.
 """
 
 import ast
@@ -20,7 +26,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cvdist"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cvdist"
+CALLERS = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+           *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:
@@ -76,6 +85,37 @@ def print_calls(source: str) -> list:
                   and node.func.id == "print")
 
 
+def public_definitions(source: str) -> list:
+    """(line, name) of each public top-level function and class."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def referenced_names(source: str) -> set:
+    """Names read as names or attributes, imported by ``from x import``, or
+    spelled out, whole or dotted, in a string constant."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def uncalled_public_names(modules: dict, callers: list) -> list:
+    """(module, line, name) of each public definition in ``modules`` (name ->
+    source) that no source in ``callers`` references."""
+    referenced = set().union(*map(referenced_names, callers))
+    return [(module, line, name) for module, source in sorted(modules.items())
+            for line, name in public_definitions(source) if name not in referenced]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -122,3 +162,25 @@ def test_print_call_is_found():
         "    return [print(y) for y in x]\n"
     )
     assert print_calls(source) == [3, 4]
+
+
+def test_public_name_has_a_caller():
+    modules = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert uncalled_public_names(modules, [path.read_text() for path in CALLERS]) == []
+
+
+def test_public_name_without_a_caller_is_found():
+    module = (
+        "def used(x):\n"
+        "    return x\n"
+        "def traced(x):\n"
+        "    return x\n"
+        "class Orphan:\n"
+        "    def used(self):\n"
+        "        return orphan_helper\n"
+        "def _private():\n"
+        "    return used(1)\n"
+    )
+    caller = "from m import used\nSPANS = {'m.traced': ('m', 'traced')}\n"
+    assert uncalled_public_names({"m.py": module}, [module, caller]) == [(
+        "m.py", 5, "Orphan")]

@@ -1,4 +1,7 @@
+import itertools
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +27,13 @@ from cvdist.channels import (
     random_locc_channel,
 )
 from cvdist import measurements
-from cvdist.entanglement import BipartiteSplit
+from cvdist.entanglement import BipartiteSplit, log_negativity
 from cvdist.errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
 from cvdist.measurements import DyneKind, DyneSpec, condition, sample_outcome
+from cvdist.nogo import SymplecticParams
 from cvdist.protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from cvdist.states import (
+    GaussianState,
     apply_symplectic,
     partial_trace,
     random_state,
@@ -326,6 +331,34 @@ def test_canonicalize_input_mode_labelling(rng):
         assert abs(getattr(f1, name) - getattr(f2, name)) <= 1e-8
 
 
+def _pure_3mode_states(rng):
+    yield GaussianState.from_dict(json.loads(
+        (Path(__file__).parent / "golden" / "input-pure3.json").read_text()))
+    yield vacuum(3)
+    for _ in range(4):
+        yield _eq12_state(rng, r=rng.uniform(0.1, 1.2))
+        yield random_state(3, rng, nu_spread=0.0, symplectic_scale=0.5, mean_scale=0.7)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
+                         ids=lambda o: "".join(map(str, o)))
+def test_canonicalize_reorders_as_the_permutation_matrix_did(rng, order):
+    # the reorder to (input1, input2, output) is an index gather; reordering
+    # with the symplectic permutation matrix first must give the same bits
+    for state in _pure_3mode_states(rng):
+        form = canonicalize_pure_3mode(state, order[:2], order[2])
+        ref = canonicalize_pure_3mode(
+            apply_symplectic(state, mode_permutation(order, 3)), (0, 1), 2)
+        for name in ("a", "b", "c", "d1", "d2", "e"):
+            assert getattr(form, name) == getattr(ref, name), name
+        assert np.array_equal(form.input_symplectic, ref.input_symplectic)
+        assert np.array_equal(form.output_symplectic, ref.output_symplectic)
+        assert form.canonical_state.to_json() == ref.canonical_state.to_json()
+        # and the symplectics map the state, reordered by the matrix, to the form
+        s = block_diag(form.input_symplectic, form.output_symplectic) @ mode_permutation(order, 3)
+        assert np.abs(s @ state.cov @ s.T - form.canonical_state.cov).max() <= 1e-9
+
+
 def test_canonicalize_rejects_mixed_and_wrong_modes(rng):
     with pytest.raises(NotPure):
         canonicalize_pure_3mode(
@@ -378,6 +411,49 @@ def test_fig2_validation(rng):
     from cvdist.errors import NotSymplectic
     with pytest.raises(NotSymplectic):
         build_fig2(np.diag([2.0, 1.0, 1.0, 1.0]), np.eye(4), tmsv(0.2), tmsv(0.2))
+
+
+def _fig2_by_permutation(s_a, s_b, copy1, copy2, seed=None):
+    """``build_fig2`` through an 8x8 permutation matrix: the copies reordered
+    to (A1, A2, B1, B2), block_diag(s_a, s_b) applied, modes 1 and 3
+    heterodyned; returns (outcomes, correction, output)."""
+    perm = mode_permutation((0, 2, 1, 3), 4)
+    state = apply_symplectic(tensor(copy1, copy2), block_diag(s_a, s_b) @ perm)
+    spec = DyneSpec(modes=(1, 3), kind=DyneKind.HETERODYNE)
+    if seed is None:
+        outcomes = np.zeros(4)
+        conditioned = condition(state, spec, outcomes)
+    else:
+        record = sample_outcome(state, spec, seed)
+        outcomes, conditioned = record.outcome, record.conditioned_state
+    correction = conditioned.mean.copy()
+    return outcomes, correction, conditioned.with_mean(conditioned.mean - correction)
+
+
+def _party(rng, euler):
+    if euler:
+        return SymplecticParams(alice=rng.uniform(-2.0, 2.0, 10), bob=np.zeros(10)).realize()[0]
+    return random_symplectic(2, rng, scale=0.6)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["zero-outcomes", "sampled-outcomes"])
+def test_fig2_matches_the_permutation_matrix_form_bit_for_bit(rng, sampled):
+    # build_fig2 fills the Fig. 2 slots of one symplectic in tensor order; the
+    # permuted product it replaces must give the same bits
+    for k in range(40):
+        copies = [tmsv(rng.uniform(0.1, 1.0)),
+                  random_state(2, rng, nu_spread=0.6, symplectic_scale=0.5, mean_scale=0.5)]
+        copy1, copy2 = copies[k % 2], copies[(k // 2) % 2]
+        s_a, s_b = _party(rng, k % 3 == 0), _party(rng, k % 5 == 0)
+        seed = 1000 + k if sampled else None
+        pro = build_fig2(s_a, s_b, copy1, copy2, seed=seed)
+        outcomes, correction, output = _fig2_by_permutation(s_a, s_b, copy1, copy2, seed)
+        assert outcomes.tolist() == pro.outcomes.tolist()
+        assert np.array_equal(np.signbit(outcomes), np.signbit(pro.outcomes))
+        assert correction.tolist() == pro.correction.tolist()
+        assert np.array_equal(np.signbit(correction), np.signbit(pro.correction))
+        assert output.to_json() == pro.output.to_json()
+        assert log_negativity(output, SPLIT01) == pro.report
 
 
 # -- vacuum projection -----------------------------------------------------------
