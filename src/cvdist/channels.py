@@ -57,7 +57,7 @@ from .states import (
     random_state,
     tmsv,
 )
-from .symplectic import _momentum_flip, block_diag, quad_indices
+from .symplectic import _cosh_sinh, _momentum_flip, block_diag, quad_indices
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def attenuation_channel(eta: float, r_approx: float) -> GaussianChannel:
         raise ParamOutOfRange(f"transmissivity {eta} outside [0, 1]")
     if r_approx <= 0.0:
         raise ParamOutOfRange(f"approximation squeezing must be > 0, got {r_approx}")
-    ch2, sh2 = np.cosh(2.0 * r_approx), np.sinh(2.0 * r_approx)
+    ch2, sh2 = _cosh_sinh(2.0 * r_approx)
     z = np.diag([1.0, -1.0])
     i2 = np.eye(2)
     cov = np.block([

@@ -11,7 +11,9 @@ nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
 Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (NaN/inf
-entries, asymmetric covariance), a covariance too ill-conditioned for
+entries, asymmetric covariance, a squeezing or occupation whose covariance
+overflows float64, a matrix entry too large for the symplectic test), a
+covariance too ill-conditioned for
 float64 to resolve its symplectic spectrum or physicality
 (``SingularConditioning``), or a measured block or a channel's conditioning
 matrix too degenerate to condition on (``DegenerateQuadrature``), 3
@@ -46,6 +48,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -61,7 +64,7 @@ from .channels import (
     random_locc_channel,
 )
 from .entanglement import BipartiteSplit, log_negativity
-from .errors import CvdistError
+from .errors import CvdistError, MalformedInput
 from .protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from .states import GaussianState, thermal, tmsv, vacuum
 
@@ -135,10 +138,12 @@ def _load_channel(path: str) -> GaussianChannel:
 
 
 def _parse_floats(text: str):
-    values = [part for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError("empty list")
-    return [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise MalformedInput(f"{text!r} has non-finite (NaN or inf) entries")
+    return values
 
 
 def _parse_modes(text: str):

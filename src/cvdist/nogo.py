@@ -24,9 +24,10 @@ quant-ph/0307073), giving E_N = max(0, -ln nu~_-). ``protocols.build_fig2``
 runs the same protocol through validated states and stays the reference
 the kernel is tested against; the layout, its party rows and slots, is
 stated once, in ``protocols``, and both paths pick modes by index.
-Array-wide steps (the three 2x2 determinants, the two adjugates) are taken
-in one stacked operation each, so a kernel call costs a fixed number of
-numpy calls per block of up to 256 rows.
+Array-wide steps (the three 2x2 determinants, the two adjugates, the
+product S G0) are taken in one stacked operation each, so a kernel call
+costs a fixed number of numpy calls per block of up to 128 rows (64 KiB
+per (rows, 8, 8) temporary, see ``_BLOCK_ROWS``).
 
 The objective has max(0, .) kinks where partially transposed symplectic
 eigenvalues cross 1, which makes finite-difference gradients unreliable;
@@ -97,21 +98,22 @@ _PHASE_ANGLES = np.array([2, 3, 3, 2])
 
 
 #: With trig = (cos, sin, -sin) of (theta, phi_00, phi_01, phi_10, phi_11),
-#: entry (r, c) of a passive symplectic is trig[_PASSIVE_PHASE[r, c]] *
-#: trig[_PASSIVE_MODULUS[r, c]]. u_ij = m_ij e^{i phi_ij} with
+#: entry (r, c) of a passive symplectic is a phase factor times a modulus,
+#: trig[_PASSIVE_FACTORS[0, 4 r + c]] * trig[_PASSIVE_FACTORS[1, 4 r + c]],
+#: both taken in one gather. u_ij = m_ij e^{i phi_ij} with
 #: m = [[c, s], [-s, c]] and (c, s) the cos and sin of theta; with
 #: a_k = (x_k + i p_k)/sqrt(2) and a' = u a, the 2x2 block at modes (i, j) is
 #: [[Re u_ij, -Im u_ij], [Im u_ij, Re u_ij]]. The sign of -Im sits on the
 #: phase factor (-sin, entries 11-14), the sign of m_10 on the modulus (-s,
 #: entry 10).
-_PASSIVE_PHASE = np.array([[1, 11, 2, 12],
-                           [6, 1, 7, 2],
-                           [3, 13, 4, 14],
-                           [8, 3, 9, 4]]).ravel()
-_PASSIVE_MODULUS = np.array([[0, 0, 5, 5],
-                             [0, 0, 5, 5],
-                             [10, 10, 0, 0],
-                             [10, 10, 0, 0]]).ravel()
+_PASSIVE_FACTORS = np.array([[[1, 11, 2, 12],  # phase factors
+                              [6, 1, 7, 2],
+                              [3, 13, 4, 14],
+                              [8, 3, 9, 4]],
+                             [[0, 0, 5, 5],  # moduli
+                              [0, 0, 5, 5],
+                              [10, 10, 0, 0],
+                              [10, 10, 0, 0]]]).reshape(2, 16)
 
 
 def _passive(angles: np.ndarray) -> np.ndarray:
@@ -120,13 +122,14 @@ def _passive(angles: np.ndarray) -> np.ndarray:
     u = e^{i phi} [[e^{i alpha} c, e^{i beta} s], [-e^{-i beta} s, e^{-i alpha} c]]
     with (c, s) the cos and sin of theta, for angles (theta, phi, alpha,
     beta), in real arithmetic: each entry of the symplectic is a cos or sin
-    of a phase times c or s, signed (see _PASSIVE_PHASE).
+    of a phase times c or s, signed (see _PASSIVE_FACTORS).
     """
     phases = angles[..., 1:2] + _PHASE_SIGNS * angles[..., _PHASE_ANGLES]
     args = np.concatenate([angles[..., :1], phases], axis=-1)
     sin = np.sin(args)
     trig = np.concatenate([np.cos(args), sin, -sin], axis=-1)
-    entries = trig[..., _PASSIVE_PHASE] * trig[..., _PASSIVE_MODULUS]
+    factors = trig[..., _PASSIVE_FACTORS]
+    entries = factors[..., 0, :] * factors[..., 1, :]
     return entries.reshape(angles.shape[:-1] + (4, 4))
 
 
@@ -143,7 +146,8 @@ def _party_symplectic(p: np.ndarray) -> np.ndarray:
     r = p[4:6] clamped to |r| <= SQUEEZE_CLAMP.
     """
     q = p[..., _PARTY_GATHER]
-    sq = np.exp(_SQUEEZE_SIGNS * np.clip(q[..., :4], -SQUEEZE_CLAMP, SQUEEZE_CLAMP))
+    sq = np.exp(_SQUEEZE_SIGNS * np.minimum(np.maximum(q[..., :4], -SQUEEZE_CLAMP),
+                                            SQUEEZE_CLAMP))
     passive = _passive(q[..., 4:].reshape(p.shape[:-1] + (2, 4)))
     return (passive[..., 1, :, :] * sq[..., None, :]) @ passive[..., 0, :, :]
 
@@ -184,11 +188,13 @@ class SymplecticParams:
 
 _EYE4 = np.eye(4)
 
-#: Rows the kernel evaluates at a time. Its temporaries grow with the rows,
-#: while a few hundred rows already spread the fixed cost of a call thin, so
-#: a longer batch (the initial simplices, starts x 21 rows) is evaluated in
-#: blocks of this many rows: the same bits in a quarter of the memory.
-_BLOCK_ROWS = 256
+#: Rows the kernel evaluates at a time. A hundred rows already spread the
+#: fixed cost of a call thin, so a longer batch (the initial simplices,
+#: starts x 21 rows) is evaluated in blocks of this many rows, with the same
+#: bits. At 128 rows each (rows, 8, 8) float64 temporary is 64 KiB, half of
+#: glibc's default mmap threshold (128 KiB), so the allocator serves it from
+#: its heap instead of mapping fresh pages, and faulting them in, per block.
+_BLOCK_ROWS = 128
 
 
 def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
@@ -202,6 +208,8 @@ def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
     bits as its rows one at a time.
     """
     x = np.asarray(x, dtype=float).reshape(-1, N_PARAMS)
+    if len(x) <= _BLOCK_ROWS:
+        return _kernel(x, g0)
     return np.concatenate([_kernel(x[i:i + _BLOCK_ROWS], g0)
                            for i in range(0, len(x), _BLOCK_ROWS)])
 
@@ -212,7 +220,8 @@ def _kernel(x, g0):
     s = np.zeros((k, 64))
     s[:, _FIG2_SLOTS] = _party_symplectic(x.reshape(k, 2, PARAMS_PER_PARTY)).reshape(k, 32)
     s = s.reshape(k, 8, 8)
-    m = s @ g0 @ s.transpose(0, 2, 1)
+    # S G0 for every row in one (8K x 8) @ (8 x 8) product, not K of them
+    m = (s.reshape(8 * k, 8) @ g0).reshape(k, 8, 8) @ s.transpose(0, 2, 1)
     c = m[:, :4, 4:]
     g = m[:, :4, :4] - c @ np.linalg.solve(m[:, 4:, 4:] + _EYE4, c.transpose(0, 2, 1))
     return _pt_log_negativity(g)
@@ -244,8 +253,9 @@ def _pt_log_negativity(g):
     p = (e[:, 3] @ c @ e[:, 4]) * c
     t = p[:, 0, 0] + p[:, 0, 1] + p[:, 1, 0] + p[:, 1, 1]
     det_g = np.linalg.det(g)
-    delta = det_a + det_b - 2.0 * det_c
-    disc = (det_a - det_b) ** 2 + 4.0 * (t - det_c * (det_a + det_b))
+    sum_ab = det_a + det_b
+    delta = sum_ab - 2.0 * det_c
+    disc = (det_a - det_b) ** 2 + 4.0 * (t - det_c * sum_ab)
     nu2 = 2.0 * det_g / (delta + np.sqrt(np.maximum(disc, 0.0)))
     return np.maximum(0.0, -0.5 * np.log(nu2))
 
@@ -279,8 +289,9 @@ def _sort(sim: np.ndarray, fsim: np.ndarray, cols: np.ndarray) -> np.ndarray:
     the values are distinct that is their one sorted order.
     """
     order = np.argsort(fsim[:, cols], axis=0)
-    fsim[:, cols] = fsim[order, cols]
-    s = sim[order, cols]
+    flat = order * fsim.shape[1] + cols  # vertex, start -> row of the flattened arrays
+    fsim[:, cols] = fsim.reshape(-1).take(flat)
+    s = sim.reshape(-1, sim.shape[2]).take(flat, axis=0)
     sim[:, cols] = s
     return s
 
@@ -340,7 +351,7 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
         finite = np.where(real & np.isfinite(values), values, np.inf)
         first = np.argmin(finite, axis=0)
         low = finite[first, np.arange(len(cols))]
-        better = np.flatnonzero(low < best_f[cols])
+        better = (low < best_f[cols]).nonzero()[0]
         best_f[cols[better]] = low[better]
         best_x[cols[better]] = pts[first[better], better]
         return values
@@ -357,11 +368,13 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
 
     while True:
         # a start that ended an iteration stops on its budget, or on scipy's
-        # tolerances; the x-spread is computed only where the f-spread passes
+        # tolerances; the x-spread is computed only where the f-spread passes.
+        # Each start's values are sorted, so scipy's max |f0 - f_i| <= FATOL is
+        # f_N - f0 <= FATOL: rounded subtraction is monotone, argsort puts NaN
+        # last, and every NaN or inf case reads False both ways
         over = nfev[ended] >= maxfev
         stop, rest = ended[over], ended[~over]
-        fs = fsim[:, rest]
-        near = np.flatnonzero(np.abs(fs[:1] - fs[1:]).max(axis=0) <= FATOL)
+        near = (fsim[-1, rest] - fsim[0, rest] <= FATOL).nonzero()[0]
         if near.size:
             s = sim[:, rest[near]]
             done = near[np.abs(s[1:] - s[:1]).max(axis=(0, 2)) <= XATOL]
@@ -391,23 +404,25 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
         # a reflection is kept, or chooses the expansion or contraction to
         # try next; a start whose budget ran out ends here, as scipy's does
         reflected = step == 0
+        below_worst = f < fsim[-1]
         chosen = np.where(f < fsim[0], 1, np.where(f < fsim[-2], 0,
-                                                   np.where(f < fsim[-1], 2, 3)))
+                                                   np.where(below_worst, 2, 3)))
         keep = np.where(reflected, chosen == 0,
                         np.where(step == 1, f < fxr,
-                                 np.where(step == 2, f <= fxr, f < fsim[-1])))
-        pending = reflected & ~keep & (nfev < maxfev)
+                                 np.where(step == 2, f <= fxr, below_worst)))
+        failed = ~keep
+        pending = reflected & failed & (nfev < maxfev)
         # a failed expansion falls back on its reflection (recomputed: the
         # centroid and the worst vertex have not moved since), a failed
         # contraction on a shrink
-        back = ~keep & (step == 1)
+        back = failed & (step == 1)
         if back.any():
             np.copyto(worst, (1 + rho) * xbar - rho * worst, where=back[:, None])
             np.copyto(fsim[-1], fxr, where=back)
         np.copyto(worst, x, where=keep[:, None])
         np.copyto(fsim[-1], f, where=keep)
         np.copyto(fxr, f, where=pending)
-        shrink = np.flatnonzero(~keep & (step > 1))
+        shrink = (failed & (step > 1)).nonzero()[0]
         step = np.where(pending, chosen, 0)
 
         # a failed contraction shrinks towards the best vertex, evaluating
@@ -419,7 +434,7 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
             sim[:, shrink] = sv
 
         # the starts that ended an iteration begin the next with a reflection
-        ended = np.flatnonzero(~pending)
+        ended = (~pending).nonzero()[0]
         xbar[ended] = np.add.reduce(_sort(sim, fsim, ended)[:-1], 0) / n
 
     return res
@@ -532,7 +547,8 @@ def optimize(
     def negative_objective(x):
         nonlocal n_nonfinite
         values = objective(x, g0)
-        n_nonfinite += int(np.count_nonzero(~np.isfinite(values)))
+        if not np.isfinite(values).all():
+            n_nonfinite += int(np.count_nonzero(~np.isfinite(values)))
         return -values
 
     rng = np.random.default_rng(seed)

@@ -208,6 +208,8 @@ def thermal(nbar: float, n: int = 1) -> GaussianState:
     """Thermal state with mean occupation ``nbar`` per mode."""
     if nbar < 0.0:
         raise ParamOutOfRange(f"mean occupation must be >= 0, got {nbar}")
+    if not np.isfinite(2.0 * float(nbar)):
+        raise MalformedInput(f"mean occupation {nbar!r} is not finite, or too large for float64")
     if n < 1:
         raise DimensionError(f"mode count must be >= 1, got {n}")
     return GaussianState(mean=np.zeros(2 * n), cov=(1.0 + 2.0 * nbar) * np.eye(2 * n))

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    MalformedInput,
     NotPositiveDefinite,
     NotSymplectic,
     ParamOutOfRange,
@@ -48,6 +49,10 @@ from .errors import (
 #: 1e-13 reads 10x above the bound.
 SYMPLECTIC_ATOL = 1e-10
 SYMPLECTIC_RTOL = 1e-14
+
+#: Largest |entry| that the symplectic test takes: S Omega S^T sums products
+#: of two entries, which overflow float64 from about 1e154.
+_MAX_SYMPLECTIC_ENTRY = 1e150
 
 #: Largest condition number lambda_max / lambda_min of a covariance whose
 #: symplectic spectrum is computed. On tmsv(r) (condition number e^{4r}) the
@@ -108,12 +113,18 @@ def symplectic_error(s: np.ndarray) -> float:
 
 
 def assert_symplectic(s: np.ndarray) -> np.ndarray:
-    """Return ``s`` as a float array, raising :class:`NotSymplectic` if invalid."""
+    """Return ``s`` as a float array, raising :class:`NotSymplectic` if invalid,
+    and :class:`MalformedInput` for an inf entry or one beyond
+    ``_MAX_SYMPLECTIC_ENTRY``, which the test itself would overflow on."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise NotSymplectic(f"matrix of shape {s.shape} cannot be symplectic")
+    scale = float(np.abs(s).max())
+    if scale > _MAX_SYMPLECTIC_ENTRY:
+        raise MalformedInput(f"matrix entry of magnitude {scale:.3e} is beyond "
+                             f"{_MAX_SYMPLECTIC_ENTRY:.0e}, where S Omega S^T overflows float64")
     err = symplectic_error(s)
-    bound = max(SYMPLECTIC_ATOL, SYMPLECTIC_RTOL * float(np.abs(s).max()) ** 2)
+    bound = max(SYMPLECTIC_ATOL, SYMPLECTIC_RTOL * scale ** 2)
     if not err <= bound:
         raise NotSymplectic(f"||S Omega S^T - Omega||_max = {err:.3e} > {bound:.1e}")
     return s
@@ -135,9 +146,23 @@ def squeezer(r: float) -> np.ndarray:
     return np.diag([np.exp(r), np.exp(-r)])
 
 
+#: Largest |r| whose cosh and sinh are taken: cosh(710) is 1.1e308, near the
+#: top of float64, and cosh overflows to inf just past 710.47.
+_MAX_SQUEEZING = 710.0
+
+
+def _cosh_sinh(r: float):
+    """cosh(r) and sinh(r); :class:`MalformedInput` for a NaN or inf r, or an
+    |r| beyond ``_MAX_SQUEEZING``, close to where cosh overflows float64."""
+    if not abs(r) <= _MAX_SQUEEZING:
+        raise MalformedInput(f"cosh({r!r}) of a squeezing is not finite in float64 "
+                             f"(NaN, inf or |argument| > {_MAX_SQUEEZING:g})")
+    return np.cosh(r), np.sinh(r)
+
+
 def two_mode_squeezer(r: float) -> np.ndarray:
     """Two-mode squeezer; applied to vacuum it produces tmsv(r)."""
-    ch, sh = np.cosh(r), np.sinh(r)
+    ch, sh = _cosh_sinh(r)
     return np.block([[ch * _I2, sh * _Z], [sh * _Z, ch * _I2]])
 
 

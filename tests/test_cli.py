@@ -268,6 +268,40 @@ def test_fig2_run_refuses_a_non_symplectic_party(capsys, argv, message):
     assert capsys.readouterr().err == f"error: ||S Omega S^T - Omega||_max = {message}\n"
 
 
+_EYE16 = "1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
+
+#: Commands and the option of each that takes a squeezing: "OUT" is replaced
+#: by a path in the test's directory.
+_SQUEEZING_OPTIONS = [
+    ["state", "--kind", "tmsv", "--out", "OUT", "--r"],
+    ["channel", "make", "--kind", "filter", "--out", "OUT", "--r"],
+    ["channel", "make", "--kind", "identity-approx", "--out", "OUT", "--r-approx"],
+    ["channel", "make", "--kind", "attenuation", "--out", "OUT", "--r-approx"],
+    ["fig2", "run", "--out", "OUT", "--r"],
+    ["nogo", "--starts", "2", "--budget", "5", "--csv", "OUT", "--rs"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[*cmd, value] for cmd in _SQUEEZING_OPTIONS for value in ("inf", "nan", "1e300")],
+    ["nogo", "--rs", "0.2,-inf", "--csv", "OUT"],
+    ["fig2", "run", "--sb", _EYE16[:-1] + "inf", "--out", "OUT"],
+    ["fig2", "run", "--sa", "nan" + _EYE16[1:], "--out", "OUT"],
+    ["fig2", "run", "--sa", "1e300" + _EYE16[1:], "--out", "OUT"],
+    ["state", "--kind", "thermal", "--nbar", "inf", "--out", "OUT"],
+    ["state", "--kind", "thermal", "--nbar", "1e308", "--out", "OUT"],
+], ids=lambda argv: " ".join(a for a in argv if a != "OUT"))
+def test_non_finite_or_overflowing_numbers_are_input_problems(tmp_path, capsys, argv):
+    # refused with MalformedInput before numpy sees them: a RuntimeWarning
+    # (overflow in sinh, invalid value in matmul) fails the test as an error
+    out = tmp_path / "out"
+    assert run_cli([str(out) if a == "OUT" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input problem: ") and captured.err.count("\n") == 1
+    assert "Warning" not in captured.err and not captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["fig1", "verify", "--channel", "c.json", "--state", "s.json",
       "--samples", "0"], "--samples"),

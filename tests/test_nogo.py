@@ -128,8 +128,14 @@ def test_kernel_near_zero_on_pure_product_outputs(rng):
     assert values.max() <= 1e-11
 
 
+#: The initial simplices of 50 starts: 50 x 21 rows, eight full kernel blocks
+#: and a ragged one of 26 rows.
+INITIAL_SIMPLEX_ROWS = 50 * (N_PARAMS + 1)
+
+
 def test_kernel_batch_equals_rows_bit_for_bit(rng):
-    x = _random_starts(rng, 300)
+    assert INITIAL_SIMPLEX_ROWS == 8 * cvdist.nogo._BLOCK_ROWS + 26
+    x = _random_starts(rng, INITIAL_SIMPLEX_ROWS)
     x[:50, 4:6] *= 3.0  # some rows past the clamp
     for copy in (CRITERION_4_COPIES[3], CRITERION_4_COPIES[4]):
         g0 = tensor(copy, copy).cov
@@ -137,6 +143,7 @@ def test_kernel_batch_equals_rows_bit_for_bit(rng):
         rows = np.concatenate([objective(row[None], g0) for row in x])
         assert np.array_equal(batch, rows)
         assert np.array_equal(objective(x[7:40], g0), batch[7:40])
+        assert np.array_equal(objective(x[100:300], g0), batch[100:300])  # across a block edge
 
 
 def test_passive_equals_the_complex_unitary_form_bit_for_bit(rng):
@@ -154,8 +161,8 @@ def test_kernel_equals_the_oracle_kernel_bit_for_bit(rng, copy):
     for base in (4, 14):  # a fifth of the rows squeeze past the clamp
         x[:600, base:base + 2] *= rng.uniform(1.0, 3.0, size=(600, 2))
     g0 = tensor(copy, copy).cov
-    assert np.array_equal(objective(x, g0), kernel_oracle.objective(x, g0))
-    assert np.array_equal(objective(x[:1], g0), kernel_oracle.objective(x[:1], g0))
+    for rows in (x, x[:INITIAL_SIMPLEX_ROWS], x[:1]):
+        assert np.array_equal(objective(rows, g0), kernel_oracle.objective(rows, g0))
 
 
 def _three_draws_per_party(rng):
@@ -191,12 +198,16 @@ def _starts(n, seed):
 
 
 def _scipy_start(fun, start, budget):
-    """scipy's Nelder-Mead on ``fun`` row by row: (result, best x, best f)."""
+    """scipy's Nelder-Mead on ``fun`` row by row: (result, best x, best f).
+
+    The best point is the first of the lowest finite values, as ``minimize``
+    keeps it.
+    """
     seen = {"f": np.inf, "x": start}
 
     def f(x):
         value = fun(x[None])[0]
-        if value < seen["f"]:
+        if np.isfinite(value) and value < seen["f"]:
             seen["f"], seen["x"] = value, x.copy()
         return value
 
@@ -264,7 +275,10 @@ def test_minimize_matches_scipy_on_ties(budget):
 
 
 def _same_result(res, ref):
-    return all(np.array_equal(getattr(res, f), getattr(ref, f))
+    """The same bits in every field: signed zeros count as different."""
+    return all(getattr(res, f).dtype == getattr(ref, f).dtype
+               and getattr(res, f).shape == getattr(ref, f).shape
+               and getattr(res, f).tobytes() == getattr(ref, f).tobytes()
                for f in ("best_x", "best_f", "nfev", "converged"))
 
 
@@ -288,6 +302,40 @@ def test_minimize_equals_the_oracle_minimizer_on_ties(budget):
 
     x0 = np.random.default_rng(4).uniform(-2.0, 2.0, size=(8, 4))
     assert _same_result(minimize(fun, x0, budget), lockstep_oracle.minimize(fun, x0, budget))
+
+
+def _rough(x):
+    """Exact plateaus, +0.0 and -0.0 on the lowest one, and NaN, +inf and -inf regions."""
+    values = np.floor(4.0 * _bowl(x))
+    values = np.where(values == 0.0, np.copysign(0.0, x[:, 0] - 0.3), values)
+    values[x[:, 1] > 1.5] = np.nan
+    values[x[:, 1] < -1.5] = np.inf
+    values[x[:, 2] > 1.7] = -np.inf
+    return values
+
+
+@pytest.mark.parametrize("budget", [60, 400])
+def test_minimize_matches_on_non_finite_and_signed_zero_values(budget):
+    # the stopping test on sorted values, f_N - f_0 <= FATOL, against scipy's
+    # max |f_0 - f_i| <= FATOL where values are NaN, +-inf, +-0 or tied
+    x0 = np.random.default_rng(5).uniform(-2.0, 2.0, size=(16, 4))
+    x0[0] = [0.29, 0.3, 0.3, 0.3]  # on the lowest plateau: -0.0 and +0.0
+    x0[1] = [0.3, 1.6, 0.3, 0.3]  # in the NaN region
+    x0[2] = [0.3, -1.6, 0.3, 0.3]  # in the +inf region
+    x0[3] = [0.3, 0.3, 1.8, 0.3]  # in the -inf region
+    with np.errstate(invalid="ignore"):  # inf - inf in the value spread
+        res = minimize(_rough, x0, budget)
+        assert _same_result(res, lockstep_oracle.minimize(_rough, x0, budget))
+        refs = [_scipy_start(_rough, start, budget) for start in x0]
+    for k, (ref, ref_x, ref_f) in enumerate(refs):
+        assert res.nfev[k] == ref.nfev and res.converged[k] == ref.success
+        assert res.best_x[k].tobytes() == np.asarray(ref_x, dtype=float).tobytes()
+        assert np.float64(res.best_f[k]).tobytes() == np.float64(ref_f).tobytes()
+    seen = _rough(np.concatenate([x0, res.best_x]))
+    assert np.isnan(seen).any() and np.isposinf(seen).any() and np.isneginf(seen).any()
+    assert (seen == 0.0).any()
+    if budget == 400:
+        assert res.converged[0] and np.signbit(res.best_f[0])
 
 
 def _recording(fun, calls):
