@@ -46,7 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateQuadrature, DimensionError, DimensionMismatch, ParamOutOfRange
+from .errors import (DegenerateQuadrature, DimensionError, DimensionMismatch, MalformedInput,
+                     ParamOutOfRange)
 from .measurements import DyneKind, _dyne_plan, _factor, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
@@ -253,6 +254,8 @@ def attenuation_channel(eta: float, r_approx: float) -> GaussianChannel:
     Built as the loss channel acting on half of a finitely squeezed EPR pair;
     as r_approx grows the action converges to Gamma -> eta Gamma + (1-eta) I.
     """
+    if not np.isfinite(eta):
+        raise MalformedInput(f"transmissivity {eta!r} is not finite")
     if not 0.0 <= eta <= 1.0:
         raise ParamOutOfRange(f"transmissivity {eta} outside [0, 1]")
     if r_approx <= 0.0:

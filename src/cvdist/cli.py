@@ -34,7 +34,8 @@ explicit --seed flag. A CVDIST_SEED that is not an integer exits 2. The
 seeded commands (``channel make``, ``fig1 verify``, ``fig2 run``, ``nogo``)
 share one --seed option, so its default and help text are stated once.
 ``state`` and ``channel make`` refuse, with exit 2 and no file written, an
-option that their ``--kind`` does not read, rather than ignore it.
+option that their ``--kind`` does not read, rather than ignore it, and
+``fig2 run`` refuses ``--r`` with ``--copy1``.
 
 ``main`` builds the argparse tree once per process and reads CVDIST_SEED on
 every call into that option's default, so callers that run many commands in
@@ -391,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     f2_sub = p.add_subparsers(dest="fig2_command", required=True)
     pr = f2_sub.add_parser("run", help="run the protocol once", formatter_class=fmt,
                            parents=[_SEEDED])
-    pr.add_argument("--r", type=float, default=0.5, help="tmsv copies squeezing")
-    pr.add_argument("--copy1", default=None, help="state JSON overriding --r")
+    first = pr.add_mutually_exclusive_group()
+    first.add_argument("--r", type=float, default=0.5, help="tmsv copies squeezing")
+    first.add_argument("--copy1", default=None, help="state JSON instead of --r")
     pr.add_argument("--copy2", default=None, help="second copy (defaults to copy1)")
     pr.add_argument("--sa", default=None, help="16 comma-separated floats (4x4)")
     pr.add_argument("--sb", default=None, help="16 comma-separated floats (4x4)")

@@ -102,6 +102,17 @@ def test_filter_on_half_tmsv_composes_tanh():
     assert np.abs(out.cov - tmsv_cov_from_lambda(lam)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_in=0, n_out=1, choi_cov=np.eye(2)), "at least one input"),
+    (dict(n_in=1, n_out=1, choi_cov=tmsv(0.3).cov, partition=("in", "in")), "partition"),
+    (dict(n_in=1, n_out=2, choi_cov=tmsv(0.3).cov, choi_mean=np.zeros(4)),
+     "choi_cov of 2 modes"),
+], ids=["no-input", "partition", "choi-modes"])
+def test_channel_refuses_an_inconsistent_layout(kwargs, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        GaussianChannel(**kwargs)
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         apply(filter_channel(0.5), vacuum(2))

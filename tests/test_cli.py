@@ -70,6 +70,14 @@ def test_state_bad_params_exit_2(tmp_path):
     assert code == 2
 
 
+def test_custom_json_state_without_input_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run_cli(["state", "--kind", "custom-json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "input problem: state --kind custom-json needs --input\n"
+    assert not out.exists()
+
+
 def test_channel_make_and_apply(tmp_path):
     ch = tmp_path / "ch.json"
     st = tmp_path / "st.json"
@@ -290,6 +298,8 @@ _SQUEEZING_OPTIONS = [
     ["fig2", "run", "--sa", "1e300" + _EYE16[1:], "--out", "OUT"],
     ["state", "--kind", "thermal", "--nbar", "inf", "--out", "OUT"],
     ["state", "--kind", "thermal", "--nbar", "1e308", "--out", "OUT"],
+    *[["channel", "make", "--kind", "attenuation", "--out", "OUT", f"--eta={value}"]
+      for value in ("nan", "inf", "-inf")],
 ], ids=lambda argv: " ".join(a for a in argv if a != "OUT"))
 def test_non_finite_or_overflowing_numbers_are_input_problems(tmp_path, capsys, argv):
     # refused with MalformedInput before numpy sees them: a RuntimeWarning
@@ -302,20 +312,21 @@ def test_non_finite_or_overflowing_numbers_are_input_problems(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, flag", [
+@pytest.mark.parametrize("argv, message", [
     (["fig1", "verify", "--channel", "c.json", "--state", "s.json",
-      "--samples", "0"], "--samples"),
+      "--samples", "0"], "--samples: must be >= 1"),
     (["fig1", "verify", "--channel", "c.json", "--state", "s.json",
-      "--samples", "-4"], "--samples"),
-    (["nogo", "--rs", "0.5", "--starts", "-3", "--budget", "5"], "--starts"),
-    (["nogo", "--rs", "0.5", "--starts", "2", "--budget", "-5"], "--budget"),
-    (["nogo", "--rs", "0.5", "--starts", "2", "--budget", "0"], "--budget"),
-])
-def test_non_positive_counts_exit_2(capsys, argv, flag):
+      "--samples", "-4"], "--samples: must be >= 1"),
+    (["nogo", "--rs", "0.5", "--starts", "-3", "--budget", "5"], "--starts: must be >= 1"),
+    (["nogo", "--rs", "0.5", "--starts", "2", "--budget", "-5"], "--budget: must be >= 1"),
+    (["nogo", "--rs", "0.5", "--starts", "2", "--budget", "0"], "--budget: must be >= 1"),
+    (["nogo", "--rs", "0.5", "--starts", "abc"], "--starts: invalid int value: 'abc'"),
+], ids=["samples-0", "samples-neg", "starts-neg", "budget-neg", "budget-0", "starts-abc"])
+def test_counts_that_are_not_positive_ints_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+    assert f"argument {message}" in capsys.readouterr().err
 
 
 def test_fig2_run(tmp_path, capsys):
@@ -340,6 +351,17 @@ def test_fig2_run_honours_copy2_alone(tmp_path, capsys):
     assert copies[1] == copy2.to_dict()
 
 
+def test_fig2_run_refuses_r_with_copy1(tmp_path, capsys):
+    copy1 = tmp_path / "c.json"
+    copy1.write_text(tmsv(0.3).to_json())
+    out = tmp_path / "transcript.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", "run", "--r", "0.9", "--copy1", str(copy1), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --copy1: not allowed with argument --r" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nogo_sweep_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     args = ["nogo", "--rs", "0.2,0.5", "--starts", "2", "--budget", "150",
@@ -351,6 +373,18 @@ def test_nogo_sweep_csv(tmp_path, capsys):
     lines = first.decode().strip().splitlines()
     assert lines[0].startswith("r,input_EN,best_EN,gap")
     assert len(lines) == 3
+
+
+def test_nogo_violation_exits_5_and_still_writes_the_csv(tmp_path, capsys, monkeypatch):
+    # an objective one above E_N(tmsv(0.5)) = 1 is an apparent distillation
+    monkeypatch.setattr(cvdist.nogo, "objective", lambda x, g0: np.full(len(x), 2.0))
+    csv_path = tmp_path / "sweep.csv"
+    assert run_cli(["nogo", "--rs", "0.5", "--starts", "2", "--budget", "5",
+                    "--csv", str(csv_path)]) == 5
+    assert capsys.readouterr().err == ("NO-GO VIOLATION: gap -1.000e+00 < -1e-06 "
+                                       "(apparent distillation; inspect the certificate)\n")
+    row = dict(zip(*(line.split(",") for line in csv_path.read_text().splitlines())))
+    assert abs(float(row["gap"]) + 1.0) <= 1e-9
 
 
 def test_nogo_empty_rs_exit_2(capsys):

@@ -1,6 +1,6 @@
 """Import hygiene of ``src/cvdist``, read from each module's syntax tree.
 
-No linter ships with the test dependencies, so three checks read the trees:
+No linter ships with the test dependencies, so these checks read the trees:
 
 - No module keeps an import it does not use: every name an import binds
   must be read somewhere in that module, as a name or as the root of an
@@ -19,6 +19,10 @@ No linter ships with the test dependencies, so three checks read the trees:
   an attribute, a ``from x import`` name or a dotted string constant (the
   benchmark names the functions it times in strings); a definition is not
   a reference to itself.
+- The independent oracles in ``tests/`` stay independent of the code they
+  check: ``wigner_oracle.py`` and ``fock_oracle.py`` import nothing from
+  ``cvdist.measurements`` but the description of a measurement, and nothing
+  from ``cvdist.channels``, ``protocols``, ``nogo`` or ``entanglement``.
 """
 
 import ast
@@ -108,6 +112,33 @@ def referenced_names(source: str) -> set:
     return names
 
 
+#: What the independent oracles may import from each module whose results
+#: they check: a measurement's description, and nothing else.
+ORACLE_MAY_IMPORT = {"cvdist.measurements": {"DyneKind", "DyneSpec"}, "cvdist.channels": set(),
+                     "cvdist.protocols": set(), "cvdist.nogo": set(),
+                     "cvdist.entanglement": set()}
+ORACLES = [ROOT / "tests" / "wigner_oracle.py", ROOT / "tests" / "fock_oracle.py"]
+
+
+def checked_code_imports(source: str) -> list:
+    """(line, dotted name) of each import of a checked module, or of a name
+    from one, that ``ORACLE_MAY_IMPORT`` does not allow."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            module, _, leaf = name.rpartition(".")
+            if name in ORACLE_MAY_IMPORT or (module in ORACLE_MAY_IMPORT
+                                             and leaf not in ORACLE_MAY_IMPORT[module]):
+                hits.append((node.lineno, name))
+    return sorted(hits)
+
+
 def uncalled_public_names(modules: dict, callers: list) -> list:
     """(module, line, name) of each public definition in ``modules`` (name ->
     source) that no source in ``callers`` references."""
@@ -184,3 +215,26 @@ def test_public_name_without_a_caller_is_found():
     caller = "from m import used\nSPANS = {'m.traced': ('m', 'traced')}\n"
     assert uncalled_public_names({"m.py": module}, [module, caller]) == [(
         "m.py", 5, "Orphan")]
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)
+def test_oracle_imports_nothing_it_checks(path):
+    assert checked_code_imports(path.read_text()) == []
+
+
+def test_oracle_import_of_checked_code_is_found():
+    source = (
+        "import cvdist.nogo\n"
+        "import cvdist.states\n"
+        "from cvdist import entanglement, symplectic\n"
+        "from cvdist.measurements import DyneKind, DyneSpec, condition\n"
+        "from cvdist.channels import apply as apply_channel\n"
+        "from cvdist.protocols import *\n"
+    )
+    assert checked_code_imports(source) == [
+        (1, "cvdist.nogo"),
+        (3, "cvdist.entanglement"),
+        (4, "cvdist.measurements.condition"),
+        (5, "cvdist.channels.apply"),
+        (6, "cvdist.protocols.*"),
+    ]

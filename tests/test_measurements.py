@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from channel_helpers import choi_state
 from symplectic_oracle import beamsplitter, embed
-from wigner_oracle import TooManyModes, oracle_condition
+from wigner_oracle import _ORACLE_NODES, TooManyModes, _grid_moments, oracle_condition
 
 from cvdist.errors import (
     DegenerateQuadrature,
@@ -167,11 +169,19 @@ def test_condition_validation():
     (-2.0 * np.eye(2), NotPhysical),
     (np.array([[np.nan, 0.0], [0.0, 1.0]]), MalformedInput),
     (np.array([[1.0, 0.5], [0.0, 1.0]]), MalformedInput),
-], ids=["sub-vacuum", "negative-definite", "nan", "asymmetric"])
+    (None, DimensionMismatch),
+    (np.eye(4), DimensionMismatch),
+], ids=["sub-vacuum", "negative-definite", "nan", "asymmetric", "missing", "wrong-shape"])
 def test_general_dyne_requires_physical_gamma_m(gamma_m, error):
     with pytest.raises(error):
         spec = DyneSpec(modes=(1,), kind=DyneKind.GENERAL, gamma_m=gamma_m)
         condition(tmsv(0.3), spec, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("modes", [(), (0, 0), (-1,)], ids=["none", "repeated", "negative"])
+def test_dyne_spec_refuses_bad_modes(modes):
+    with pytest.raises(DimensionMismatch, match="distinct, non-negative"):
+        DyneSpec(modes=modes, kind=DyneKind.HETERODYNE)
 
 
 @pytest.mark.parametrize("kind", [k for k in DyneKind if k is not DyneKind.GENERAL],
@@ -460,6 +470,48 @@ def test_oracle_rejects_large_states(rng):
     state = random_state(4, rng)
     with pytest.raises(TooManyModes):
         oracle_condition(state, HET1, [0.0, 0.0])
+
+
+def _gaussian_form(dim, seed):
+    """A random exp(-r^T q r + lin . r), and grid centers and scales near its mass."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    q = a @ a.T / dim + np.eye(dim)
+    lin = rng.normal(size=dim)
+    cov = np.linalg.inv(2.0 * q)
+    return q, lin, cov @ lin + 0.05, 1.1 * np.sqrt(np.diag(cov))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_grid_moments_are_the_point_by_point_sums(dim):
+    # the marginal sums against the same sums written out grid point by point
+    q, lin, centers, scales = _gaussian_form(dim, 700 + dim)
+    nodes = {1: 64, 2: 64, 3: 24, 4: 12, 5: 8, 6: 6}[dim]
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    idx = np.indices((nodes,) * dim).reshape(dim, -1).T
+    r = centers + np.sqrt(2.0) * scales * t[idx]
+    log_f = np.log(w[idx] * np.exp(t[idx] ** 2)).sum(axis=1) \
+        - np.einsum("ni,ij,nj->n", r, q, r) + r @ lin
+    f = np.exp(log_f - log_f.max())
+    mean = f @ r / f.sum()
+    cov = (r - mean).T @ ((r - mean) * f[:, None]) / f.sum()
+    first, second = _grid_moments(q, lin, centers, scales, nodes)
+    assert_allclose(first, mean, rtol=0, atol=1e-12)
+    assert_allclose(second, cov, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_grid_moments_hold_one_full_grid(dim):
+    # the integrand is the only array as large as the grid
+    q, lin, centers, scales = _gaussian_form(dim, 720 + dim)
+    nodes = _ORACLE_NODES[dim]
+    tracemalloc.start()
+    try:
+        _grid_moments(q, lin, centers, scales, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * nodes ** dim
 
 
 def test_oracle_bell_pipeline_matches_eq7():

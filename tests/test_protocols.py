@@ -408,6 +408,8 @@ def test_fig2_output_covariance_outcome_independent(rng):
 def test_fig2_validation(rng):
     with pytest.raises(DimensionMismatch):
         build_fig2(np.eye(4), np.eye(4), vacuum(1), tmsv(0.2))
+    with pytest.raises(DimensionMismatch, match="4x4"):
+        build_fig2(np.eye(4), np.eye(2), tmsv(0.2), tmsv(0.2))
     from cvdist.errors import NotSymplectic
     with pytest.raises(NotSymplectic):
         build_fig2(np.diag([2.0, 1.0, 1.0, 1.0]), np.eye(4), tmsv(0.2), tmsv(0.2))

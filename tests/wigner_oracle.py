@@ -6,6 +6,8 @@ grid, independently of the closed-form Schur complements in
 ``cvdist.measurements``; tests compare the two. Limited to three modes.
 """
 
+import itertools
+
 import numpy as np
 
 from cvdist.errors import CvdistError, DimensionMismatch
@@ -30,43 +32,41 @@ def _grid_moments(q, lin, centers, scales, nodes):
     """First and second moments of exp(-r^T q r + lin . r) on a tensor grid.
 
     The grid is Gauss-Hermite per axis, affinely mapped by ``centers`` and
-    ``scales``; constant prefactors cancel in the moment ratios. Accumulation
-    happens in two preallocated buffers to keep the 6-dimensional grids cheap.
+    ``scales``; constant prefactors cancel in the moment ratios. Each moment
+    is summed over the marginal of the integrand on the axes it reads.
     """
     dim = len(centers)
     t, logw = _hermite_nodes(nodes)
-    broad = []
-    for j in range(dim):
-        shape = [1] * dim
-        shape[j] = nodes
-        broad.append((centers[j] + np.sqrt(2.0) * scales[j] * t).reshape(shape))
+    axes = list(range(dim))
+    r = [centers[j] + np.sqrt(2.0) * scales[j] * t for j in axes]
+    col = [r[j].reshape((nodes,) + (1,) * (dim - 1 - j)) for j in axes]  # on axes j..
 
-    full = (nodes,) * dim
-    log_f = np.zeros(full)
-    tmp = np.empty(full)
-    for j in range(dim):
-        shape = [1] * dim
-        shape[j] = nodes
-        rj = broad[j]
-        log_f += (lin[j] - q[j, j] * rj) * rj + logw.reshape(shape)
-        for k in range(j + 1, dim):
-            np.multiply(rj, broad[k], out=tmp)
-            tmp *= -2.0 * q[j, k]
-            log_f += tmp
+    # the exponent on axes j.., built from the last axis back with axis j's
+    # cross terms gathered on the axes after it: log_f is the one full grid
+    log_f = 0.0
+    for j in reversed(axes):
+        term = -2.0 * col[j] * sum(q[j, k] * col[k] for k in axes[j + 1:])
+        term += ((lin[j] - q[j, j] * r[j]) * r[j] + logw).reshape(col[j].shape)
+        term += log_f
+        log_f = term
     log_f -= log_f.max()
     f = np.exp(log_f, out=log_f)
 
-    s0 = f.sum()
-    first = np.empty(dim)
-    second = np.empty((dim, dim))
-    tmp2 = np.empty(full)
-    for j in range(dim):
-        fj = np.multiply(f, broad[j], out=tmp)
-        first[j] = fj.sum() / s0
-        for k in range(j, dim):
-            np.multiply(fj, broad[k], out=tmp2)
-            second[j, k] = second[k, j] = tmp2.sum() / s0
-    return first, second - np.outer(first, first)
+    # every pair of axes misses one of the first three, so its marginal is
+    # summed from f less that axis, a grid ``nodes`` times smaller than f
+    sources = [(f, axes)] + [(f.sum(axis=i), axes[:i] + axes[i + 1:]) for i in axes[:3]]
+
+    def marginal(*keep):  # f summed over every other axis, from the smallest source
+        g, labels = min((s for s in sources if set(keep) <= set(s[1])), key=lambda s: s[0].size)
+        return np.einsum(g, labels, list(keep))
+
+    m = [marginal(j) for j in axes]
+    second = np.diag([r[j] ** 2 @ m[j] for j in axes])
+    for j, k in itertools.combinations(axes, 2):
+        second[j, k] = second[k, j] = r[j] @ marginal(j, k) @ r[k]
+    s0 = m[0].sum()
+    first = np.array([r[j] @ m[j] for j in axes]) / s0
+    return first, second / s0 - np.outer(first, first)
 
 
 def oracle_condition(
