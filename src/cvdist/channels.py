@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -66,7 +65,9 @@ class GaussianChannel:
     """Gaussian CP map stored as a Choi-state covariance with mode partition.
 
     ``partition`` assigns each Choi mode the role "in" or "out", in Choi mode
-    order; it defaults to all inputs first, then all outputs.
+    order; it defaults to all inputs first, then all outputs. Construction
+    sets ``input_modes``, the Choi modes marked "in", and ``_plan``, their
+    general-dyne plan (``measurements._dyne_plan``, one per layout).
     """
 
     n_in: int
@@ -102,18 +103,9 @@ class GaussianChannel:
         object.__setattr__(self, "choi_cov", choi.cov)
         object.__setattr__(self, "choi_mean", choi.mean)
         object.__setattr__(self, "partition", partition)
-
-    # -- block bookkeeping: computed once per channel, planned once per layout
-
-    @cached_property
-    def input_modes(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.partition) if p == "in")
-
-    @cached_property
-    def _plan(self):
-        """The general-dyne plan of the Choi input modes: A is the measured
-        block, the outputs are kept."""
-        return _dyne_plan(self.n_in + self.n_out, self.input_modes, DyneKind.GENERAL)
+        input_modes = tuple(i for i, p in enumerate(partition) if p == "in")
+        object.__setattr__(self, "input_modes", input_modes)
+        object.__setattr__(self, "_plan", _dyne_plan(n, input_modes, DyneKind.GENERAL))
 
     # -- serialization --------------------------------------------------------
 

@@ -13,14 +13,14 @@ canon                    canonicalize a pure three-mode state
 Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (NaN/inf
 entries, asymmetric covariance, a squeezing or occupation whose covariance
 overflows float64, a matrix entry too large for the symplectic test), a
-covariance too ill-conditioned for
-float64 to resolve its symplectic spectrum or physicality
-(``SingularConditioning``), or a measured block or a channel's conditioning
-matrix too degenerate to condition on (``DegenerateQuadrature``), 3
-unphysical input (any ``NotPhysical``: a state, checked when ``state``
-builds it or a command loads it, or a Choi covariance failing
-Gamma + i Omega >= 0, a covariance that is not positive definite, or a
-state that is not pure), 4 dimension mismatch (any
+count above its memory bound (MAX_MODES, MAX_STARTS, MAX_SAMPLE_ENTRIES), a
+covariance too ill-conditioned for float64 to resolve its symplectic
+spectrum or physicality (``SingularConditioning``), or a measured block or a
+channel's conditioning matrix too degenerate to condition on
+(``DegenerateQuadrature``), 3 unphysical input (any ``NotPhysical``: a
+state, checked when ``state`` builds it or a command loads it, or a Choi
+covariance failing Gamma + i Omega >= 0, a covariance that is not positive
+definite, or a state that is not pure), 4 dimension mismatch (any
 ``DimensionMismatch``: also ``DimensionError``, ``EmptyKeepSet``,
 ``InvalidSplit`` and ``NotThreeMode``), 5 claim violation (verification
 failure or an apparent distillation gap, which CI should treat as an alarm,
@@ -79,6 +79,12 @@ DEFAULT_SEED = 20120521
 #: gain 7e-4 to 0.1 (filter and identity-approx, vacuum and coherent inputs).
 FIG1_TOL = 1e-9
 
+#: Counts above these exit 2 before anything they size is allocated, each set
+#: by the memory of what it sizes (tracemalloc peaks, numpy 2.4).
+MAX_MODES = 512  # (2n)^2 float64 as JSON: 61 MB for state, 252 MB for identity-approx
+MAX_STARTS = 10_000  # nogo's 21 x 20 simplex per start, 10 kB with working copies: 100 MB
+MAX_SAMPLE_ENTRIES = 4_000_000  # run_fig1's (samples, 2N) stacks, N input + Choi modes: 120 MB
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CLAIM = 5
@@ -106,6 +112,11 @@ def _build(args, kinds: dict):
     if unread:
         raise ValueError(f"--kind {args.kind} does not read {', '.join(unread)}")
     return builder(*(getattr(args, dest) for dest in reads))
+
+
+def _at_most(option: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise ValueError(f"{option} {value} is above {bound}, the largest accepted here")
 
 
 def _default_seed() -> int:
@@ -186,6 +197,7 @@ _CHANNEL_KINDS = {"identity-approx": (("modes", "r_approx"), choi_from_truncated
 
 
 def _cmd_state(args) -> int:
+    _at_most("--modes", args.modes, MAX_MODES)
     state = _build(args, _STATE_KINDS).require_physical()
     write_text_atomic(args.out, state.to_json())
     print(f"wrote {args.kind} state ({state.modes} modes) to {args.out}")
@@ -193,6 +205,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_channel_make(args) -> int:
+    _at_most("--modes", args.modes, MAX_MODES)
     ch = _build(args, _CHANNEL_KINDS)
     write_text_atomic(args.out, ch.to_json())
     print(f"wrote {args.kind} channel ({ch.n_in}-in/{ch.n_out}-out) to {args.out}")
@@ -224,7 +237,9 @@ def _cmd_logneg(args) -> int:
 def _cmd_fig1_verify(args) -> int:
     ch = _load_channel(args.channel)
     state = _load_state(args.state)
-    run = run_fig1(ch, state, args.samples, np.random.default_rng(args.seed))
+    _at_most("--samples", args.samples,
+             MAX_SAMPLE_ENTRIES // (len(state.cov) + len(ch.choi_cov)))
+    run = run_fig1(ch, state, args.samples, args.seed)
     bound = FIG1_TOL * max(1.0, *(float(np.abs(a).max()) for a in
                                   (ch.choi_cov, ch.choi_mean, state.cov, state.mean)))
     ok = run.max_cov_deviation < bound and run.max_mean_deviation < bound
@@ -248,8 +263,7 @@ def _cmd_fig2_run(args) -> int:
     copy2 = _load_state(args.copy2) if args.copy2 else copy1
     s_a = np.array(_parse_floats(args.sa)).reshape(4, 4) if args.sa else np.eye(4)
     s_b = np.array(_parse_floats(args.sb)).reshape(4, 4) if args.sb else np.eye(4)
-    pro = build_fig2(s_a, s_b, copy1, copy2,
-                     seed=np.random.default_rng(args.seed) if args.sample_outcomes else None)
+    pro = build_fig2(s_a, s_b, copy1, copy2, seed=args.seed if args.sample_outcomes else None)
     transcript = {
         "s_a": s_a.tolist(),
         "s_b": s_b.tolist(),
@@ -268,6 +282,7 @@ def _cmd_fig2_run(args) -> int:
 
 
 def _cmd_nogo(args) -> int:
+    _at_most("--starts", args.starts, MAX_STARTS)
     if args.input:
         state = _load_state(args.input)
         certs = [nogo_mod.optimize((state, state), n_starts=args.starts,
@@ -441,7 +456,7 @@ def main(argv=None) -> int:
     except CvdistError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, KeyError, ValueError) as exc:
         print(f"input problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

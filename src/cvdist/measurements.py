@@ -95,18 +95,17 @@ class DyneSpec:
             raise DimensionMismatch(f"measured modes {modes} must be distinct, "
                                     "non-negative and at least one")
         object.__setattr__(self, "modes", modes)
-        if self.gamma_m is not None:
-            if self.kind is not DyneKind.GENERAL:
-                raise ParamOutOfRange(f"{self.kind.name} dyne takes no gamma_m; "
-                                      "use GENERAL for a given measurement covariance")
-            object.__setattr__(self, "gamma_m",
-                               _freeze(np.asarray(self.gamma_m, dtype=float)))
+        if self.kind is not DyneKind.GENERAL and self.gamma_m is not None:
+            raise ParamOutOfRange(f"{self.kind.name} dyne takes no gamma_m; "
+                                  "use GENERAL for a given measurement covariance")
         if self.kind is DyneKind.GENERAL:
-            if self.gamma_m is None or self.gamma_m.shape != (2 * m, 2 * m):
+            if self.gamma_m is None or np.shape(self.gamma_m) != (2 * m, 2 * m):
                 raise DimensionMismatch(
                     f"general dyne on {m} modes needs a {2 * m}x{2 * m} gamma_m"
                 )
-            GaussianState(mean=np.zeros(2 * m), cov=self.gamma_m).require_physical()
+            # keep the covariance that was checked: copied, symmetrized, frozen
+            checked = GaussianState(mean=np.zeros(2 * m), cov=self.gamma_m).require_physical()
+            object.__setattr__(self, "gamma_m", checked.cov)
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,6 @@ three copies: each step keeps nu~_- >= min(its input's, 1).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -607,18 +605,9 @@ CSV_COLUMNS = ("r", "input_EN", "best_EN", "gap", "n_starts", "n_evals", "seed")
 
 
 def certificates_csv(certs, r_values) -> str:
-    """Deterministic CSV table for a sweep (columns fixed by CSV_COLUMNS)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r, cert in zip(r_values, certs):
-        writer.writerow([
-            repr(float(r)),
-            repr(cert.input_e_n),
-            repr(cert.best_e_n),
-            repr(cert.gap),
-            cert.n_starts,
-            cert.n_evals,
-            cert.seed,
-        ])
-    return buf.getvalue()
+    """Deterministic CSV table for a sweep (columns fixed by CSV_COLUMNS).
+    Every field is a float's repr or an int, so none needs quoting."""
+    lines = [",".join(CSV_COLUMNS)] + [
+        f"{float(r)!r},{c.input_e_n!r},{c.best_e_n!r},{c.gap!r},{c.n_starts},{c.n_evals},"
+        f"{c.seed}" for r, c in zip(r_values, certs)]
+    return "\n".join(lines) + "\n"

@@ -62,7 +62,7 @@ class Fig1Run:
     is the last sample's state.
     """
 
-    sampled_outcomes: tuple
+    sampled_outcomes: np.ndarray  # (n_samples, 2 n_in): one Bell outcome per sample
     corrected_output: GaussianState
     reference_output: GaussianState
     max_cov_deviation: float  # worst |corrected cov - closed-form cov|
@@ -123,7 +123,7 @@ def run_fig1(
     corrected = GaussianState._computed(means[-1], cov)
 
     return Fig1Run(
-        sampled_outcomes=tuple(outcomes),
+        sampled_outcomes=outcomes,
         corrected_output=corrected,
         reference_output=reference,
         max_cov_deviation=float(np.abs(corrected.cov - reference.cov).max()),

@@ -115,7 +115,9 @@ def symplectic_error(s: np.ndarray) -> float:
 def assert_symplectic(s: np.ndarray) -> np.ndarray:
     """Return ``s`` as a float array, raising :class:`NotSymplectic` if invalid,
     and :class:`MalformedInput` for an inf entry or one beyond
-    ``_MAX_SYMPLECTIC_ENTRY``, which the test itself would overflow on."""
+    ``_MAX_SYMPLECTIC_ENTRY``, which the test itself would overflow on. The
+    bound covers one matrix's rounding; a product's follows its factors'
+    norms, not its own, so a caller who checks a product checks its factors."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise NotSymplectic(f"matrix of shape {s.shape} cannot be symplectic")

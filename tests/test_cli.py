@@ -112,6 +112,52 @@ def test_identity_approx_without_modes_exits_4(tmp_path, capsys, modes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["vacuum", "thermal"])
+@pytest.mark.parametrize("modes", ["0", "-1"])
+def test_state_without_modes_exits_4(tmp_path, capsys, kind, modes):
+    out = tmp_path / "st.json"
+    assert run_cli(["state", "--kind", kind, "--modes", modes, "--out", str(out)]) == 4
+    assert "mode count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: A 1+1-mode channel and a one-mode input: 2N = 6 quadratures together.
+_FIG1_FILES = ["fig1", "verify", "--channel", "CH", "--state", "ST", "--out", "OUT"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", "--kind", "vacuum", "--modes", "100000000"], "--modes 100000000"),
+    (["state", "--kind", "thermal", "--modes", "100000000"], "--modes 100000000"),
+    (["state", "--kind", "vacuum", "--modes", str(cvdist.cli.MAX_MODES + 1)],
+     f"--modes {cvdist.cli.MAX_MODES + 1} is above {cvdist.cli.MAX_MODES},"),
+    (["channel", "make", "--kind", "identity-approx", "--modes", "100000000"],
+     "--modes 100000000"),
+    (["nogo", "--rs", "0.5", "--starts", "100000000000000", "--budget", "1", "--csv", "OUT"],
+     "--starts 100000000000000"),
+    (["nogo", "--rs", "0.5", "--starts", str(cvdist.cli.MAX_STARTS + 1), "--csv", "OUT"],
+     f"--starts {cvdist.cli.MAX_STARTS + 1} is above {cvdist.cli.MAX_STARTS},"),
+    ([*_FIG1_FILES, "--samples", "100000000000000"], "--samples 100000000000000"),
+    ([*_FIG1_FILES, "--samples", str(cvdist.cli.MAX_SAMPLE_ENTRIES // 6 + 1)],
+     f"--samples {cvdist.cli.MAX_SAMPLE_ENTRIES // 6 + 1} is above "
+     f"{cvdist.cli.MAX_SAMPLE_ENTRIES // 6},"),
+], ids=["vacuum", "thermal", "vacuum-bound", "identity-approx", "starts", "starts-bound",
+        "samples", "samples-bound"])
+def test_counts_too_large_to_allocate_are_input_problems(tmp_path, capsys, argv, message):
+    # refused before anything they size is allocated: the larger counts here
+    # would ask numpy for petabytes
+    ch, st, out = tmp_path / "ch.json", tmp_path / "st.json", tmp_path / "out"
+    ch.write_text(choi_from_truncated_epr(1, 2.0).to_json())
+    st.write_text(GaussianState(mean=[0.0, 0.0], cov=np.eye(2)).to_json())
+    if argv[0] in ("state", "channel"):
+        argv = [*argv, "--out", "OUT"]
+    paths = {"CH": str(ch), "ST": str(st), "OUT": str(out)}
+    assert run_cli([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input problem: {message}")
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not out.exists()
+
+
 def test_pure_state_the_nu_test_refused_round_trips(tmp_path, capsys):
     # the nu test refused tmsv(3.96) (nu_min 0.999999998628, exit 3)
     out = tmp_path / "st.json"

@@ -178,6 +178,20 @@ def test_general_dyne_requires_physical_gamma_m(gamma_m, error):
         condition(tmsv(0.3), spec, [0.0, 0.0])
 
 
+def test_general_dyne_keeps_the_gamma_m_it_checked():
+    # asymmetric within SYMMETRY_RTOL, so accepted; the spec keeps the checked,
+    # symmetrized copy, which the Cholesky factor (lower triangle of V) and the
+    # update's solve (all of V) read alike, and leaves the caller's array as it is
+    given = np.array([[2.0, 1e-13], [0.0, 0.5]])
+    spec = DyneSpec(modes=(0,), kind=DyneKind.GENERAL, gamma_m=given)
+    assert np.array_equal(spec.gamma_m, (given + given.T) / 2.0)
+    assert not spec.gamma_m.flags.writeable and given.flags.writeable
+    same = DyneSpec(modes=(0,), kind=DyneKind.GENERAL, gamma_m=spec.gamma_m.copy())
+    state = tmsv(0.7)
+    assert np.array_equal(condition(state, spec, [0.3, -0.2]).mean,
+                          condition(state, same, [0.3, -0.2]).mean)
+
+
 @pytest.mark.parametrize("modes", [(), (0, 0), (-1,)], ids=["none", "repeated", "negative"])
 def test_dyne_spec_refuses_bad_modes(modes):
     with pytest.raises(DimensionMismatch, match="distinct, non-negative"):

@@ -28,7 +28,7 @@ from cvdist.nogo import (
     sweep,
 )
 from cvdist.protocols import build_fig2
-from cvdist.states import GaussianState, tensor, thermal, tmsv
+from cvdist.states import GaussianState, tensor, thermal, tmsv, vacuum
 from cvdist.symplectic import symplectic_error
 
 COPIES_HALF = (tmsv(0.5), tmsv(0.5))
@@ -590,4 +590,27 @@ def test_search_finds_the_better_copy(r1, r2):
                     rtol=0, atol=1e-9)
     cert = optimize(copies, n_starts=20, seed=404, budget=2000)
     assert cert.best_e_n >= 2 * max(r1, r2) - 1e-8
+    assert cert.gap >= -GAP_TOL
+
+
+#: A two-mode standard form with c1 != -c2 (a = b = cosh 1, c1 = 0.9 sinh 1,
+#: c2 = -0.7 sinh 1; E_N = 0.525): not phase-symmetric like tmsv inputs.
+_A, _C = np.cosh(1.0), np.sinh(1.0)
+STANDARD_FORM = GaussianState(mean=np.zeros(4), cov=[[_A, 0, 0.9 * _C, 0],
+                                                      [0, _A, 0, -0.7 * _C],
+                                                      [0.9 * _C, 0, _A, 0],
+                                                      [0, -0.7 * _C, 0, _A]])
+
+
+@pytest.mark.parametrize("state, seed", [
+    (tmsv(0.5), 404), (CRITERION_4_COPIES[-1], 405), (STANDARD_FORM, 406),
+], ids=["tmsv-0.5", "mixed", "standard-form"])
+def test_single_copy_search_finds_no_gain(state, seed):
+    # a vacuum second copy turns the Fig. 2 search into the single-copy one:
+    # each party applies a 4x4 symplectic to its mode and one vacuum ancilla,
+    # then heterodynes the ancilla, which covers local squeezers, rotations
+    # and the noiseless filters; at criterion 4's effort no point beats E_in
+    cert = optimize((state, vacuum(2)), n_starts=50, seed=seed, budget=2000,
+                    input_description="single copy, one vacuum ancilla per party")
+    assert cert.input_e_n > 0.5
     assert cert.gap >= -GAP_TOL
