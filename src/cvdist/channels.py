@@ -45,8 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateQuadrature, DimensionError, DimensionMismatch, MalformedInput,
-                     ParamOutOfRange)
+from .errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, ParamOutOfRange
 from .measurements import DyneKind, _dyne_plan, _factor, _gaussian_update
 from .states import (
     PHYSICALITY_TOL,
@@ -221,7 +220,7 @@ def choi_from_truncated_epr(n: int, r_approx: float) -> GaussianChannel:
     The channel converges to the identity as r_approx grows.
     """
     if n < 1:
-        raise DimensionError(f"mode count must be >= 1, got {n}")
+        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
     if r_approx <= 0.0:
         raise ParamOutOfRange(f"approximation squeezing must be > 0, got {r_approx}")
     pair = tmsv(r_approx).cov

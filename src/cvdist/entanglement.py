@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSplit
+from .errors import DimensionMismatch
 from .states import GaussianState
 from .symplectic import _momentum_flip, symplectic_eigenvalues
 
@@ -33,18 +33,18 @@ class BipartiteSplit:
         alice = tuple(int(m) for m in self.alice)
         bob = tuple(int(m) for m in self.bob)
         if not alice or not bob:
-            raise InvalidSplit("both parties need at least one mode")
+            raise DimensionMismatch("both parties need at least one mode")
         if len(set(alice)) < len(alice) or len(set(bob)) < len(bob):
-            raise InvalidSplit(f"a party lists a mode twice: {alice}|{bob}")
+            raise DimensionMismatch(f"a party lists a mode twice: {alice}|{bob}")
         if set(alice) & set(bob):
-            raise InvalidSplit(f"parties overlap: {set(alice) & set(bob)}")
+            raise DimensionMismatch(f"parties overlap: {set(alice) & set(bob)}")
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
 
     def validate_for(self, n_modes: int) -> None:
         modes = set(self.alice) | set(self.bob)
         if modes != set(range(n_modes)):
-            raise InvalidSplit(
+            raise DimensionMismatch(
                 f"split {self.alice}|{self.bob} does not cover modes 0..{n_modes - 1}"
             )
 

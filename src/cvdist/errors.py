@@ -1,13 +1,11 @@
 """Exception taxonomy for the toolkit.
 
-Every error raised on purpose by this package derives from :class:`CvdistError`,
-so callers (and the CLI) can map failures to exit codes without matching on
-message strings. Each class carries its CLI exit code (``exit_code``) and the
-label the CLI prints before its message (``label``), and subclasses inherit
-both: every :class:`NotPhysical` (an unphysical state or Choi covariance, a
-covariance that is not positive definite, or a state that is not pure) exits
-3, every :class:`DimensionMismatch` exits 4, and any other
-:class:`CvdistError` exits 2.
+Every error raised on purpose by this package is a direct subclass of
+:class:`CvdistError`, so callers (and the CLI) can map failures to exit codes
+without matching on message strings; the message names the reason. Each
+class carries its CLI exit code (``exit_code``) and the label the CLI prints
+before its message (``label``): :class:`NotPhysical` exits 3,
+:class:`DimensionMismatch` exits 4, and any other class exits 2.
 """
 
 
@@ -23,13 +21,11 @@ class MalformedInput(CvdistError, ValueError):
 
 
 class DimensionMismatch(CvdistError):
-    """Two objects that must share a dimension do not."""
+    """A dimension is wrong: a mode count below 1, a split that does not
+    partition the modes, an empty keep set, a state with the wrong mode count,
+    or two objects that must share a dimension and do not."""
     exit_code = 4
     label = "dimension problem"
-
-
-class DimensionError(DimensionMismatch):
-    """A dimension is structurally invalid (e.g. zero modes)."""
 
 
 class NotSymplectic(CvdistError):
@@ -37,13 +33,10 @@ class NotSymplectic(CvdistError):
 
 
 class NotPhysical(CvdistError):
-    """Input is not physical: Gamma + i Omega >= 0 fails; see subclasses."""
+    """Input is not physical: Gamma + i Omega >= 0 fails, the covariance is
+    not positive definite, or a state required to be pure is not."""
     exit_code = 3
     label = "unphysical input"
-
-
-class NotPositiveDefinite(NotPhysical):
-    """Matrix required to be positive definite is not."""
 
 
 class SingularConditioning(CvdistError):
@@ -58,21 +51,5 @@ class DegenerateQuadrature(CvdistError):
     variance given the earlier ones is below 1e-12 x max(1, its own)."""
 
 
-class InvalidSplit(DimensionMismatch):
-    """Bipartite split does not partition the modes of the state."""
-
-
-class EmptyKeepSet(DimensionMismatch):
-    """partial_trace asked to keep no modes."""
-
-
 class ParamOutOfRange(CvdistError):
     """Parameter outside its documented domain."""
-
-
-class NotPure(NotPhysical):
-    """State required to be pure has a symplectic eigenvalue away from 1."""
-
-
-class NotThreeMode(DimensionMismatch):
-    """Operation defined only for three-mode states."""

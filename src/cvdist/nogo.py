@@ -529,14 +529,18 @@ def optimize(
     ``np.random.default_rng(seed)`` stream, so results are reproducible.
     All starts run in lockstep through ``minimize`` with ``budget``
     evaluations each. Every value is recorded: non-finite ones are counted
-    and never become the best point.
+    and never become the best point. Anything but two two-mode ``copies`` is
+    refused with :class:`DimensionMismatch` before any E_N is computed.
     """
     if n_starts < 1 or budget < 1:
         raise ParamOutOfRange(
             f"n_starts and budget must be >= 1, got {n_starts} and {budget}"
         )
     copies = tuple(copies)
-    # validation at the boundary: physical two-mode copies, each checked once
+    modes = [c.modes for c in copies]
+    if modes != [2, 2]:
+        raise DimensionMismatch(f"optimize needs two two-mode copies, got modes {modes}")
+    # validation at the boundary: physical copies, each checked once
     distinct = copies[:1] if copies[1] is copies[0] else copies
     input_e_n = max(log_negativity(c, _SPLIT).log_negativity for c in distinct)
     g0 = tensor(*copies).cov
@@ -580,7 +584,7 @@ def sweep(
     r_values,
     n_starts: int,
     seed: int,
-    budget: int = 2000,
+    budget: int,
 ) -> list:
     """One certificate per r, with copies tmsv(r) x tmsv(r)."""
     r_values = [float(r) for r in r_values]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import GaussianChannel, _choi_dyne, _condition_choi
 from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
-from .errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
+from .errors import DimensionMismatch, NotPhysical, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
 from .states import GaussianState, _on_modes, apply_symplectic, tensor
 from .symplectic import block_diag, williamson
@@ -189,7 +189,7 @@ def canonicalize_pure_3mode(
     uncorrelated with the output, so it needs no rotation.
     """
     if state.modes != 3:
-        raise NotThreeMode(f"state has {state.modes} modes")
+        raise DimensionMismatch(f"state has {state.modes} modes")
     order = (*(int(m) for m in input_modes), int(output_mode))
     if sorted(order) != [0, 1, 2]:
         raise DimensionMismatch(
@@ -197,7 +197,7 @@ def canonicalize_pure_3mode(
         )
     nus = state.symplectic_spectrum()
     if np.abs(nus - 1.0).max() > PURITY_TOL:
-        raise NotPure(f"symplectic eigenvalues {nus} not all 1")
+        raise NotPhysical(f"symplectic eigenvalues {nus} not all 1")
 
     work = _on_modes(state, order)
 

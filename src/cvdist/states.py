@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionError,
     DimensionMismatch,
-    EmptyKeepSet,
     MalformedInput,
     NotPhysical,
     ParamOutOfRange,
@@ -97,7 +95,7 @@ class GaussianState:
         mean = np.array(self.mean, dtype=float).reshape(-1)
         cov = np.array(self.cov, dtype=float)
         if mean.size == 0 or mean.size % 2:
-            raise DimensionError(f"mean length {mean.size} is not a positive even number")
+            raise DimensionMismatch(f"mean length {mean.size} is not a positive even number")
         if cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
@@ -191,7 +189,7 @@ class GaussianState:
 def vacuum(n: int) -> GaussianState:
     """Vacuum state of ``n`` modes (zero mean, identity covariance)."""
     if n < 1:
-        raise DimensionError(f"mode count must be >= 1, got {n}")
+        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
     return GaussianState(mean=np.zeros(2 * n), cov=np.eye(2 * n))
 
 
@@ -211,7 +209,7 @@ def thermal(nbar: float, n: int = 1) -> GaussianState:
     if not np.isfinite(2.0 * float(nbar)):
         raise MalformedInput(f"mean occupation {nbar!r} is not finite, or too large for float64")
     if n < 1:
-        raise DimensionError(f"mode count must be >= 1, got {n}")
+        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
     return GaussianState(mean=np.zeros(2 * n), cov=(1.0 + 2.0 * nbar) * np.eye(2 * n))
 
 
@@ -239,7 +237,7 @@ def partial_trace(state: GaussianState, keep) -> GaussianState:
     """
     keep = sorted(set(int(k) for k in keep))
     if not keep:
-        raise EmptyKeepSet("keep set must contain at least one mode")
+        raise DimensionMismatch("keep set must contain at least one mode")
     if keep[0] < 0 or keep[-1] >= state.modes:
         raise DimensionMismatch(f"keep modes {keep} outside 0..{state.modes - 1}")
     return _on_modes(state, keep)

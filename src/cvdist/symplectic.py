@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MalformedInput,
-    NotPositiveDefinite,
+    NotPhysical,
     NotSymplectic,
     ParamOutOfRange,
     SingularConditioning,
@@ -253,7 +253,7 @@ def _require_resolvable(w: np.ndarray) -> None:
     """Refuse a covariance, given its ascending eigenvalues ``w``, whose
     symplectic eigenvalues float64 cannot resolve."""
     if not w[0] > 0.0:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} <= 0")
+        raise NotPhysical(f"smallest eigenvalue {w[0]:.3e} <= 0")
     if w[-1] > _MAX_COV_CONDITION * w[0]:
         raise SingularConditioning(
             f"covariance condition number {w[-1] / w[0]:.3e} exceeds "
@@ -266,7 +266,7 @@ def _symplectic_hermitian(cov: np.ndarray):
     """Gamma^{1/2} and the Hermitian i Gamma^{1/2} Omega Gamma^{1/2}.
 
     The eigenvalues of the second matrix are +-nu_k, the symplectic
-    eigenvalues of Gamma. Raises :class:`NotPositiveDefinite` unless Gamma is
+    eigenvalues of Gamma. Raises :class:`NotPhysical` unless Gamma is
     positive definite, and :class:`SingularConditioning` when its condition
     number exceeds :data:`_MAX_COV_CONDITION`.
     """
@@ -282,7 +282,7 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     These are the moduli of the eigenvalues of i Omega Gamma, one value per
     mode: the positive half of the spectrum of the Hermitian matrix
     i Gamma^{1/2} Omega Gamma^{1/2}. A matrix that is not positive definite
-    is not a physical covariance and raises :class:`NotPositiveDefinite`; one
+    is not a physical covariance and raises :class:`NotPhysical`; one
     too ill-conditioned to resolve raises :class:`SingularConditioning`.
     """
     cov = np.asarray(cov, dtype=float)

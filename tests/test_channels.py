@@ -29,7 +29,6 @@ from cvdist.channels import (
 )
 from cvdist.errors import (
     DegenerateQuadrature,
-    DimensionError,
     DimensionMismatch,
     MalformedInput,
     NotPhysical,
@@ -272,7 +271,7 @@ def test_truncated_epr_requires_positive_squeezing():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_truncated_epr_requires_a_mode(n):
-    with pytest.raises(DimensionError, match="mode count must be >= 1"):
+    with pytest.raises(DimensionMismatch, match="mode count must be >= 1"):
         choi_from_truncated_epr(n, 6.0)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import cvdist.cli
 from cvdist import errors
 from cvdist.channels import choi_from_truncated_epr
 from cvdist.cli import DEFAULT_SEED, main
-from cvdist.states import GaussianState, tmsv
+from cvdist.states import GaussianState, tensor, thermal, tmsv
 
 COSH1 = 1.5430806348152437
 
@@ -548,6 +549,35 @@ def test_canon_dimension_exit_4(tmp_path):
                     "--output-mode", "2"]) == 4
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["state", "--kind", "vacuum", "--modes", "0", "--out", "{out}"], 4,
+     r"dimension problem: mode count must be >= 1, got 0"),
+    (["state", "--kind", "custom-json", "--input", "{odd}", "--out", "{out}"], 4,
+     r"dimension problem: mean length 3 is not a positive even number"),
+    (["entanglement", "logneg", "--state", "{two}", "--alice", "0", "--bob", "0"], 4,
+     r"dimension problem: parties overlap: \{0\}"),
+    (["entanglement", "logneg", "--state", "{mixed}", "--alice", "0", "--bob", "1"], 4,
+     r"dimension problem: split \(0,\)\|\(1,\) does not cover modes 0\.\.2"),
+    (["canon", "--state", "{two}", "--inputs", "0,1", "--output-mode", "2"], 4,
+     r"dimension problem: state has 2 modes"),
+    (["canon", "--state", "{mixed}", "--inputs", "0,1", "--output-mode", "2"], 3,
+     r"unphysical input: symplectic eigenvalues \[.*\] not all 1"),
+], ids=["vacuum-no-modes", "odd-mean", "parties-overlap", "split-short", "canon-two-mode",
+        "canon-mixed"])
+def test_error_exit_code_label_and_message(tmp_path, capsys, argv, code, err):
+    # one line on stderr, its label then its message, and nothing written
+    files = {"two": tmsv(0.3), "mixed": tensor(thermal(0.5), tmsv(0.3))}
+    paths = {"out": tmp_path / "out.json", "odd": tmp_path / "odd.json"}
+    paths["odd"].write_text(json.dumps({"mean": [0.0] * 3, "cov": np.eye(3).tolist()}))
+    for name, state in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(state.to_json())
+    assert run_cli([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert re.fullmatch(err + "\n", captured.err) and not captured.out
+    assert not paths["out"].exists()
+
+
 def test_missing_file_exit_2(tmp_path):
     assert run_cli(["entanglement", "logneg", "--state",
                     str(tmp_path / "nope.json")]) == 2
@@ -622,8 +652,8 @@ def test_negative_definite_state_exits_3(tmp_path, capsys, argv):
     assert "no-go holds" not in captured.out and not out.exists()
 
 
-#: Documented exit code of every error class: 3 for NotPhysical and its
-#: subclasses, 4 for DimensionMismatch and its subclasses, 2 for the rest.
+#: Documented exit code of every error class: 3 for NotPhysical, 4 for
+#: DimensionMismatch, 2 for the rest.
 EXIT_CODES = {
     errors.CvdistError: 2,
     errors.MalformedInput: 2,
@@ -632,13 +662,7 @@ EXIT_CODES = {
     errors.DegenerateQuadrature: 2,
     errors.ParamOutOfRange: 2,
     errors.NotPhysical: 3,
-    errors.NotPositiveDefinite: 3,
-    errors.NotPure: 3,
     errors.DimensionMismatch: 4,
-    errors.DimensionError: 4,
-    errors.EmptyKeepSet: 4,
-    errors.InvalidSplit: 4,
-    errors.NotThreeMode: 4,
 }
 
 

@@ -11,7 +11,7 @@ from cvdist.entanglement import (
     log_negativity,
     partial_transpose_cov,
 )
-from cvdist.errors import InvalidSplit, NotPhysical, SingularConditioning
+from cvdist.errors import DimensionMismatch, NotPhysical, SingularConditioning
 from cvdist.states import GaussianState, random_state, tensor, tmsv, vacuum
 from cvdist.symplectic import random_symplectic, symplectic_eigenvalues
 
@@ -19,15 +19,15 @@ SPLIT01 = BipartiteSplit((0,), (1,))
 
 
 def test_split_validation():
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DimensionMismatch, match="both parties need at least one mode"):
         BipartiteSplit((), (1,))
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DimensionMismatch, match="parties overlap"):
         BipartiteSplit((0, 1), (1,))
-    with pytest.raises(InvalidSplit, match="lists a mode twice"):
+    with pytest.raises(DimensionMismatch, match="lists a mode twice"):
         BipartiteSplit((0, 0), (1,))
-    with pytest.raises(InvalidSplit, match="lists a mode twice"):
+    with pytest.raises(DimensionMismatch, match="lists a mode twice"):
         BipartiteSplit((0,), (1, 1))
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DimensionMismatch, match="does not cover modes"):
         partial_transpose_cov(np.eye(4), BipartiteSplit((0,), (2,)))
 
 

@@ -23,6 +23,11 @@ No linter ships with the test dependencies, so these checks read the trees:
   check: ``wigner_oracle.py`` and ``fock_oracle.py`` import nothing from
   ``cvdist.measurements`` but the description of a measurement, and nothing
   from ``cvdist.channels``, ``protocols``, ``nogo`` or ``entanglement``.
+- The error taxonomy stays flat: every class in ``cvdist.errors`` but
+  ``CvdistError`` has ``CvdistError`` as its one direct base
+  (``MalformedInput`` also has ``ValueError``), and ``src/`` raises each of
+  them by name. A class that only renames its parent gets the parent's exit
+  code and label, so it tells the CLI nothing that its message does not.
 """
 
 import ast
@@ -139,6 +144,29 @@ def checked_code_imports(source: str) -> list:
     return sorted(hits)
 
 
+def taxonomy_problems(errors_source: str, sources: list) -> list:
+    """(line, class, problem) of each class in ``errors_source`` but
+    ``CvdistError`` whose bases are not ``CvdistError`` alone (``CvdistError,
+    ValueError`` for ``MalformedInput``), or that no source in ``sources``
+    raises by name."""
+    excs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None]
+    raised = {exc.id for exc in excs if isinstance(exc, ast.Name)}
+    hits = []
+    for node in ast.parse(errors_source).body:
+        if not isinstance(node, ast.ClassDef) or node.name == "CvdistError":
+            continue
+        bases = [ast.unparse(base) for base in node.bases]
+        expected = ["CvdistError", "ValueError"] if node.name == "MalformedInput" \
+            else ["CvdistError"]
+        if bases != expected:
+            hits.append((node.lineno, node.name, f"bases {', '.join(bases)}"))
+        if node.name not in raised:
+            hits.append((node.lineno, node.name, "never raised"))
+    return hits
+
+
 def uncalled_public_names(modules: dict, callers: list) -> list:
     """(module, line, name) of each public definition in ``modules`` (name ->
     source) that no source in ``callers`` references."""
@@ -215,6 +243,38 @@ def test_public_name_without_a_caller_is_found():
     caller = "from m import used\nSPANS = {'m.traced': ('m', 'traced')}\n"
     assert uncalled_public_names({"m.py": module}, [module, caller]) == [(
         "m.py", 5, "Orphan")]
+
+
+def test_error_taxonomy_is_flat_and_raised():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert taxonomy_problems((SRC / "errors.py").read_text(), sources) == []
+
+
+def test_error_taxonomy_problem_is_found():
+    errors_source = (
+        "class CvdistError(Exception):\n    pass\n"
+        "class Flat(CvdistError):\n    pass\n"
+        "class Renamed(Flat):\n    pass\n"
+        "class Unused(CvdistError):\n    pass\n"
+        "class Mixed(CvdistError, ValueError):\n    pass\n"
+        "class MalformedInput(CvdistError, ValueError):\n    pass\n"
+    )
+    source = (
+        "from .errors import Flat, MalformedInput, Mixed, Renamed\n"
+        "def check(x):\n"
+        "    if x:\n        raise Flat(x)\n"
+        "    raise Renamed\n"
+        "def more(x):\n"
+        "    raise errors.Mixed(x) from MalformedInput\n"
+        "def last():\n"
+        "    raise MalformedInput('bad')\n"
+    )
+    assert taxonomy_problems(errors_source, [source]) == [
+        (5, "Renamed", "bases Flat"),
+        (7, "Unused", "never raised"),
+        (9, "Mixed", "bases CvdistError, ValueError"),
+        (9, "Mixed", "never raised"),
+    ]
 
 
 @pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)

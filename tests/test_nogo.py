@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,21 @@ def test_optimize_starts_are_a_prefix_of_more_starts():
 def test_optimize_refuses_no_starts_or_no_budget(n_starts, budget):
     with pytest.raises(ParamOutOfRange):
         optimize(COPIES_HALF, n_starts=n_starts, seed=1, budget=budget)
+
+
+@pytest.mark.parametrize("copies, modes", [
+    ((tmsv(0.5),), "[2]"),
+    ((tmsv(0.5),) * 3, "[2, 2, 2]"),
+    ((vacuum(1), vacuum(1)), "[1, 1]"),
+    ((vacuum(3), vacuum(3)), "[3, 3]"),
+], ids=["one-copy", "three-copies", "one-mode-copies", "three-mode-copies"])
+def test_optimize_refuses_anything_but_two_two_mode_copies(monkeypatch, copies, modes):
+    def no_e_n(*args):
+        raise AssertionError("E_N computed before the copies were checked")
+
+    monkeypatch.setattr(cvdist.nogo, "log_negativity", no_e_n)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"copies, got modes {modes}")):
+        optimize(copies, n_starts=1, seed=1, budget=10)
 
 
 def test_optimize_counts_non_finite_values(monkeypatch):

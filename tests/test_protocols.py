@@ -28,7 +28,7 @@ from cvdist.channels import (
 )
 from cvdist import measurements
 from cvdist.entanglement import BipartiteSplit, log_negativity
-from cvdist.errors import DimensionMismatch, NotPure, NotThreeMode, ParamOutOfRange
+from cvdist.errors import DimensionMismatch, NotPhysical, ParamOutOfRange
 from cvdist.measurements import DyneKind, DyneSpec, condition, sample_outcome
 from cvdist.nogo import SymplecticParams
 from cvdist.protocols import build_fig2, canonicalize_pure_3mode, run_fig1
@@ -360,13 +360,13 @@ def test_canonicalize_reorders_as_the_permutation_matrix_did(rng, order):
 
 
 def test_canonicalize_rejects_mixed_and_wrong_modes(rng):
-    with pytest.raises(NotPure):
+    with pytest.raises(NotPhysical, match="not all 1"):
         canonicalize_pure_3mode(
             tensor(thermal(0.5), tmsv(0.3)), (0, 1), 2
         )
-    with pytest.raises(NotThreeMode):
+    with pytest.raises(DimensionMismatch, match="state has 2 modes"):
         canonicalize_pure_3mode(tmsv(0.3), (0, 1), 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="must cover 0,1,2"):
         canonicalize_pure_3mode(_eq12_state(rng), (0, 1), 1)
 
 

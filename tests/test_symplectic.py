@@ -15,7 +15,7 @@ from symplectic_oracle import (
 )
 
 from cvdist.errors import (
-    NotPositiveDefinite,
+    NotPhysical,
     NotSymplectic,
     ParamOutOfRange,
     SingularConditioning,
@@ -253,16 +253,16 @@ def test_williamson_matches_schur_oracle(rng):
 def test_symplectic_eigenvalues_need_positive_definite_input():
     # tmsv(10)'s covariance is singular in float64: eigh gives it a zero
     # eigenvalue, and |eigvals(Omega Gamma)| would read (5.30, 3.71)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPhysical, match="smallest eigenvalue"):
         symplectic_eigenvalues(tmsv(10.0).cov)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPhysical, match="smallest eigenvalue -3"):
         symplectic_eigenvalues(-3.0 * np.eye(4))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPhysical, match="smallest eigenvalue 0"):
         symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, 0.0]))
 
 
 def test_williamson_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPhysical, match="smallest eigenvalue -5"):
         williamson(np.diag([1.0, -0.5]))
 
 
