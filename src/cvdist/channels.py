@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, ParamOutOfRange
-from .measurements import DyneKind, _dyne_plan, _factor, _gaussian_update
+from .measurements import DyneKind, _dyne_plan, _factor, _gaussian_update, _require_outcome_length
 from .states import (
     PHYSICALITY_TOL,
     GaussianState,
@@ -56,7 +56,7 @@ from .states import (
     random_state,
     tmsv,
 )
-from .symplectic import _cosh_sinh, _momentum_flip, block_diag, quad_indices
+from .symplectic import _momentum_flip, _require_modes, block_diag, quad_indices
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def _bell_outcome(ch: GaussianChannel, r_d) -> np.ndarray:
     r_d = np.asarray(r_d, dtype=float)
     if r_d.ndim != 2:
         r_d = r_d.reshape(-1)
-    if r_d.shape[-1] != 2 * ch.n_in:
-        raise DimensionMismatch(f"outcome length {r_d.shape[-1]} != {2 * ch.n_in}")
+    _require_outcome_length(r_d.shape[-1], 2 * ch.n_in)
     return r_d
 
 
@@ -211,6 +210,13 @@ def conditional_output_mean(
 # ---------------------------------------------------------------------------
 
 
+def _epr_pair(r_approx: float) -> np.ndarray:
+    """tmsv(r_approx).cov, read-only: both Choi constructors' EPR pair."""
+    if r_approx <= 0.0:
+        raise ParamOutOfRange(f"approximation squeezing must be > 0, got {r_approx}")
+    return tmsv(r_approx).cov
+
+
 def choi_from_truncated_epr(n: int, r_approx: float) -> GaussianChannel:
     """Finite-squeezing approximation of the identity channel on ``n`` modes.
 
@@ -219,12 +225,8 @@ def choi_from_truncated_epr(n: int, r_approx: float) -> GaussianChannel:
     squeezing ``r_approx``, the first member of each pair being the input.
     The channel converges to the identity as r_approx grows.
     """
-    if n < 1:
-        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
-    if r_approx <= 0.0:
-        raise ParamOutOfRange(f"approximation squeezing must be > 0, got {r_approx}")
-    pair = tmsv(r_approx).cov
-    cov = block_diag(*([pair] * n))
+    _require_modes(n)
+    cov = block_diag(*([_epr_pair(r_approx)] * n))
     return GaussianChannel(
         n_in=n, n_out=n, choi_cov=cov, partition=("in", "out") * n
     )
@@ -249,15 +251,10 @@ def attenuation_channel(eta: float, r_approx: float) -> GaussianChannel:
         raise MalformedInput(f"transmissivity {eta!r} is not finite")
     if not 0.0 <= eta <= 1.0:
         raise ParamOutOfRange(f"transmissivity {eta} outside [0, 1]")
-    if r_approx <= 0.0:
-        raise ParamOutOfRange(f"approximation squeezing must be > 0, got {r_approx}")
-    ch2, sh2 = _cosh_sinh(2.0 * r_approx)
-    z = np.diag([1.0, -1.0])
-    i2 = np.eye(2)
-    cov = np.block([
-        [ch2 * i2, np.sqrt(eta) * sh2 * z],
-        [np.sqrt(eta) * sh2 * z, (eta * ch2 + 1.0 - eta) * i2],
-    ])
+    cov = _epr_pair(r_approx).copy()
+    cov[:2, 2:] *= np.sqrt(eta)
+    cov[2:, :2] *= np.sqrt(eta)
+    cov[2:, 2:] = (eta * cov[0, 0] + 1.0 - eta) * np.eye(2)
     return GaussianChannel(n_in=1, n_out=1, choi_cov=cov)
 
 

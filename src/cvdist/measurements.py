@@ -208,6 +208,12 @@ def _dyne_plan(n_modes: int, modes: tuple, kind: DyneKind) -> _UpdatePlan:
     return _UpdatePlan(keep, meas)
 
 
+def _require_outcome_length(length: int, expected: int) -> None:
+    """Refuse an outcome whose length is not the measured quadratures'."""
+    if length != expected:
+        raise DimensionMismatch(f"outcome length {length} != {expected}")
+
+
 def _dyne_blocks(state: GaussianState, spec: DyneSpec):
     """The plan of ``spec`` on ``state``, and V = Gamma_bb + N. Refuses modes
     beyond ``state``'s; the rest of the spec was checked when it was built."""
@@ -241,8 +247,7 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     if len(spec.modes) == state.modes:
         raise DimensionMismatch("cannot condition on every mode; nothing would remain")
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
-    if outcome.size != plan.meas.size:
-        raise DimensionMismatch(f"outcome length {outcome.size} != {plan.meas.size}")
+    _require_outcome_length(outcome.size, plan.meas.size)
     if not np.isfinite(outcome).all():
         raise MalformedInput("outcome has non-finite (NaN or inf) entries")
     _factor(v, plan)

@@ -161,18 +161,11 @@ class ThreeModeCanonicalForm:
 
 
 def _rotation_svd(k: np.ndarray):
-    """SVD K = Ru diag(d1, d2) Rv^T with Ru, Rv in SO(2); d2 carries det sign."""
-    u, s, vt = np.linalg.svd(k)
-    s = s.copy()
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        u[:, 1] *= -1.0
-        s[1] *= -1.0
-    if np.linalg.det(vt) < 0:
-        vt = vt.copy()
-        vt[1, :] *= -1.0
-        s[1] *= -1.0
-    return u, s, vt
+    """Ru and Rv^T in SO(2) with K = Ru diag(d1, d2) Rv^T; d2 carries det sign."""
+    u, _, vt = np.linalg.svd(k)
+    u[:, 1] *= np.sign(np.linalg.det(u))
+    vt[1, :] *= np.sign(np.linalg.det(vt))
+    return u, vt
 
 
 def canonicalize_pure_3mode(
@@ -210,7 +203,7 @@ def canonicalize_pure_3mode(
     work = apply_symplectic(work, block_diag(s_in, s_out))
 
     # residual per-mode rotations: diagonalize the (in1, out) block
-    u, _, vt = _rotation_svd(work.cov[0:2, 4:6])
+    u, vt = _rotation_svd(work.cov[0:2, 4:6])
     rot = block_diag(u.T, np.eye(2), vt)
     work = apply_symplectic(work, rot)
     s_in = rot[:4, :4] @ s_in

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .symplectic import (
     _freeze,
+    _require_modes,
     _require_resolvable,
     assert_symplectic,
     block_diag,
@@ -188,9 +189,7 @@ class GaussianState:
 
 def vacuum(n: int) -> GaussianState:
     """Vacuum state of ``n`` modes (zero mean, identity covariance)."""
-    if n < 1:
-        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
-    return GaussianState(mean=np.zeros(2 * n), cov=np.eye(2 * n))
+    return thermal(0.0, n)
 
 
 def tmsv(r: float) -> GaussianState:
@@ -208,8 +207,7 @@ def thermal(nbar: float, n: int = 1) -> GaussianState:
         raise ParamOutOfRange(f"mean occupation must be >= 0, got {nbar}")
     if not np.isfinite(2.0 * float(nbar)):
         raise MalformedInput(f"mean occupation {nbar!r} is not finite, or too large for float64")
-    if n < 1:
-        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
+    _require_modes(n)
     return GaussianState(mean=np.zeros(2 * n), cov=(1.0 + 2.0 * nbar) * np.eye(2 * n))
 
 
@@ -262,6 +260,7 @@ def random_state(
     The symplectic factor is exp(Omega H) with Gaussian H of width
     ``symplectic_scale``; means are Gaussian of width ``mean_scale``.
     """
+    _require_modes(n)
     nus = 1.0 + rng.uniform(0.0, nu_spread, size=n)
     s = random_symplectic(n, rng, scale=symplectic_scale)
     cov = (s * np.repeat(nus, 2)[None, :]) @ s.T

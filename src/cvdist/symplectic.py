@@ -72,6 +72,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_modes(n: int) -> None:
+    """Every constructor's mode-count rule: DimensionMismatch below 1."""
+    if n < 1:
+        raise DimensionMismatch(f"mode count must be >= 1, got {n}")
+
+
 @lru_cache(maxsize=64)
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for ``n_modes`` modes in xpxp ordering (read-only)."""
@@ -223,11 +229,10 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     The draw is a single exponential, so it does not reach all of Sp(2n, R):
     diag(-2, -1/2) in Sp(2, R) = SL(2, R) has trace < -2 and is no real
     exponential. ``scale`` controls how far from the identity the draw
-    typically lands. Refuses ``n_modes < 1`` and a negative or non-finite
-    ``scale`` with :class:`ParamOutOfRange`.
+    typically lands. Refuses ``n_modes < 1`` with :class:`DimensionMismatch`
+    and a negative or non-finite ``scale`` with :class:`ParamOutOfRange`.
     """
-    if n_modes < 1:
-        raise ParamOutOfRange(f"mode count must be >= 1, got {n_modes}")
+    _require_modes(n_modes)
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ParamOutOfRange(f"scale must be finite and >= 0, got {scale}")
     dim = 2 * n_modes

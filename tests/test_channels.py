@@ -275,6 +275,19 @@ def test_truncated_epr_requires_a_mode(n):
         choi_from_truncated_epr(n, 6.0)
 
 
+@pytest.mark.parametrize("r_approx", [0.1, 1.0, 6.0, 15.0])
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 0.77, 1.0])
+def test_attenuation_choi_is_the_block_formula(eta, r_approx):
+    # [[ch I, sqrt(eta) sh Z], [sqrt(eta) sh Z, (eta ch + 1 - eta) I]] with ch, sh of
+    # 2 r_approx, bit for bit, signed zeros included
+    ch, sh = np.cosh(2.0 * r_approx), np.sinh(2.0 * r_approx)
+    cross = np.sqrt(eta) * sh * np.diag([1.0, -1.0])
+    expected = np.block([[ch * np.eye(2), cross],
+                         [cross, (eta * ch + 1.0 - eta) * np.eye(2)]])
+    got = attenuation_channel(eta, r_approx).choi_cov
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_attenuation_channel(rng):
     ch = attenuation_channel(0.7, 8.0)
     state = random_state(1, rng, nu_spread=1.0)

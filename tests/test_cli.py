@@ -15,7 +15,8 @@ import cvdist.cli
 from cvdist import errors
 from cvdist.channels import choi_from_truncated_epr
 from cvdist.cli import DEFAULT_SEED, main
-from cvdist.states import GaussianState, tensor, thermal, tmsv
+from cvdist.states import GaussianState, random_state, tensor, thermal, tmsv, vacuum
+from cvdist.symplectic import random_symplectic
 
 COSH1 = 1.5430806348152437
 
@@ -119,6 +120,36 @@ def test_state_without_modes_exits_4(tmp_path, capsys, kind, modes):
     out = tmp_path / "st.json"
     assert run_cli(["state", "--kind", kind, "--modes", modes, "--out", str(out)]) == 4
     assert "mode count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: Every entry point that takes a mode count, as a library call of the count or
+#: as the CLI arguments that precede it.
+MODE_COUNT_ENTRY_POINTS = {
+    "vacuum": vacuum,
+    "thermal": lambda n: thermal(0.5, n),
+    "choi_from_truncated_epr": lambda n: choi_from_truncated_epr(n, 6.0),
+    "random_symplectic": lambda n: random_symplectic(n, np.random.default_rng(1)),
+    "random_state": lambda n: random_state(n, np.random.default_rng(1)),
+    "cli-state-vacuum": ["state", "--kind", "vacuum", "--modes"],
+    "cli-state-thermal": ["state", "--kind", "thermal", "--modes"],
+    "cli-identity-approx": ["channel", "make", "--kind", "identity-approx", "--modes"],
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("entry", MODE_COUNT_ENTRY_POINTS.values(),
+                         ids=MODE_COUNT_ENTRY_POINTS.keys())
+def test_every_mode_count_below_1_is_one_dimension_problem(tmp_path, capsys, entry, n):
+    message = f"mode count must be >= 1, got {n}"
+    if callable(entry):
+        with pytest.raises(errors.DimensionMismatch, match=f"^{re.escape(message)}$"):
+            entry(n)
+        return
+    out = tmp_path / "out.json"
+    assert run_cli([*entry, str(n), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"dimension problem: {message}\n" and not captured.out
     assert not out.exists()
 
 
@@ -465,8 +496,6 @@ def test_cli_import_does_not_load_scipy_optimize():
 def test_fixed_input_commands_load_no_scipy(tmp_path, argv):
     # the no-go search and the canonical form are numpy alone; importing
     # scipy.linalg would dominate their start-up
-    from cvdist.states import tensor, vacuum
-
     st = tmp_path / "three.json"
     st.write_text(tensor(tmsv(0.7), vacuum(1)).to_json())
     argv = [a.format(state=st) for a in argv]
@@ -530,7 +559,7 @@ def test_parser_is_built_once_and_reads_the_seed_per_call(tmp_path, monkeypatch)
 
 def test_canon_command(tmp_path, capsys):
     st = tmp_path / "three.json"
-    from cvdist.states import apply_symplectic, tensor, vacuum
+    from cvdist.states import apply_symplectic
     from cvdist.symplectic import mode_permutation
 
     state = tensor(tmsv(0.7), vacuum(1))

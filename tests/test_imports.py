@@ -28,6 +28,11 @@ No linter ships with the test dependencies, so these checks read the trees:
   (``MalformedInput`` also has ``ValueError``), and ``src/`` raises each of
   them by name. A class that only renames its parent gets the parent's exit
   code and label, so it tells the CLI nothing that its message does not.
+- Each refusal is stated once: no two ``raise`` sites in ``src/cvdist``
+  share a message template, the constant text of the message with each
+  f-string field read as ``{}``. A rule spelled out at two sites can drift:
+  the mode-count rule was raised with two classes. The sites of one rule
+  call one helper instead.
 """
 
 import ast
@@ -167,6 +172,34 @@ def taxonomy_problems(errors_source: str, sources: list) -> list:
     return hits
 
 
+def message_template(node: ast.Raise):
+    """The message template of a ``raise E(message, ...)``: the constant text
+    of a string or f-string first argument, each field read as ``{}``; None
+    for any other raise."""
+    if not (isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    message = node.exc.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in message.values)
+    return None
+
+
+def repeated_messages(modules: dict) -> list:
+    """(template, [(module, line), ...]) of each message template that more
+    than one ``raise`` in ``modules`` (name -> source) states."""
+    sites = {}
+    for module, source in sorted(modules.items()):
+        for node in ast.walk(ast.parse(source)):
+            template = message_template(node) if isinstance(node, ast.Raise) else None
+            if template is not None:
+                sites.setdefault(template, []).append((module, node.lineno))
+    return sorted((template, sorted(where)) for template, where in sites.items()
+                  if len(where) > 1)
+
+
 def uncalled_public_names(modules: dict, callers: list) -> list:
     """(module, line, name) of each public definition in ``modules`` (name ->
     source) that no source in ``callers`` references."""
@@ -274,6 +307,41 @@ def test_error_taxonomy_problem_is_found():
         (7, "Unused", "never raised"),
         (9, "Mixed", "bases CvdistError, ValueError"),
         (9, "Mixed", "never raised"),
+    ]
+
+
+def test_each_refusal_message_is_raised_once():
+    assert repeated_messages({path.name: path.read_text() for path in SRC.glob("*.py")}) == []
+
+
+def test_repeated_refusal_message_is_found():
+    first = (
+        "def vacuum(n):\n"
+        "    if n < 1:\n"
+        "        raise DimensionMismatch(f'mode count must be >= 1, got {n}')\n"
+        "    raise ValueError('empty list')\n"
+    )
+    second = (
+        "def sample(n_modes, scale, err):\n"
+        "    if n_modes < 1:\n"
+        "        raise ParamOutOfRange(\n"
+        "            f'mode count must be '\n"
+        "            f'>= 1, got {n_modes!r}')\n"
+        "    if scale < 0:\n"
+        "        raise ParamOutOfRange(f'scale {scale:.3e} must be >= 0', scale)\n"
+        "    if err:\n"
+        "        raise err\n"
+        "    raise ValueError('empty list') from KeyError(message)\n"
+        "def once(x):\n"
+        "    raise ValueError(f'scale {x} must be >= 1')\n"
+        "def opaque(message):\n"
+        "    raise ValueError(message)\n"
+        "def opaque_too(message):\n"
+        "    raise ValueError(message)\n"
+    )
+    assert repeated_messages({"a.py": first, "b.py": second}) == [
+        ("empty list", [("a.py", 4), ("b.py", 10)]),
+        ("mode count must be >= 1, got {}", [("a.py", 3), ("b.py", 3)]),
     ]
 
 

@@ -15,6 +15,7 @@ from symplectic_oracle import (
 )
 
 from cvdist.errors import (
+    DimensionMismatch,
     NotPhysical,
     NotSymplectic,
     ParamOutOfRange,
@@ -155,11 +156,13 @@ def test_random_symplectic_squaring_branch_matches_30_digits(n):
     assert squared >= 3
 
 
-@pytest.mark.parametrize("n_modes, scale", [
-    (0, 0.5), (-1, 0.5), (1, float("nan")), (1, float("inf")), (1, -0.1),
+@pytest.mark.parametrize("n_modes, scale, error", [
+    (0, 0.5, DimensionMismatch), (-1, 0.5, DimensionMismatch),
+    (1, float("nan"), ParamOutOfRange), (1, float("inf"), ParamOutOfRange),
+    (1, -0.1, ParamOutOfRange),
 ], ids=["zero-modes", "negative-modes", "nan-scale", "inf-scale", "negative-scale"])
-def test_random_symplectic_refuses_out_of_range(rng, n_modes, scale):
-    with pytest.raises(ParamOutOfRange):
+def test_random_symplectic_refuses_out_of_range(rng, n_modes, scale, error):
+    with pytest.raises(error):
         random_symplectic(n_modes, rng, scale=scale)
 
 
