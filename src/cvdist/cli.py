@@ -22,8 +22,9 @@ state, checked when ``state`` builds it or a command loads it, or a Choi
 covariance failing Gamma + i Omega >= 0, a covariance that is not positive
 definite, or a state that is not pure), 4 dimension problem (any
 ``DimensionMismatch``: a mode count below 1, refused so by every constructor,
-a split that does not partition the modes, a state that is not three-mode,
-or two objects whose dimensions differ), 5 claim violation (verification
+a list of mode indices that is empty, repeats a mode or misses one (``--alice``,
+``--bob``, ``canon --inputs``), a state that is not three-mode, or two
+objects whose dimensions differ), 5 claim violation (verification
 failure or an apparent distillation gap, which CI should treat as an alarm,
 not a crash). Each error class carries its exit code and the label printed
 before its message (``cvdist.errors``), so ``main`` has one handler for them.

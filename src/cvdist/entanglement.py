@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .states import GaussianState
-from .symplectic import _momentum_flip, symplectic_eigenvalues
+from .symplectic import _mode_indices, _momentum_flip, symplectic_eigenvalues
 
 #: PPT threshold on the smallest PT symplectic eigenvalue.
 PPT_TOL = 1e-9
@@ -24,29 +23,21 @@ PPT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BipartiteSplit:
-    """Partition of the modes of a state between Alice and Bob."""
+    """Partition of the modes of a state between Alice and Bob: each party
+    holds at least one mode, and no mode is listed twice."""
 
     alice: tuple
     bob: tuple
 
     def __post_init__(self):
-        alice = tuple(int(m) for m in self.alice)
-        bob = tuple(int(m) for m in self.bob)
-        if not alice or not bob:
-            raise DimensionMismatch("both parties need at least one mode")
-        if len(set(alice)) < len(alice) or len(set(bob)) < len(bob):
-            raise DimensionMismatch(f"a party lists a mode twice: {alice}|{bob}")
-        if set(alice) & set(bob):
-            raise DimensionMismatch(f"parties overlap: {set(alice) & set(bob)}")
+        alice, bob = _mode_indices(self.alice), _mode_indices(self.bob)
+        _mode_indices(alice + bob)
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
 
     def validate_for(self, n_modes: int) -> None:
-        modes = set(self.alice) | set(self.bob)
-        if modes != set(range(n_modes)):
-            raise DimensionMismatch(
-                f"split {self.alice}|{self.bob} does not cover modes 0..{n_modes - 1}"
-            )
+        """Refuse a split that does not hold every one of ``n_modes`` modes."""
+        _mode_indices(self.alice + self.bob, n_modes, count=n_modes)
 
 
 @dataclass(frozen=True)

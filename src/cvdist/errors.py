@@ -21,9 +21,10 @@ class MalformedInput(CvdistError, ValueError):
 
 
 class DimensionMismatch(CvdistError):
-    """A dimension is wrong: a mode count below 1, a split that does not
-    partition the modes, an empty keep set, a state with the wrong mode count,
-    or two objects that must share a dimension and do not."""
+    """A dimension is wrong: a mode count below 1, a list of mode indices
+    that is empty, repeats a mode, misses one or names one the state lacks,
+    a state with the wrong mode count, or two objects that must share a
+    dimension and do not."""
     exit_code = 4
     label = "dimension problem"
 

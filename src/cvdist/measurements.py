@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, ParamOutOfRange
 from .states import GaussianState
-from .symplectic import _freeze, quad_indices
+from .symplectic import _freeze, _mode_indices, _symmetrized, quad_indices
 
 #: Floor on the pivots of the measured block, relative to the quadrature's own
 #: variance: a pivot 2 L_ii^2 that is conditioned on must reach
@@ -89,11 +89,8 @@ class DyneSpec:
     gamma_m: np.ndarray | None = None
 
     def __post_init__(self):
-        modes = tuple(int(m) for m in self.modes)
+        modes = _mode_indices(self.modes)
         m = len(modes)
-        if m == 0 or len(set(modes)) != m or min(modes) < 0:
-            raise DimensionMismatch(f"measured modes {modes} must be distinct, "
-                                    "non-negative and at least one")
         object.__setattr__(self, "modes", modes)
         if self.kind is not DyneKind.GENERAL and self.gamma_m is not None:
             raise ParamOutOfRange(f"{self.kind.name} dyne takes no gamma_m; "
@@ -156,7 +153,7 @@ def _gaussian_update(cov, means, plan: _UpdatePlan, v, outcomes):
     gain = np.linalg.solve(v, cross.T).T
     cov_out = cov[plan.keep_keep] - gain @ cross.T
     means_out = means[:, plan.keep] + (outcomes - means[:, plan.meas]) @ gain.T
-    return (cov_out + cov_out.T) / 2.0, means_out
+    return _symmetrized(cov_out), means_out
 
 
 def _factor(v, plan: _UpdatePlan):
@@ -217,8 +214,7 @@ def _require_outcome_length(length: int, expected: int) -> None:
 def _dyne_blocks(state: GaussianState, spec: DyneSpec):
     """The plan of ``spec`` on ``state``, and V = Gamma_bb + N. Refuses modes
     beyond ``state``'s; the rest of the spec was checked when it was built."""
-    if max(spec.modes) >= state.modes:
-        raise DimensionMismatch(f"measured modes {spec.modes} outside 0..{state.modes - 1}")
+    _mode_indices(spec.modes, state.modes)
     plan = _dyne_plan(state.modes, spec.modes, spec.kind)
     v = state.cov[plan.meas_meas]
     if spec.kind is DyneKind.HETERODYNE:
@@ -313,8 +309,7 @@ def _bell_step(cov, means, pairs, draws):
     """
     plan = _bell_plan(len(cov) // 2, tuple((int(a), int(b)) for a, b in pairs))
     s = plan.s
-    cov = s @ cov @ s.T
-    cov = (cov + cov.T) / 2.0
+    cov = _symmetrized(s @ cov @ s.T)
     means = means @ s.T
     raw, cov, means = _sample(cov, means, plan, cov[plan.meas_meas], draws)
     return raw * plan.scale, cov, means
@@ -330,10 +325,6 @@ def bell_measure(state: GaussianState, pair, seed) -> MeasurementRecord:
     sign, both of which are absorbed here so the record feeds the conditional
     displacement formula directly).
     """
-    a, b = (int(pair[0]), int(pair[1]))
-    if a == b:
-        raise DimensionMismatch("bell measurement needs two distinct modes")
-    if min(a, b) < 0 or max(a, b) >= state.modes:
-        raise DimensionMismatch(f"pair {pair} outside 0..{state.modes - 1}")
+    pair = _mode_indices(pair, state.modes, count=2)
     draws = np.random.default_rng(seed).standard_normal((1, 2))
-    return _record(*_bell_step(state.cov, state.mean[None, :], [(a, b)], draws))
+    return _record(*_bell_step(state.cov, state.mean[None, :], [pair], draws))

@@ -62,9 +62,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .entanglement import BipartiteSplit, log_negativity
+from .entanglement import log_negativity
 from .errors import DimensionMismatch, ParamOutOfRange
-from .protocols import _FIG2_SLOTS
+from .protocols import _FIG2_SLOTS, _FIG2_SPLIT, _require_two_copies
 from .states import tensor, tmsv
 
 #: Squeezing clamp per squeezer; beyond this, covariance entries reach ~e^6
@@ -85,9 +85,6 @@ GAP_TOL = 1e-6
 #: value, far below any E_N difference the certificate could report.
 XATOL = 1e-7
 FATOL = 1e-10
-
-_SPLIT = BipartiteSplit((0,), (1,))
-
 
 #: The phases of u's entries are phi + sign * (alpha, beta, beta, alpha): the
 #: signs, and the indices of alpha, beta, beta, alpha among the angles.
@@ -170,8 +167,6 @@ class SymplecticParams:
     @classmethod
     def from_vector(cls, x: np.ndarray) -> "SymplecticParams":
         x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != N_PARAMS:
-            raise DimensionMismatch(f"parameter vector must have length {N_PARAMS}")
         return cls(alice=x[:PARAMS_PER_PARTY], bob=x[PARAMS_PER_PARTY:])
 
     def realize(self):
@@ -536,13 +531,10 @@ def optimize(
         raise ParamOutOfRange(
             f"n_starts and budget must be >= 1, got {n_starts} and {budget}"
         )
-    copies = tuple(copies)
-    modes = [c.modes for c in copies]
-    if modes != [2, 2]:
-        raise DimensionMismatch(f"optimize needs two two-mode copies, got modes {modes}")
+    copies = _require_two_copies(copies)
     # validation at the boundary: physical copies, each checked once
     distinct = copies[:1] if copies[1] is copies[0] else copies
-    input_e_n = max(log_negativity(c, _SPLIT).log_negativity for c in distinct)
+    input_e_n = max(log_negativity(c, _FIG2_SPLIT).log_negativity for c in distinct)
     g0 = tensor(*copies).cov
     n_nonfinite = 0
 

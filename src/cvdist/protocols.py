@@ -31,7 +31,7 @@ from .entanglement import BipartiteSplit, EntanglementReport, log_negativity
 from .errors import DimensionMismatch, NotPhysical, ParamOutOfRange
 from .measurements import DyneKind, DyneSpec, _bell_step, condition, sample_outcome
 from .states import GaussianState, _on_modes, apply_symplectic, tensor
-from .symplectic import block_diag, williamson
+from .symplectic import _mode_indices, block_diag, symplectic_eigenvalues, williamson
 
 #: Purity gate: all symplectic eigenvalues within this of 1.
 PURITY_TOL = 1e-7
@@ -43,6 +43,19 @@ PURITY_TOL = 1e-7
 _FIG2_ROWS = np.array([[0, 1, 4, 5], [2, 3, 6, 7]])
 _FIG2_SLOTS = (8 * _FIG2_ROWS[:, :, None] + _FIG2_ROWS[:, None, :]).ravel()
 _FIG2_SPEC = DyneSpec(modes=(2, 3), kind=DyneKind.HETERODYNE)
+#: The split of each copy and of the output: mode 0 at Alice, mode 1 at Bob.
+_FIG2_SPLIT = BipartiteSplit((0,), (1,))
+
+
+def _require_two_copies(copies) -> tuple:
+    """The copies of the two-copy protocol, refused unless they are two
+    two-mode states."""
+    copies = tuple(copies)
+    modes = [c.modes for c in copies]
+    if modes != [2, 2]:
+        raise DimensionMismatch(f"the two-copy protocol needs two two-mode copies, "
+                                f"got modes {modes}")
+    return copies
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +196,8 @@ def canonicalize_pure_3mode(
     """
     if state.modes != 3:
         raise DimensionMismatch(f"state has {state.modes} modes")
-    order = (*(int(m) for m in input_modes), int(output_mode))
-    if sorted(order) != [0, 1, 2]:
-        raise DimensionMismatch(
-            f"input modes {order[:-1]} + output {output_mode} must cover 0,1,2"
-        )
-    nus = state.symplectic_spectrum()
+    order = _mode_indices((*input_modes, output_mode), 3, count=3)
+    nus = symplectic_eigenvalues(state.cov)
     if np.abs(nus - 1.0).max() > PURITY_TOL:
         raise NotPhysical(f"symplectic eigenvalues {nus} not all 1")
 
@@ -254,8 +263,7 @@ def build_fig2(
     does not depend on the outcomes, drawn from ``seed`` (an int or a
     Generator) when one is given and zero otherwise.
     """
-    if copy1.modes != 2 or copy2.modes != 2:
-        raise DimensionMismatch("both copies must be two-mode states")
+    _require_two_copies((copy1, copy2))
     if np.shape(s_a) != (4, 4) or np.shape(s_b) != (4, 4):
         raise DimensionMismatch("party symplectics must be 4x4 (two modes each)")
 
@@ -272,7 +280,7 @@ def build_fig2(
 
     correction = conditioned.mean.copy()
     output = conditioned.with_mean(conditioned.mean - correction)
-    report = log_negativity(output, BipartiteSplit((0,), (1,)))
+    report = log_negativity(output, _FIG2_SPLIT)
     return Fig2Protocol(
         outcomes=outcomes,
         correction=correction,

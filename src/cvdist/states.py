@@ -20,14 +20,15 @@ from .errors import (
 )
 from .symplectic import (
     _freeze,
+    _mode_indices,
     _require_modes,
     _require_resolvable,
+    _symmetrized,
     assert_symplectic,
     block_diag,
     omega,
     quad_indices,
     random_symplectic,
-    symplectic_eigenvalues,
     two_mode_squeezer,
 )
 
@@ -111,9 +112,8 @@ class GaussianState:
         asym = float(np.abs(cov - cov.T).max())
         if not asym <= SYMMETRY_RTOL * max(1.0, cov_max):
             raise MalformedInput(f"covariance not symmetric: max asymmetry {asym:.3e}")
-        cov = (cov + cov.T) / 2.0
         object.__setattr__(self, "mean", _freeze(mean))
-        object.__setattr__(self, "cov", _freeze(cov))
+        object.__setattr__(self, "cov", _freeze(_symmetrized(cov)))
 
     @classmethod
     def _computed(cls, mean: np.ndarray, cov: np.ndarray) -> "GaussianState":
@@ -135,9 +135,6 @@ class GaussianState:
     @property
     def modes(self) -> int:
         return self.mean.size // 2
-
-    def symplectic_spectrum(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.cov)
 
     def require_physical(self) -> "GaussianState":
         """Return the state if (1 + PHYSICALITY_TOL) Gamma + i Omega >= 0, else raise.
@@ -228,17 +225,12 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 
 
 def partial_trace(state: GaussianState, keep) -> GaussianState:
-    """Marginal state on ``keep`` (mode indices, ascending order in the output).
+    """Marginal state on ``keep`` (distinct mode indices, ascending in the output).
 
     For Gaussian states the marginal is obtained by deleting the rows and
     columns of the discarded modes.
     """
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise DimensionMismatch("keep set must contain at least one mode")
-    if keep[0] < 0 or keep[-1] >= state.modes:
-        raise DimensionMismatch(f"keep modes {keep} outside 0..{state.modes - 1}")
-    return _on_modes(state, keep)
+    return _on_modes(state, sorted(_mode_indices(keep, state.modes)))
 
 
 def _on_modes(state: GaussianState, modes) -> GaussianState:

@@ -78,6 +78,29 @@ def _require_modes(n: int) -> None:
         raise DimensionMismatch(f"mode count must be >= 1, got {n}")
 
 
+def _mode_indices(modes, n_modes: int | None = None, count: int | None = None) -> tuple:
+    """Every rule for a list of mode indices: ``modes`` as a tuple of ints,
+    at least one (exactly ``count`` when given), none repeated or negative,
+    and each below ``n_modes`` when that is given. So ``count=n_modes``
+    asks for a permutation of 0..n_modes-1. DimensionMismatch otherwise."""
+    modes = tuple(int(m) for m in modes)
+    if not (modes and len(set(modes)) == len(modes) and min(modes) >= 0
+            and (n_modes is None or max(modes) < n_modes)
+            and (count is None or len(modes) == count)):
+        size = "1 or more" if count is None else count
+        span = ">= 0" if n_modes is None else f"in 0..{n_modes - 1}"
+        raise DimensionMismatch(f"mode indices {modes} must be {size} distinct values {span}")
+    return modes
+
+
+def _symmetrized(c: np.ndarray) -> np.ndarray:
+    """(c + c^T) / 2, exactly symmetric. Halving first is exact for normal
+    entries, so the bits are those of that formula, and the result stays
+    finite for every finite ``c``, where c + c^T overflows past 9e307."""
+    h = c * 0.5
+    return h + h.T
+
+
 @lru_cache(maxsize=64)
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for ``n_modes`` modes in xpxp ordering (read-only)."""
@@ -176,10 +199,7 @@ def two_mode_squeezer(r: float) -> np.ndarray:
 
 def mode_permutation(order, n_modes: int) -> np.ndarray:
     """Symplectic permutation; new mode k is old mode ``order[k]``."""
-    order = tuple(order)
-    if sorted(order) != list(range(n_modes)):
-        raise DimensionMismatch(f"{order} is not a permutation of {n_modes} modes")
-    return np.eye(2 * n_modes)[quad_indices(order)]
+    return np.eye(2 * n_modes)[quad_indices(_mode_indices(order, n_modes, count=n_modes))]
 
 
 #: Coefficients b_0..b_13 of the [13/13] Pade approximant p(z) / p(-z) to exp,
@@ -236,8 +256,7 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ParamOutOfRange(f"scale must be finite and >= 0, got {scale}")
     dim = 2 * n_modes
-    h = rng.normal(0.0, scale, size=(dim, dim))
-    h = (h + h.T) / 2.0
+    h = _symmetrized(rng.normal(0.0, scale, size=(dim, dim)))
     return _expm(omega(n_modes) @ h)
 
 

@@ -15,8 +15,19 @@ import cvdist.cli
 from cvdist import errors
 from cvdist.channels import choi_from_truncated_epr
 from cvdist.cli import DEFAULT_SEED, main
-from cvdist.states import GaussianState, random_state, tensor, thermal, tmsv, vacuum
-from cvdist.symplectic import random_symplectic
+from cvdist.entanglement import BipartiteSplit
+from cvdist.measurements import DyneKind, DyneSpec, bell_measure, condition
+from cvdist.protocols import canonicalize_pure_3mode
+from cvdist.states import (
+    GaussianState,
+    partial_trace,
+    random_state,
+    tensor,
+    thermal,
+    tmsv,
+    vacuum,
+)
+from cvdist.symplectic import mode_permutation, random_symplectic
 
 COSH1 = 1.5430806348152437
 
@@ -153,6 +164,70 @@ def test_every_mode_count_below_1_is_one_dimension_problem(tmp_path, capsys, ent
     assert not out.exists()
 
 
+#: A bad list of mode indices at every site that takes one, as a library call
+#: or as CLI arguments (TWO is a two-mode state file, THREE a pure three-mode
+#: one), and the message of the one rule that refuses them all.
+BAD_MODE_LISTS = {
+    "split-empty-party": (lambda: BipartiteSplit((), (1,)),
+                          "mode indices () must be 1 or more distinct values >= 0"),
+    "split-repeated": (lambda: BipartiteSplit((0, 0), (1,)),
+                       "mode indices (0, 0) must be 1 or more distinct values >= 0"),
+    "split-overlap": (lambda: BipartiteSplit((0, 1), (1,)),
+                      "mode indices (0, 1, 1) must be 1 or more distinct values >= 0"),
+    "split-negative": (lambda: BipartiteSplit((-1,), (0,)),
+                       "mode indices (-1,) must be 1 or more distinct values >= 0"),
+    "split-misses-a-mode": (lambda: BipartiteSplit((0,), (2,)).validate_for(3),
+                            "mode indices (0, 2) must be 3 distinct values in 0..2"),
+    "dyne-spec": (lambda: DyneSpec((1, 1), DyneKind.HETERODYNE),
+                  "mode indices (1, 1) must be 1 or more distinct values >= 0"),
+    "dyne-beyond-state": (lambda: condition(tmsv(0.3), DyneSpec((2,), DyneKind.HETERODYNE),
+                                            [0, 0]),
+                          "mode indices (2,) must be 1 or more distinct values in 0..1"),
+    "bell-repeated": (lambda: bell_measure(tmsv(0.3), (0, 0), 1),
+                      "mode indices (0, 0) must be 2 distinct values in 0..1"),
+    "bell-beyond-state": (lambda: bell_measure(tmsv(0.3), (0, 2), 1),
+                          "mode indices (0, 2) must be 2 distinct values in 0..1"),
+    "bell-three-modes": (lambda: bell_measure(vacuum(3), (0, 1, 2), 1),
+                         "mode indices (0, 1, 2) must be 2 distinct values in 0..2"),
+    "partial-trace-empty": (lambda: partial_trace(vacuum(2), []),
+                            "mode indices () must be 1 or more distinct values in 0..1"),
+    "partial-trace-repeated": (lambda: partial_trace(vacuum(2), [0, 0]),
+                               "mode indices (0, 0) must be 1 or more distinct values in 0..1"),
+    "partial-trace-beyond-state": (lambda: partial_trace(vacuum(2), [2]),
+                                   "mode indices (2,) must be 1 or more distinct values in 0..1"),
+    "canon": (lambda: canonicalize_pure_3mode(vacuum(3), (0, 2), 2),
+              "mode indices (0, 2, 2) must be 3 distinct values in 0..2"),
+    "mode-permutation": (lambda: mode_permutation((0, 1), 3),
+                         "mode indices (0, 1) must be 3 distinct values in 0..2"),
+    "cli-logneg-repeated": (["entanglement", "logneg", "--state", "TWO", "--alice", "0,0"],
+                            "mode indices (0, 0) must be 1 or more distinct values >= 0"),
+    "cli-logneg-overlap": (["entanglement", "logneg", "--state", "TWO", "--alice", "0",
+                            "--bob", "0"],
+                           "mode indices (0, 0) must be 1 or more distinct values >= 0"),
+    "cli-logneg-misses-a-mode": (["entanglement", "logneg", "--state", "THREE", "--alice",
+                                  "0", "--bob", "2"],
+                                 "mode indices (0, 2) must be 3 distinct values in 0..2"),
+    "cli-canon-repeated": (["canon", "--state", "THREE", "--inputs", "0,0", "--out", "OUT"],
+                           "mode indices (0, 0, 2) must be 3 distinct values in 0..2"),
+}
+
+
+@pytest.mark.parametrize("entry, message", BAD_MODE_LISTS.values(), ids=BAD_MODE_LISTS.keys())
+def test_every_bad_mode_list_is_one_dimension_problem(tmp_path, capsys, entry, message):
+    if callable(entry):
+        with pytest.raises(errors.DimensionMismatch, match=f"^{re.escape(message)}$"):
+            entry()
+        return
+    paths = {"TWO": tmp_path / "two.json", "THREE": tmp_path / "three.json",
+             "OUT": tmp_path / "out.json"}
+    paths["TWO"].write_text(tmsv(0.3).to_json())
+    paths["THREE"].write_text(tensor(tmsv(0.3), vacuum(1)).to_json())
+    assert run_cli([str(paths.get(a, a)) for a in entry]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"dimension problem: {message}\n" and not captured.out
+    assert not paths["OUT"].exists()
+
+
 #: A 1+1-mode channel and a one-mode input: 2N = 6 quadratures together.
 _FIG1_FILES = ["fig1", "verify", "--channel", "CH", "--state", "ST", "--out", "OUT"]
 
@@ -235,6 +310,18 @@ def test_singular_pure_state_exits_3_everywhere(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r", ["354.8", "354.95"])
+def test_squeezing_near_the_top_of_float64_is_refused_without_a_warning(tmp_path, capsys, r):
+    # tmsv(354.95) has finite entries of 1.0e308, whose sum overflowed when
+    # the covariance was symmetrized as (cov + cov.T) / 2, with a numpy
+    # RuntimeWarning (an error here) instead of the refusal tmsv(354.8) gets
+    out = tmp_path / "st.json"
+    assert run_cli(["state", "--kind", "tmsv", "--r", r, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "unphysical input: smallest eigenvalue 0.000e+00 <= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["channel", "apply"], ["fig1", "verify"]],
                          ids=["channel-apply", "fig1-verify"])
 def test_refused_channel_names_its_conditioning_matrix(tmp_path, capsys, command):
@@ -259,15 +346,17 @@ def test_logneg_command(tmp_path, capsys):
     assert report["ppt"] is False
 
 
-@pytest.mark.parametrize("flags", [["--alice", "0,0"], ["--bob", "1,1"]],
+@pytest.mark.parametrize("flags, modes", [(["--alice", "0,0"], "(0, 0)"),
+                                          (["--bob", "1,1"], "(1, 1)")],
                          ids=["alice", "bob"])
-def test_logneg_repeated_mode_exits_4(tmp_path, capsys, flags):
+def test_logneg_repeated_mode_exits_4(tmp_path, capsys, flags, modes):
     st = tmp_path / "st.json"
     run_cli(["state", "--kind", "tmsv", "--r", "0.5", "--out", str(st)])
     capsys.readouterr()
     assert run_cli(["entanglement", "logneg", "--state", str(st), *flags]) == 4
     captured = capsys.readouterr()
-    assert "lists a mode twice" in captured.err
+    assert captured.err == (f"dimension problem: mode indices {modes} must be 1 or more "
+                            "distinct values >= 0\n")
     assert "ppt_conclusive" not in captured.out
 
 
@@ -584,9 +673,9 @@ def test_canon_dimension_exit_4(tmp_path):
     (["state", "--kind", "custom-json", "--input", "{odd}", "--out", "{out}"], 4,
      r"dimension problem: mean length 3 is not a positive even number"),
     (["entanglement", "logneg", "--state", "{two}", "--alice", "0", "--bob", "0"], 4,
-     r"dimension problem: parties overlap: \{0\}"),
+     r"dimension problem: mode indices \(0, 0\) must be 1 or more distinct values >= 0"),
     (["entanglement", "logneg", "--state", "{mixed}", "--alice", "0", "--bob", "1"], 4,
-     r"dimension problem: split \(0,\)\|\(1,\) does not cover modes 0\.\.2"),
+     r"dimension problem: mode indices \(0, 1\) must be 3 distinct values in 0\.\.2"),
     (["canon", "--state", "{two}", "--inputs", "0,1", "--output-mode", "2"], 4,
      r"dimension problem: state has 2 modes"),
     (["canon", "--state", "{mixed}", "--inputs", "0,1", "--output-mode", "2"], 3,

@@ -33,6 +33,9 @@ No linter ships with the test dependencies, so these checks read the trees:
   f-string field read as ``{}``. A rule spelled out at two sites can drift:
   the mode-count rule was raised with two classes. The sites of one rule
   call one helper instead.
+- A covariance is symmetrized at one site: no module writes ``X + X.T`` (or
+  ``X.T + X``) outside ``symplectic._symmetrized``, which halves first so
+  that a finite matrix with entries near the top of float64 stays finite.
 """
 
 import ast
@@ -200,6 +203,30 @@ def repeated_messages(modules: dict) -> list:
                   if len(where) > 1)
 
 
+#: The one function that may add a matrix to its own transpose.
+SYMMETRIZER = "_symmetrized"
+
+
+def hand_symmetrizations(source: str) -> list:
+    """Lines that add an expression to its own transpose, ``X + X.T`` or
+    ``X.T + X``, outside the function named ``SYMMETRIZER``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == SYMMETRIZER
+              for node in ast.walk(func)}
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)) \
+                or id(node) in exempt:
+            continue
+        for x, xt in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(xt, ast.Attribute) and xt.attr == "T" \
+                    and ast.dump(xt.value) == ast.dump(x):
+                hits.append(node.lineno)
+                break
+    return sorted(hits)
+
+
 def uncalled_public_names(modules: dict, callers: list) -> list:
     """(module, line, name) of each public definition in ``modules`` (name ->
     source) that no source in ``callers`` references."""
@@ -343,6 +370,26 @@ def test_repeated_refusal_message_is_found():
         ("empty list", [("a.py", 4), ("b.py", 10)]),
         ("mode count must be >= 1, got {}", [("a.py", 3), ("b.py", 3)]),
     ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_symmetrizes_only_through_the_helper(path):
+    assert hand_symmetrizations(path.read_text()) == []
+
+
+def test_hand_symmetrization_is_found():
+    source = (
+        "def _symmetrized(c):\n"
+        "    h = c * 0.5\n"
+        "    return h + h.T\n"
+        "def update(cov, s):\n"
+        "    cov = (cov + cov.T) / 2.0\n"
+        "    out = s @ cov @ s.T\n"
+        "    d = cov - cov.T\n"
+        "    e = cov + s.T\n"
+        "    return out.T + out, (s[0] + s[0].T) / 2, d + e\n"
+    )
+    assert hand_symmetrizations(source) == [5, 9, 9]
 
 
 @pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -194,7 +195,8 @@ def test_general_dyne_keeps_the_gamma_m_it_checked():
 
 @pytest.mark.parametrize("modes", [(), (0, 0), (-1,)], ids=["none", "repeated", "negative"])
 def test_dyne_spec_refuses_bad_modes(modes):
-    with pytest.raises(DimensionMismatch, match="distinct, non-negative"):
+    message = f"mode indices {modes} must be 1 or more distinct values >= 0"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         DyneSpec(modes=modes, kind=DyneKind.HETERODYNE)
 
 

@@ -68,7 +68,7 @@ def test_realized_matrices_are_symplectic(rng):
 @pytest.mark.parametrize("build, message", [
     (lambda: SymplecticParams(alice=np.zeros(9), bob=np.zeros(10)), "each party takes 10"),
     (lambda: SymplecticParams(alice=np.zeros(10), bob=np.zeros(11)), "each party takes 10"),
-    (lambda: SymplecticParams.from_vector(np.zeros(19)), "length 20"),
+    (lambda: SymplecticParams.from_vector(np.zeros(19)), "each party takes 10"),
 ], ids=["alice-9", "bob-11", "vector-19"])
 def test_symplectic_params_refuse_the_wrong_size(build, message):
     with pytest.raises(DimensionMismatch, match=message):

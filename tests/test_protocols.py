@@ -366,7 +366,8 @@ def test_canonicalize_rejects_mixed_and_wrong_modes(rng):
         )
     with pytest.raises(DimensionMismatch, match="state has 2 modes"):
         canonicalize_pure_3mode(tmsv(0.3), (0, 1), 1)
-    with pytest.raises(DimensionMismatch, match="must cover 0,1,2"):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^mode indices \(0, 1, 1\) must be 3 distinct values in 0\.\.2$"):
         canonicalize_pure_3mode(_eq12_state(rng), (0, 1), 1)
 
 
@@ -377,6 +378,18 @@ def test_fig2_identity_consumes_second_copy():
     pro = build_fig2(np.eye(4), np.eye(4), tmsv(0.5), tmsv(0.5))
     assert_allclose(pro.output.cov, tmsv(0.5).cov, atol=1e-12)
     assert abs(pro.report.log_negativity - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("copies, modes", [
+    ((vacuum(1), tmsv(0.5)), "[1, 2]"),
+    ((tmsv(0.5), vacuum(3)), "[2, 3]"),
+], ids=["one-mode-copy", "three-mode-copy"])
+def test_fig2_refuses_anything_but_two_two_mode_copies(copies, modes):
+    # the rule nogo.optimize states for its copies, with the same message
+    with pytest.raises(DimensionMismatch,
+                       match=rf"^the two-copy protocol needs two two-mode copies, "
+                             rf"got modes \{modes}$"):
+        build_fig2(np.eye(4), np.eye(4), *copies)
 
 
 def test_fig2_beamsplitters_do_not_distill():

@@ -23,6 +23,7 @@ from cvdist.errors import (
 )
 from cvdist.symplectic import (
     _THETA13,
+    _symmetrized,
     assert_symplectic,
     block_diag,
     mode_permutation,
@@ -106,6 +107,18 @@ def test_beamsplitter_is_symplectic(t):
     s = beamsplitter(t)
     assert symplectic_error(s) <= SYMP_TOL
     assert abs(np.linalg.det(s) - 1.0) <= 1e-8
+
+
+def test_symmetrized_keeps_the_bits_and_stays_finite(rng):
+    # halving first is exact for normal entries: the bits of (c + c^T) / 2
+    for scale in (1e-300, 1e-3, 1.0, 1e6, 1e300):
+        c = scale * rng.normal(size=(6, 6))
+        assert np.array_equal(_symmetrized(c), (c + c.T) / 2.0)
+    # entries of tmsv(354.95), where c + c^T overflows
+    c = tmsv(354.95).cov
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(c + c.T).all()
+    assert np.array_equal(_symmetrized(c), c)
 
 
 def test_random_symplectic_invariants(rng):
