@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, ParamOutOfRange
+from .errors import DegenerateQuadrature, DimensionMismatch, ParamOutOfRange
 from .measurements import DyneKind, _dyne_plan, _factor, _gaussian_update, _require_outcome_length
 from .states import (
     PHYSICALITY_TOL,
@@ -56,7 +56,7 @@ from .states import (
     random_state,
     tmsv,
 )
-from .symplectic import _momentum_flip, _require_modes, block_diag, quad_indices
+from .symplectic import _momentum_flip, _require_entries, _require_modes, block_diag, quad_indices
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class GaussianChannel:
 
     def __post_init__(self):
         n = self.n_in + self.n_out
-        if self.n_in < 1 or self.n_out < 1:
-            raise DimensionMismatch("channels need at least one input and one output mode")
+        _require_modes(self.n_in)
+        _require_modes(self.n_out)
         partition = self.partition
         if partition is None:
             partition = ("in",) * self.n_in + ("out",) * self.n_out
@@ -247,8 +247,7 @@ def attenuation_channel(eta: float, r_approx: float) -> GaussianChannel:
     Built as the loss channel acting on half of a finitely squeezed EPR pair;
     as r_approx grows the action converges to Gamma -> eta Gamma + (1-eta) I.
     """
-    if not np.isfinite(eta):
-        raise MalformedInput(f"transmissivity {eta!r} is not finite")
+    _require_entries("transmissivity", eta)
     if not 0.0 <= eta <= 1.0:
         raise ParamOutOfRange(f"transmissivity {eta} outside [0, 1]")
     cov = _epr_pair(r_approx).copy()

@@ -10,23 +10,24 @@ fig2 run                 one two-copy protocol evaluation, transcript JSON
 nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
-Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (NaN/inf
-entries, asymmetric covariance, a squeezing or occupation whose covariance
-overflows float64, a matrix entry too large for the symplectic test), a
-count above its memory bound (MAX_MODES, MAX_STARTS, MAX_SAMPLE_ENTRIES), a
-covariance too ill-conditioned for float64 to resolve its symplectic
-spectrum or physicality (``SingularConditioning``), or a measured block or a
-channel's conditioning matrix too degenerate to condition on
+Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (an
+asymmetric covariance, or a number, in a file or on the command line, that
+breaks the one float64-range rule: NaN, inf or above ``MAX_ENTRY`` in
+magnitude, see ``symplectic._require_entries``), a count above its memory
+bound (MAX_MODES, MAX_STARTS, MAX_SAMPLE_ENTRIES), a covariance too
+ill-conditioned for float64 to resolve its symplectic spectrum or
+physicality (``SingularConditioning``), or a measured block or a channel's
+conditioning matrix too degenerate to condition on
 (``DegenerateQuadrature``), 3 unphysical input (any ``NotPhysical``: a
 state, checked when ``state`` builds it or a command loads it, or a Choi
-covariance failing Gamma + i Omega >= 0, a covariance that is not positive
-definite, or a state that is not pure), 4 dimension problem (any
-``DimensionMismatch``: a mode count below 1, refused so by every constructor,
-a list of mode indices that is empty, repeats a mode or misses one (``--alice``,
-``--bob``, ``canon --inputs``), a state that is not three-mode, or two
-objects whose dimensions differ), 5 claim violation (verification
-failure or an apparent distillation gap, which CI should treat as an alarm,
-not a crash). Each error class carries its exit code and the label printed
+covariance failing Gamma + i Omega >= 0, a covariance with an eigenvalue
+negative beyond rounding, or a state that is not pure), 4 dimension problem
+(any ``DimensionMismatch``: a mode count below 1, refused so by every
+constructor and in a channel file, a list of mode indices that is empty,
+repeats a mode or misses one (``--alice``, ``--bob``, ``canon --inputs``), a
+state that is not three-mode, or two objects whose dimensions differ), 5
+claim violation (verification failure or an apparent distillation gap, which
+CI should treat as an alarm, not a crash). Each error class carries its exit code and the label printed
 before its message (``cvdist.errors``), so ``main`` has one handler for them.
 
 All file writes are atomic (temp file + rename). Every command is
@@ -51,7 +52,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -67,7 +67,7 @@ from .channels import (
     random_locc_channel,
 )
 from .entanglement import BipartiteSplit, log_negativity
-from .errors import CvdistError, MalformedInput
+from .errors import CvdistError
 from .protocols import build_fig2, canonicalize_pure_3mode, run_fig1
 from .states import GaussianState, thermal, tmsv, vacuum
 
@@ -155,8 +155,6 @@ def _parse_floats(text: str):
     values = [float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError("empty list")
-    if not all(map(math.isfinite, values)):
-        raise MalformedInput(f"{text!r} has non-finite (NaN or inf) entries")
     return values
 
 

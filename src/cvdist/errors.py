@@ -16,7 +16,8 @@ class CvdistError(Exception):
 
 
 class MalformedInput(CvdistError, ValueError):
-    """Numeric input is malformed: non-finite entries or an asymmetric covariance."""
+    """Numeric input is malformed: an entry that is NaN, inf or above
+    ``symplectic.MAX_ENTRY``, or an asymmetric covariance."""
     label = "input problem"
 
 
@@ -34,16 +35,16 @@ class NotSymplectic(CvdistError):
 
 
 class NotPhysical(CvdistError):
-    """Input is not physical: Gamma + i Omega >= 0 fails, the covariance is
-    not positive definite, or a state required to be pure is not."""
+    """Input is not physical: Gamma + i Omega >= 0 fails, the covariance has an
+    eigenvalue negative beyond rounding, or a state required to be pure is not."""
     exit_code = 3
     label = "unphysical input"
 
 
 class SingularConditioning(CvdistError):
-    """A covariance too ill-conditioned (condition number above 1e7) for
-    float64 to resolve its symplectic spectrum, which also leaves its
-    physicality undecided."""
+    """A covariance too ill-conditioned (condition number above 1e7, or a
+    smallest eigenvalue within rounding of 0) for float64 to resolve its
+    symplectic spectrum, which also leaves its physicality undecided."""
 
 
 class DegenerateQuadrature(CvdistError):

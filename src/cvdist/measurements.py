@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DegenerateQuadrature, DimensionMismatch, MalformedInput, ParamOutOfRange
 from .states import GaussianState
-from .symplectic import _freeze, _mode_indices, _symmetrized, quad_indices
+from .symplectic import _freeze, _mode_indices, _require_entries, _symmetrized, quad_indices
 
 #: Floor on the pivots of the measured block, relative to the quadrature's own
 #: variance: a pivot 2 L_ii^2 that is conditioned on must reach
@@ -234,8 +234,9 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     pivots exceed 1, above that floor while every V_ii is below 1e12.
 
     ``outcome`` is the one array from outside that reaches the result, so it
-    is checked here: a NaN or inf entry, or one so large that the
-    conditioned mean overflows, raises MalformedInput. The result is built
+    is checked here: an entry beyond ``symplectic.MAX_ENTRY`` raises
+    MalformedInput, and so does a conditioned state that overflows, which
+    that bound rules out for physical states only. The result is built
     unchecked (``GaussianState._computed``), from the checked state and the
     update's exactly symmetric covariance.
     """
@@ -244,13 +245,12 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
         raise DimensionMismatch("cannot condition on every mode; nothing would remain")
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
     _require_outcome_length(outcome.size, plan.meas.size)
-    if not np.isfinite(outcome).all():
-        raise MalformedInput("outcome has non-finite (NaN or inf) entries")
+    _require_entries("outcome entry", outcome)
     _factor(v, plan)
     cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
                                   outcome[None, :])
-    if not np.isfinite(means).all():
-        raise MalformedInput("outcome too large: the conditioned mean overflows")
+    if not (np.isfinite(means).all() and np.isfinite(cov).all()):
+        raise MalformedInput("the conditioned state overflows float64")
     return GaussianState._computed(means[0], cov)
 
 

@@ -582,19 +582,10 @@ def sweep(
     r_values = [float(r) for r in r_values]
     if not r_values:
         raise DimensionMismatch("sweep needs at least one r value")
-    certs = []
-    for r in r_values:
-        copy = tmsv(r)
-        certs.append(
-            optimize(
-                (copy, copy),
-                n_starts=n_starts,
-                seed=seed,
-                budget=budget,
-                input_description=f"tmsv(r={r!r}) x 2",
-            )
-        )
-    return certs
+    copies = [tmsv(r) for r in r_values]  # every r refused or built before a search
+    return [optimize((copy, copy), n_starts=n_starts, seed=seed, budget=budget,
+                     input_description=f"tmsv(r={r!r}) x 2")
+            for r, copy in zip(r_values, copies)]
 
 
 CSV_COLUMNS = ("r", "input_EN", "best_EN", "gap", "n_starts", "n_evals", "seed")

@@ -12,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MalformedInput,
-    NotPhysical,
-    ParamOutOfRange,
-)
+from .errors import DimensionMismatch, MalformedInput, NotPhysical, ParamOutOfRange
 from .symplectic import (
+    MAX_ENTRY,
     _freeze,
     _mode_indices,
+    _require_entries,
     _require_modes,
     _require_resolvable,
     _symmetrized,
@@ -81,8 +78,9 @@ class GaussianState:
     """Immutable Gaussian state with mean ``mean`` and covariance ``cov``.
 
     ``GaussianState(mean, cov)`` checks what it is given: an even mean
-    length, a matching square covariance, finite entries and symmetry to
-    SYMMETRY_RTOL; it copies both arrays and symmetrizes the covariance.
+    length, a matching square covariance, entries within
+    ``symplectic.MAX_ENTRY`` and symmetry to SYMMETRY_RTOL; it copies both
+    arrays and symmetrizes the covariance.
     That is the constructor for arrays from outside the library: JSON, the
     CLI, ``with_mean``, ``apply_symplectic`` and ``random_state`` (whose
     products are symmetric only to rounding). The library's own updates of
@@ -102,13 +100,8 @@ class GaussianState:
             raise DimensionMismatch(
                 f"cov shape {cov.shape} does not match mean length {mean.size}"
             )
-        if not np.isfinite(mean).all():
-            raise MalformedInput("mean has non-finite (NaN or inf) entries")
-        cov_max = float(np.abs(cov).max())
-        # NaN or inf entries fail this one test, before cov - cov.T could
-        # compute inf - inf
-        if not cov_max < np.inf:
-            raise MalformedInput("covariance has non-finite (NaN or inf) entries")
+        _require_entries("mean entry", mean)
+        cov_max = _require_entries("covariance entry", cov)
         asym = float(np.abs(cov - cov.T).max())
         if not asym <= SYMMETRY_RTOL * max(1.0, cov_max):
             raise MalformedInput(f"covariance not symmetric: max asymmetry {asym:.3e}")
@@ -202,8 +195,7 @@ def thermal(nbar: float, n: int = 1) -> GaussianState:
     """Thermal state with mean occupation ``nbar`` per mode."""
     if nbar < 0.0:
         raise ParamOutOfRange(f"mean occupation must be >= 0, got {nbar}")
-    if not np.isfinite(2.0 * float(nbar)):
-        raise MalformedInput(f"mean occupation {nbar!r} is not finite, or too large for float64")
+    _require_entries("mean occupation", nbar, MAX_ENTRY / 2.0)
     _require_modes(n)
     return GaussianState(mean=np.zeros(2 * n), cov=(1.0 + 2.0 * nbar) * np.eye(2 * n))
 

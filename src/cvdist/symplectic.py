@@ -24,6 +24,7 @@ approximant, so no command of cvdist loads scipy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,9 +51,18 @@ from .errors import (
 SYMPLECTIC_ATOL = 1e-10
 SYMPLECTIC_RTOL = 1e-14
 
-#: Largest |entry| that the symplectic test takes: S Omega S^T sums products
-#: of two entries, which overflow float64 from about 1e154.
-_MAX_SYMPLECTIC_ENTRY = 1e150
+#: Largest |entry| of an array or parameter that a checking constructor
+#: takes (``_require_entries``), chosen so that no operation on checked input
+#: overflows float64 (1.8e308). With d quadratures: S Gamma S^T sums d^2
+#: products of three entries, at most (2 x 512)^2 x 1e300 = 1.05e306 for
+#: d <= 2 x ``cli.MAX_MODES`` (the CLI applies it at d <= 8), and the Bell
+#: beamsplitter adds two entries times 1/sqrt(2). An update of a physical
+#: state (the channel action and ``run_fig1``'s shift included) has
+#: V >= Gamma_bb, so its gain K keeps K V K^T <= Gamma_aa, and lambda_min(V)
+#: >= 1 / lambda_max(Gamma) >= 1 / (d 1e100) (a channel on input G: V >= A,
+#: K V K^T <= B, V >= R G R): |K| <= d 1e100, and K maps a vector of entries
+#: up to 1e100 below 2 d^1.5 1e200 (7e204 at d = 1024).
+MAX_ENTRY = 1e100
 
 #: Largest condition number lambda_max / lambda_min of a covariance whose
 #: symplectic spectrum is computed. On tmsv(r) (condition number e^{4r}) the
@@ -61,6 +71,12 @@ _MAX_SYMPLECTIC_ENTRY = 1e150
 #: condition number in the test suite is 2.3e6, in the kernel checks past the
 #: no-go search's squeezing clamp.
 _MAX_COV_CONDITION = 1e7
+
+#: eigvalsh's rounding of a covariance's smallest eigenvalue, relative to its
+#: largest: a smallest eigenvalue within it of 0 is unresolved, not proven
+#: negative. Pure states read at worst -5.2e-16: tmsv(r) for 9 <= r <= 115
+#: under random phase rotations, and S S^T of random 1-4 mode symplectics.
+_EIGVALSH_RTOL = 1e-15
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _Z = np.diag([1.0, -1.0])
@@ -72,6 +88,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_entries(what: str, a, bound: float = MAX_ENTRY) -> float:
+    """The one float64-range rule: MalformedInput unless every |entry| of
+    ``a`` is at most ``bound`` (a NaN fails too). Returns the largest."""
+    scale = float(np.abs(a).max())
+    if not scale <= bound:
+        raise MalformedInput(f"{what} of magnitude {scale:.4g} is outside the accepted "
+                             f"range (finite, at most {bound:.4g})")
+    return scale
+
+
 def _require_modes(n: int) -> None:
     """Every constructor's mode-count rule: DimensionMismatch below 1."""
     if n < 1:
@@ -79,14 +105,19 @@ def _require_modes(n: int) -> None:
 
 
 def _mode_indices(modes, n_modes: int | None = None, count: int | None = None) -> tuple:
-    """Every rule for a list of mode indices: ``modes`` as a tuple of ints,
-    at least one (exactly ``count`` when given), none repeated or negative,
-    and each below ``n_modes`` when that is given. So ``count=n_modes``
-    asks for a permutation of 0..n_modes-1. DimensionMismatch otherwise."""
-    modes = tuple(int(m) for m in modes)
-    if not (modes and len(set(modes)) == len(modes) and min(modes) >= 0
-            and (n_modes is None or max(modes) < n_modes)
-            and (count is None or len(modes) == count)):
+    """Every rule for a list of mode indices: ``modes`` as a tuple of ints
+    (by ``operator.index``: numpy integers pass, floats do not), at least one
+    (exactly ``count`` when given), none repeated or negative, and each below
+    ``n_modes`` when that is given. So ``count=n_modes`` asks for a
+    permutation of 0..n_modes-1. DimensionMismatch otherwise."""
+    try:
+        modes = tuple(map(operator.index, modes))
+        valid = (modes and len(set(modes)) == len(modes) and min(modes) >= 0
+                 and (n_modes is None or max(modes) < n_modes)
+                 and (count is None or len(modes) == count))
+    except TypeError:  # a float, or any other non-integer index
+        modes, valid = tuple(modes), False
+    if not valid:
         size = "1 or more" if count is None else count
         span = ">= 0" if n_modes is None else f"in 0..{n_modes - 1}"
         raise DimensionMismatch(f"mode indices {modes} must be {size} distinct values {span}")
@@ -143,17 +174,14 @@ def symplectic_error(s: np.ndarray) -> float:
 
 def assert_symplectic(s: np.ndarray) -> np.ndarray:
     """Return ``s`` as a float array, raising :class:`NotSymplectic` if invalid,
-    and :class:`MalformedInput` for an inf entry or one beyond
-    ``_MAX_SYMPLECTIC_ENTRY``, which the test itself would overflow on. The
-    bound covers one matrix's rounding; a product's follows its factors'
-    norms, not its own, so a caller who checks a product checks its factors."""
+    and :class:`MalformedInput` for an entry outside ``_require_entries``'s
+    range. The bound covers one matrix's rounding; a product's follows its
+    factors' norms, not its own, so a caller who checks a product checks its
+    factors."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         raise NotSymplectic(f"matrix of shape {s.shape} cannot be symplectic")
-    scale = float(np.abs(s).max())
-    if scale > _MAX_SYMPLECTIC_ENTRY:
-        raise MalformedInput(f"matrix entry of magnitude {scale:.3e} is beyond "
-                             f"{_MAX_SYMPLECTIC_ENTRY:.0e}, where S Omega S^T overflows float64")
+    scale = _require_entries("symplectic matrix entry", s)
     err = symplectic_error(s)
     bound = max(SYMPLECTIC_ATOL, SYMPLECTIC_RTOL * scale ** 2)
     if not err <= bound:
@@ -177,23 +205,14 @@ def squeezer(r: float) -> np.ndarray:
     return np.diag([np.exp(r), np.exp(-r)])
 
 
-#: Largest |r| whose cosh and sinh are taken: cosh(710) is 1.1e308, near the
-#: top of float64, and cosh overflows to inf just past 710.47.
-_MAX_SQUEEZING = 710.0
-
-
-def _cosh_sinh(r: float):
-    """cosh(r) and sinh(r); :class:`MalformedInput` for a NaN or inf r, or an
-    |r| beyond ``_MAX_SQUEEZING``, close to where cosh overflows float64."""
-    if not abs(r) <= _MAX_SQUEEZING:
-        raise MalformedInput(f"cosh({r!r}) of a squeezing is not finite in float64 "
-                             f"(NaN, inf or |argument| > {_MAX_SQUEEZING:g})")
-    return np.cosh(r), np.sinh(r)
+#: Largest |r| of a two-mode squeezer: cosh(r) reaches MAX_ENTRY (to rounding).
+_MAX_SQUEEZING = math.acosh(MAX_ENTRY)
 
 
 def two_mode_squeezer(r: float) -> np.ndarray:
-    """Two-mode squeezer; applied to vacuum it produces tmsv(r)."""
-    ch, sh = _cosh_sinh(r)
+    """Two-mode squeezer, for |r| <= ``_MAX_SQUEEZING``; on vacuum, tmsv(r)."""
+    _require_entries("squeezing", r, _MAX_SQUEEZING)
+    ch, sh = np.cosh(r), np.sinh(r)
     return np.block([[ch * _I2, sh * _Z], [sh * _Z, ch * _I2]])
 
 
@@ -275,24 +294,24 @@ class WilliamsonDecomp:
 
 def _require_resolvable(w: np.ndarray) -> None:
     """Refuse a covariance, given its ascending eigenvalues ``w``, whose
-    symplectic eigenvalues float64 cannot resolve."""
-    if not w[0] > 0.0:
+    symplectic eigenvalues float64 cannot resolve: NotPhysical when w[0] is
+    negative beyond eigvalsh's rounding, SingularConditioning when w[0] is
+    within it of 0 or below w[-1] / _MAX_COV_CONDITION."""
+    if not w[0] > -_EIGVALSH_RTOL * w[-1]:
         raise NotPhysical(f"smallest eigenvalue {w[0]:.3e} <= 0")
     if w[-1] > _MAX_COV_CONDITION * w[0]:
         raise SingularConditioning(
-            f"covariance condition number {w[-1] / w[0]:.3e} exceeds "
-            f"{_MAX_COV_CONDITION:.0e}: float64 cannot resolve its symplectic "
-            "spectrum"
-        )
+            f"covariance eigenvalues span {w[0]:.3e} to {w[-1]:.3e}, a condition number "
+            f"above {_MAX_COV_CONDITION:.0e}: float64 cannot resolve its symplectic spectrum")
 
 
 def _symplectic_hermitian(cov: np.ndarray):
     """Gamma^{1/2} and the Hermitian i Gamma^{1/2} Omega Gamma^{1/2}.
 
     The eigenvalues of the second matrix are +-nu_k, the symplectic
-    eigenvalues of Gamma. Raises :class:`NotPhysical` unless Gamma is
-    positive definite, and :class:`SingularConditioning` when its condition
-    number exceeds :data:`_MAX_COV_CONDITION`.
+    eigenvalues of Gamma. Raises :class:`NotPhysical` or
+    :class:`SingularConditioning` where ``_require_resolvable`` refuses the
+    eigenvalues of Gamma.
     """
     w, v = np.linalg.eigh(cov)
     _require_resolvable(w)
@@ -305,9 +324,9 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
     These are the moduli of the eigenvalues of i Omega Gamma, one value per
     mode: the positive half of the spectrum of the Hermitian matrix
-    i Gamma^{1/2} Omega Gamma^{1/2}. A matrix that is not positive definite
-    is not a physical covariance and raises :class:`NotPhysical`; one
-    too ill-conditioned to resolve raises :class:`SingularConditioning`.
+    i Gamma^{1/2} Omega Gamma^{1/2}. A matrix with an eigenvalue negative
+    beyond rounding raises :class:`NotPhysical`; one too ill-conditioned to
+    resolve, or singular to rounding, raises :class:`SingularConditioning`.
     """
     cov = np.asarray(cov, dtype=float)
     return np.linalg.eigvalsh(_symplectic_hermitian(cov)[1])[len(cov) // 2:][::-1]

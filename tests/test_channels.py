@@ -102,7 +102,7 @@ def test_filter_on_half_tmsv_composes_tanh():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(n_in=0, n_out=1, choi_cov=np.eye(2)), "at least one input"),
+    (dict(n_in=0, n_out=1, choi_cov=np.eye(2)), "^mode count must be >= 1, got 0$"),
     (dict(n_in=1, n_out=1, choi_cov=tmsv(0.3).cov, partition=("in", "in")), "partition"),
     (dict(n_in=1, n_out=2, choi_cov=tmsv(0.3).cov, choi_mean=np.zeros(4)),
      "choi_cov of 2 modes"),
@@ -452,5 +452,5 @@ def test_channel_json_roundtrip(rng):
 def test_channel_json_rejects_non_finite_choi_cov():
     data = filter_channel(0.5).to_dict()
     data["choi_cov"][0][0] = float("nan")
-    with pytest.raises(MalformedInput, match="covariance has non-finite"):
+    with pytest.raises(MalformedInput, match="^covariance entry of magnitude nan"):
         GaussianChannel.from_dict(json.loads(json.dumps(data)))

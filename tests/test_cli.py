@@ -73,7 +73,7 @@ def test_state_custom_non_finite_exits_2(tmp_path, capsys):
     code = run_cli(["state", "--kind", "custom-json", "--input", str(bad),
                     "--out", str(out)])
     assert code == 2
-    assert "covariance has non-finite" in capsys.readouterr().err
+    assert "covariance entry of magnitude nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -145,6 +145,8 @@ MODE_COUNT_ENTRY_POINTS = {
     "cli-state-vacuum": ["state", "--kind", "vacuum", "--modes"],
     "cli-state-thermal": ["state", "--kind", "thermal", "--modes"],
     "cli-identity-approx": ["channel", "make", "--kind", "identity-approx", "--modes"],
+    "channel-json-n_in": "n_in",
+    "channel-json-n_out": "n_out",
 }
 
 
@@ -158,7 +160,14 @@ def test_every_mode_count_below_1_is_one_dimension_problem(tmp_path, capsys, ent
             entry(n)
         return
     out = tmp_path / "out.json"
-    assert run_cli([*entry, str(n), "--out", str(out)]) == 4
+    if isinstance(entry, str):  # that field of a channel file, which is applied
+        ch, st = tmp_path / "ch.json", tmp_path / "st.json"
+        ch.write_text(json.dumps({**_amplifier_channel(), entry: n}))
+        st.write_text(vacuum(1).to_json())
+        argv = ["channel", "apply", "--channel", str(ch), "--state", str(st)]
+    else:
+        argv = [*entry, str(n)]
+    assert run_cli([*argv, "--out", str(out)]) == 4
     captured = capsys.readouterr()
     assert captured.err == f"dimension problem: {message}\n" and not captured.out
     assert not out.exists()
@@ -195,6 +204,11 @@ BAD_MODE_LISTS = {
                                "mode indices (0, 0) must be 1 or more distinct values in 0..1"),
     "partial-trace-beyond-state": (lambda: partial_trace(vacuum(2), [2]),
                                    "mode indices (2,) must be 1 or more distinct values in 0..1"),
+    # a float index was truncated: [1.9] read as mode 1, (0.5,) as mode 0
+    "partial-trace-float": (lambda: partial_trace(tmsv(0.3), [1.9]),
+                            "mode indices (1.9,) must be 1 or more distinct values in 0..1"),
+    "split-float": (lambda: BipartiteSplit((0.5,), (1,)),
+                    "mode indices (0.5,) must be 1 or more distinct values >= 0"),
     "canon": (lambda: canonicalize_pure_3mode(vacuum(3), (0, 2), 2),
               "mode indices (0, 2, 2) must be 3 distinct values in 0..2"),
     "mode-permutation": (lambda: mode_permutation((0, 1), 3),
@@ -293,33 +307,71 @@ def test_unresolvable_spectrum_exits_2(tmp_path, capsys, argv):
     assert "log_negativity" not in captured.out and not out.exists()
 
 
+@pytest.mark.parametrize("r", [10.0, 20.0, 100.0])
 @pytest.mark.parametrize("argv", [
-    ["state", "--kind", "tmsv", "--r", "10", "--out", "{out}"],
+    ["state", "--kind", "tmsv", "--r", "{r}", "--out", "{out}"],
     ["state", "--kind", "custom-json", "--input", "{state}", "--out", "{out}"],
     ["entanglement", "logneg", "--state", "{state}"],
 ], ids=["state", "custom-json", "logneg"])
-def test_singular_pure_state_exits_3_everywhere(tmp_path, capsys, argv):
-    # tmsv(10) is not positive definite in float64: the command that builds
-    # it and the commands that read it refuse it alike
+def test_unresolvable_pure_state_exits_2_everywhere(tmp_path, capsys, argv, r):
+    # tmsv(r) beyond r = 9.5 is not positive definite in float64: eigvalsh
+    # rounds its smallest eigenvalue to 0 or just below, within its rounding
+    # of the largest, so it is unresolved (exit 2), as tmsv(9) is, not
+    # unphysical (it exited 3). The command that builds it and the commands
+    # that read it refuse it alike
     st = tmp_path / "st.json"
-    st.write_text(tmsv(10.0).to_json())
+    st.write_text(tmsv(r).to_json())
     out = tmp_path / "out.json"
-    argv = [a.format(state=st, out=out) for a in argv]
-    assert run_cli(argv) == 3
-    assert "smallest eigenvalue" in capsys.readouterr().err
+    argv = [a.format(state=st, out=out, r=r) for a in argv]
+    assert run_cli(argv) == 2
+    assert "condition number above 1e+07" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("r", ["354.8", "354.95"])
+@pytest.mark.parametrize("r", ["115.48", "354.95"])
 def test_squeezing_near_the_top_of_float64_is_refused_without_a_warning(tmp_path, capsys, r):
     # tmsv(354.95) has finite entries of 1.0e308, whose sum overflowed when
-    # the covariance was symmetrized as (cov + cov.T) / 2, with a numpy
-    # RuntimeWarning (an error here) instead of the refusal tmsv(354.8) gets
+    # the covariance was symmetrized as (cov + cov.T) / 2. A squeezer whose
+    # cosh passes symplectic.MAX_ENTRY is refused before it is built
     out = tmp_path / "st.json"
-    assert run_cli(["state", "--kind", "tmsv", "--r", r, "--out", str(out)]) == 3
+    assert run_cli(["state", "--kind", "tmsv", "--r", r, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "unphysical input: smallest eigenvalue 0.000e+00 <= 0\n"
+    assert captured.err == (f"input problem: squeezing of magnitude {2 * float(r):.4g} is "
+                            "outside the accepted range (finite, at most 231)\n")
     assert not out.exists()
+
+
+def _amplifier_channel() -> dict:
+    """The gain-4 amplifier, as the Choi state of tmsv(3):
+    [[cosh 6 I, 2 sinh 6 Z], [2 sinh 6 Z, (4 cosh 6 + 3) I]]."""
+    z = np.diag([1.0, -1.0])
+    cov = np.block([[np.cosh(6.0) * np.eye(2), 2.0 * np.sinh(6.0) * z],
+                    [2.0 * np.sinh(6.0) * z, (4.0 * np.cosh(6.0) + 3.0) * np.eye(2)]])
+    return {"n_in": 1, "n_out": 1, "partition": ["in", "out"],
+            "choi_mean": [0.0] * 4, "choi_cov": cov.tolist()}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["channel", "apply"], ["fig1", "verify"]],
+                         ids=["channel-apply", "fig1-verify"])
+def test_a_mean_beyond_max_entry_is_refused_before_the_channel_acts(tmp_path, capsys,
+                                                                   command):
+    # the amplifier doubled a mean of 1e308 to inf: channel apply wrote
+    # "mean": [Infinity, 0.0], and fig1 verify read a mean deviation of nan
+    # and reported a claim violation (exit 5)
+    ch, st, out = tmp_path / "ch.json", tmp_path / "st.json", tmp_path / "out.json"
+    ch.write_text(json.dumps(_amplifier_channel()))
+    st.write_text(json.dumps({"modes": 1, "mean": [1e308, 0.0], "cov": np.eye(2).tolist()}))
+    argv = [*command, "--channel", str(ch), "--state", str(st), "--out", str(out)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("input problem: mean entry of magnitude 1e+308 is outside the "
+                            "accepted range (finite, at most 1e+100)\n")
+    assert not captured.out and not out.exists()
+    # the same files with a mean of 1e99 pass, and the output may then hold
+    # entries beyond MAX_ENTRY: 2 x 1e99 here
+    st.write_text(json.dumps({"modes": 1, "mean": [1e99, 0.0], "cov": np.eye(2).tolist()}))
+    assert run_cli(argv) == 0
 
 
 @pytest.mark.parametrize("command", [["channel", "apply"], ["fig1", "verify"]],
@@ -458,7 +510,8 @@ _SQUEEZING_OPTIONS = [
 
 
 @pytest.mark.parametrize("argv", [
-    *[[*cmd, value] for cmd in _SQUEEZING_OPTIONS for value in ("inf", "nan", "1e300")],
+    *[[*cmd, value] for cmd in _SQUEEZING_OPTIONS
+      for value in ("inf", "nan", "1e300", "354.95")],
     ["nogo", "--rs", "0.2,-inf", "--csv", "OUT"],
     ["fig2", "run", "--sb", _EYE16[:-1] + "inf", "--out", "OUT"],
     ["fig2", "run", "--sa", "nan" + _EYE16[1:], "--out", "OUT"],
@@ -470,7 +523,9 @@ _SQUEEZING_OPTIONS = [
 ], ids=lambda argv: " ".join(a for a in argv if a != "OUT"))
 def test_non_finite_or_overflowing_numbers_are_input_problems(tmp_path, capsys, argv):
     # refused with MalformedInput before numpy sees them: a RuntimeWarning
-    # (overflow in sinh, invalid value in matmul) fails the test as an error
+    # (overflow in sinh, invalid value in matmul) fails the test as an error.
+    # A squeezing of 354.95 read exit 3 (state, nogo), 0 (attenuation) or an
+    # overflow warning in a row sum (filter, identity-approx)
     out = tmp_path / "out"
     assert run_cli([str(out) if a == "OUT" else a for a in argv]) == 2
     captured = capsys.readouterr()

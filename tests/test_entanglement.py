@@ -31,6 +31,11 @@ def test_split_validation():
     with pytest.raises(DimensionMismatch,
                        match=r"^mode indices \(0, 2\) must be 2 distinct values in 0\.\.1$"):
         partial_transpose_cov(np.eye(4), BipartiteSplit((0,), (2,)))
+    # numpy integers are indices; floats, even integral ones, are not
+    split = BipartiteSplit((np.int32(0),), np.array([1]))
+    assert split == SPLIT01 and all(type(m) is int for m in split.alice + split.bob)
+    with pytest.raises(DimensionMismatch, match=rf"^mode indices \(1.0,\) must be {unsized}$"):
+        BipartiteSplit((0,), (1.0,))
 
 
 def test_partial_transpose_flips_z_block():

@@ -555,22 +555,43 @@ def test_oracle_bell_pipeline_matches_eq7():
     assert np.abs(step2.mean - corr).max() <= 1e-6
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_condition_refuses_a_non_finite_outcome(bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.01e100],
+                         ids=["nan", "inf", "-inf", "beyond-max-entry"])
+def test_condition_refuses_an_outcome_outside_the_range(bad):
     """The outcome is the one outside array that reaches ``condition``'s
     unchecked result, so ``condition`` checks it and names it."""
     state = random_state(2, np.random.default_rng(3), mean_scale=0.5)
     spec = DyneSpec(modes=(1,), kind=DyneKind.HETERODYNE)
-    with pytest.raises(MalformedInput, match="outcome has non-finite"):
+    with pytest.raises(MalformedInput, match="^outcome entry of magnitude"):
         condition(state, spec, [0.1, bad])
 
 
-def test_condition_refuses_an_outcome_that_overflows_the_mean():
-    """A finite outcome whose conditioned mean overflows float64 is refused
-    too: homodyne x of a mode squeezed by e^-3 and entangled by tmsv(1) has
-    gain 19, so an outcome of 1e307 gives a mean beyond 1.8e308."""
-    state = apply_symplectic(tmsv(1.0), np.diag([1.0, 1.0, np.exp(-3.0), np.exp(3.0)]))
-    spec = DyneSpec(modes=(1,), kind=DyneKind.HOMODYNE_X)
-    assert np.isfinite(condition(state, spec, [1e306]).mean).all()
+def _chained_state(g: float):
+    """An unphysical 12-mode state whose homodyne x of modes 0-10 has gain
+    about 1e119 g onto x_11. W = V / 2 = L L^T with L = 2^-18 (I - 2^18 N), N
+    the subdiagonal shift, and every Cholesky step of W is exact: each pivot
+    reads 2^-35, above the 1e-12 x max(1, V_ii) floor, and (V^-1)_00 = 8e118.
+    Physical states cannot reach such a gain (``symplectic.MAX_ENTRY``)."""
+    m = 11
+    w = np.diag(np.r_[2.0**-36, np.full(m - 1, 1.0 + 2.0**-36)])
+    i = np.arange(1, m)
+    w[i, i - 1] = w[i - 1, i] = -2.0**-18
+    cov = np.eye(2 * m + 2)
+    cov[np.ix_(2 * np.arange(m), 2 * np.arange(m))] = 2.0 * w
+    cov[0, 2 * m] = cov[2 * m, 0] = g
+    return GaussianState(mean=np.zeros(2 * m + 2), cov=cov), DyneSpec(
+        modes=tuple(range(m)), kind=DyneKind.HOMODYNE_X)
+
+
+def test_condition_refuses_a_state_it_conditions_beyond_float64():
+    """Outcomes within the entry bound, on a state that is not physical, can
+    still overflow the conditioned mean (8e298 x the x_0 outcome here) or
+    covariance (8e118 g^2); ``condition`` refuses both."""
+    state, spec = _chained_state(1e90)
+    assert condition(state, spec, np.r_[1e99, np.zeros(10)]).mean[0] > 1e307
     with np.errstate(over="ignore"), pytest.raises(MalformedInput, match="overflows"):
-        condition(state, spec, [1e307])
+        condition(state, spec, np.r_[1e100, np.zeros(10)])
+    state, spec = _chained_state(1e100)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(MalformedInput, match="overflows"):
+        condition(state, spec, np.zeros(11))

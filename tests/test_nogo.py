@@ -12,7 +12,7 @@ import lockstep_oracle
 from symplectic_oracle import passive_from_angles
 
 import cvdist.nogo
-from cvdist.errors import DimensionMismatch, ParamOutOfRange
+from cvdist.errors import DimensionMismatch, MalformedInput, ParamOutOfRange
 from cvdist.nogo import (
     FATOL,
     GAP_TOL,
@@ -567,6 +567,13 @@ def test_sweep_zero_squeezing():
 def test_sweep_requires_values():
     with pytest.raises(DimensionMismatch):
         sweep([], n_starts=1, seed=1, budget=100)
+
+
+def test_sweep_refuses_every_r_before_its_first_search(monkeypatch):
+    # nogo --rs 0.2,-inf fails at once, not after searching tmsv(0.2)
+    monkeypatch.setattr(cvdist.nogo, "optimize", lambda *args, **kwargs: pytest.fail())
+    with pytest.raises(MalformedInput, match="^squeezing of magnitude inf "):
+        sweep([0.2, -np.inf], n_starts=1, seed=1, budget=100)
 
 
 def test_csv_is_deterministic_and_well_formed():

@@ -33,6 +33,7 @@ from cvdist.states import (
     vacuum,
 )
 from cvdist.symplectic import (
+    MAX_ENTRY,
     random_symplectic,
     symplectic_eigenvalues,
     two_mode_squeezer,
@@ -163,15 +164,13 @@ def test_physicality_preserved_by_operations(rng):
 def test_pure_states_are_physical_or_unresolvable():
     # tmsv(3.96) was refused by the nu test (nu_min read 0.999999998628 at
     # condition number 7.6e6). Past condition number 1e7 a pure state is
-    # refused as its spectrum is, never as proven unphysical
-    for k in range(1501):
+    # refused as its spectrum is, never as proven unphysical, also where
+    # float64 rounds its smallest eigenvalue to 0 or below (r > 9.5)
+    for k in [*range(1501), *range(1510, 11501, 10)]:
         try:
             tmsv(k / 100).require_physical()
         except SingularConditioning:
             assert k > 402
-        except NotPhysical as exc:
-            # not positive definite in float64, never Gamma + i Omega < 0
-            assert k > 402 and str(exc).startswith("smallest eigenvalue")
         else:
             assert k <= 402
     rng = np.random.default_rng(11)
@@ -229,12 +228,15 @@ def test_physicality_near_the_boundary():
 
 
 @pytest.mark.parametrize("cov, error, match", [
-    (np.diag([-1e-8, 1e8]), NotPhysical, "smallest eigenvalue"),  # det -1
+    (np.diag([1.0, -1.0]), NotPhysical, "smallest eigenvalue -1"),
+    # det -1, but eigvalsh's rounding of a rotated copy is 2e-8: unresolved
+    (np.diag([-1e-8, 1e8]), SingularConditioning, "condition number"),
     (0.999 * np.diag([np.exp(-4.0), np.exp(4.0)]), NotPhysical,
      r"Gamma \+ i Omega"),  # nu = 0.999
     (0.999 * np.diag([np.exp(-14.0), np.exp(14.0)]), SingularConditioning,
      "condition number"),
-], ids=["indefinite", "squeezed-sub-vacuum", "unresolvable-sub-vacuum"])
+], ids=["indefinite", "indefinite-within-rounding", "squeezed-sub-vacuum",
+        "unresolvable-sub-vacuum"])
 def test_unphysical_or_unresolvable_states_are_refused(cov, error, match):
     state = GaussianState(mean=np.zeros(2), cov=cov)
     with pytest.raises(error, match=match) as exc:
@@ -263,8 +265,31 @@ def test_state_rejects_asymmetric_cov():
     ([np.inf, 0.0], np.eye(2), "mean"),
 ])
 def test_state_rejects_non_finite_input(mean, cov, what):
-    with pytest.raises(MalformedInput, match=f"{what} has non-finite"):
+    with pytest.raises(MalformedInput, match=f"^{what} entry of magnitude (nan|inf) "):
         GaussianState(mean=mean, cov=cov)
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_beyond_max_entry_are_refused_where_they_enter():
+    # the largest accepted entry, and the smallest refused one
+    assert GaussianState(mean=[MAX_ENTRY, 0.0], cov=MAX_ENTRY * np.eye(2)).mean[0] == MAX_ENTRY
+    above = np.nextafter(MAX_ENTRY, np.inf)
+    for mean, cov in (([above, 0.0], np.eye(2)), ([0.0, 0.0], above * np.eye(2))):
+        with pytest.raises(MalformedInput, match=r"range \(finite, at most 1e\+100\)$"):
+            GaussianState(mean=mean, cov=cov)
+    # a covariance of 1e200 was accepted, and S Gamma S^T then overflowed in
+    # matmul with a RuntimeWarning
+    with pytest.raises(MalformedInput, match="^covariance entry of magnitude 1e\\+200 "):
+        apply_symplectic(GaussianState(np.zeros(2), 1e200 * np.eye(2)), np.diag([1e100, 1e-100]))
+    # a covariance of 1e100 is accepted, but the 1e300 product is not
+    state = GaussianState(np.zeros(2), 1e100 * np.eye(2))
+    with pytest.raises(MalformedInput, match="^covariance entry of magnitude 1e\\+300 "):
+        apply_symplectic(state, np.diag([1e100, 1e-100]))
+    # an occupation whose covariance would pass the bound
+    assert thermal(MAX_ENTRY / 2.0).cov[0, 0] == MAX_ENTRY
+    for nbar in (np.nextafter(MAX_ENTRY / 2.0, np.inf), np.inf, np.nan):
+        with pytest.raises(MalformedInput, match="^mean occupation of magnitude"):
+            thermal(nbar)
 
 
 def test_state_shape_mismatch():

@@ -16,12 +16,14 @@ from symplectic_oracle import (
 
 from cvdist.errors import (
     DimensionMismatch,
+    MalformedInput,
     NotPhysical,
     NotSymplectic,
     ParamOutOfRange,
     SingularConditioning,
 )
 from cvdist.symplectic import (
+    MAX_ENTRY,
     _THETA13,
     _symmetrized,
     assert_symplectic,
@@ -114,8 +116,8 @@ def test_symmetrized_keeps_the_bits_and_stays_finite(rng):
     for scale in (1e-300, 1e-3, 1.0, 1e6, 1e300):
         c = scale * rng.normal(size=(6, 6))
         assert np.array_equal(_symmetrized(c), (c + c.T) / 2.0)
-    # entries of tmsv(354.95), where c + c^T overflows
-    c = tmsv(354.95).cov
+    # entries of 1e308, where c + c^T overflows
+    c = 1e308 * np.array([[1.0, 0.5], [0.5, -1.0]])
     with np.errstate(over="ignore"):
         assert not np.isfinite(c + c.T).all()
     assert np.array_equal(_symmetrized(c), c)
@@ -190,11 +192,28 @@ def test_strong_two_mode_squeezers_are_symplectic(r):
 
 @pytest.mark.parametrize("r", [0.5, 10.0], ids=["small", "large"])
 def test_a_perturbed_entry_is_not_symplectic(r):
-    for entry in (two_mode_squeezer(r)[0, 2] * (1.0 + 1e-9), np.nan):
-        s = two_mode_squeezer(r)
-        s[0, 2] = entry
-        with pytest.raises(NotSymplectic):
-            assert_symplectic(s)
+    s = two_mode_squeezer(r)
+    s[0, 2] *= 1.0 + 1e-9
+    with pytest.raises(NotSymplectic):
+        assert_symplectic(s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -1.01 * MAX_ENTRY],
+                         ids=["nan", "inf", "beyond-max-entry"])
+def test_an_entry_outside_the_range_is_malformed_input(entry):
+    # a NaN entry read NotSymplectic while an inf one read MalformedInput
+    s = two_mode_squeezer(0.5)
+    s[0, 2] = entry
+    with pytest.raises(MalformedInput, match="^symplectic matrix entry of magnitude "):
+        assert_symplectic(s)
+
+
+def test_squeezer_within_the_entry_bound():
+    assert np.abs(two_mode_squeezer(np.log(MAX_ENTRY))).max() <= MAX_ENTRY
+    for r in (np.nan, np.inf, 231.0, -231.0):
+        with pytest.raises(MalformedInput, match="^squeezing of magnitude"):
+            two_mode_squeezer(r)
 
 
 def test_orthogonal_symplectic_from_unitary(rng):
@@ -268,13 +287,17 @@ def test_williamson_matches_schur_oracle(rng):
 
 def test_symplectic_eigenvalues_need_positive_definite_input():
     # tmsv(10)'s covariance is singular in float64: eigh gives it a zero
-    # eigenvalue, and |eigvals(Omega Gamma)| would read (5.30, 3.71)
-    with pytest.raises(NotPhysical, match="smallest eigenvalue"):
-        symplectic_eigenvalues(tmsv(10.0).cov)
+    # eigenvalue, and |eigvals(Omega Gamma)| would read (5.30, 3.71). A zero
+    # smallest eigenvalue is unresolved, not proven negative
+    for cov in (tmsv(10.0).cov, np.diag([1.0, 1.0, 1.0, 0.0])):
+        with pytest.raises(SingularConditioning, match="condition number"):
+            symplectic_eigenvalues(cov)
     with pytest.raises(NotPhysical, match="smallest eigenvalue -3"):
         symplectic_eigenvalues(-3.0 * np.eye(4))
+    with pytest.raises(NotPhysical, match="smallest eigenvalue -1"):
+        symplectic_eigenvalues(np.diag([1.0, -1.0]))
     with pytest.raises(NotPhysical, match="smallest eigenvalue 0"):
-        symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, 0.0]))
+        symplectic_eigenvalues(np.zeros((2, 2)))
 
 
 def test_williamson_rejects_indefinite():
