@@ -30,21 +30,20 @@ claim violation (verification failure or an apparent distillation gap, which
 CI should treat as an alarm, not a crash). Each error class carries its exit code and the label printed
 before its message (``cvdist.errors``), so ``main`` has one handler for them.
 
-All file writes are atomic (temp file + rename). Every command is
-deterministic for a fixed seed; the default seed is DEFAULT_SEED and can be
-overridden by the CVDIST_SEED environment variable, which in turn loses to an
-explicit --seed flag. A CVDIST_SEED that is not an integer exits 2. The
-seeded commands (``channel make``, ``fig1 verify``, ``fig2 run``, ``nogo``)
-share one --seed option, so its default and help text are stated once.
+All file writes are atomic (temp file + rename). A command's only inputs
+are its argv and the files it names; no module of cvdist reads the
+environment. Every command is deterministic for a fixed seed: --seed, else
+DEFAULT_SEED. The seeded commands (``channel make``, ``fig1 verify``,
+``fig2 run``, ``nogo``) share one --seed option, so its default and help
+text are stated once.
 ``state`` and ``channel make`` refuse, with exit 2 and no file written, an
 option that their ``--kind`` does not read, rather than ignore it, and
 ``fig2 run`` refuses ``--r`` with ``--copy1``.
 
-``main`` builds the argparse tree once per process and reads CVDIST_SEED on
-every call into that option's default, so callers that run many commands in
-one process (the benchmark, the tests) pay for the parser once. cvdist needs
-numpy alone: no command, random states included (``channel make --kind
-random-locc``), loads scipy.
+``main`` builds the argparse tree once per process and changes nothing in it
+afterwards, so callers that run many commands in one process (the benchmark,
+the tests) pay for the parser once. cvdist needs numpy alone: no command,
+random states included (``channel make --kind random-locc``), loads scipy.
 """
 
 from __future__ import annotations
@@ -91,10 +90,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CLAIM = 5
 
-#: The one --seed option, added to every seeded command through ``parents``;
-#: argparse adds this action object itself, so ``main`` sets its default once.
+#: The one --seed option, added to every seeded command through ``parents``.
 _SEEDED = argparse.ArgumentParser(add_help=False)
-_SEED = _SEEDED.add_argument("--seed", type=int, help="RNG seed")
+_SEEDED.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
 
 
 class _Given(argparse.Action):
@@ -119,14 +117,6 @@ def _build(args, kinds: dict):
 def _at_most(option: str, value: int, bound: int) -> None:
     if value > bound:
         raise ValueError(f"{option} {value} is above {bound}, the largest accepted here")
-
-
-def _default_seed() -> int:
-    text = os.environ.get("CVDIST_SEED", str(DEFAULT_SEED))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"CVDIST_SEED must be an integer, got {text!r}") from None
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -339,7 +329,7 @@ def _cmd_canon(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree; ``main`` sets the shared ``--seed`` default per call."""
+    """The argparse tree; ``main`` builds it once and only parses with it."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="cvdist",
@@ -450,7 +440,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        _SEED.default = _default_seed()
         args = parser.parse_args(argv)
         return args.func(args)
     except CvdistError as exc:

@@ -32,6 +32,8 @@ formulas are independent of that factor. The update only conditions; every
 sampling call draws through one helper (``_sample``): outcomes d_b + L z,
 with L the Cholesky factor of V/2 and z standard normal, then the update on
 them. A ``MeasurementRecord`` holds the outcome and the conditioned state.
+Every conditioned state that a call returns is built through one helper
+(``_conditioned``), which refuses one that overflows float64.
 
 Every measurement, and the channel action, refuses V by one rule, read from
 that factor (``_factor``, one Cholesky per call): V must factor, and each
@@ -189,9 +191,19 @@ def _sample(cov, means, plan: _UpdatePlan, v, draws):
     return (outcomes, *_gaussian_update(cov, means, plan, v, outcomes))
 
 
+def _conditioned(mean, cov) -> GaussianState:
+    """The conditioned state, built unchecked (``GaussianState._computed``)
+    from the update's exactly symmetric covariance. MalformedInput when its
+    mean or covariance overflows float64, which ``symplectic.MAX_ENTRY``
+    rules out for physical states only."""
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise MalformedInput("the conditioned state overflows float64")
+    return GaussianState._computed(mean, cov)
+
+
 def _record(outcomes, cov, means) -> MeasurementRecord:
     """The record of row 0 of what ``_sample`` returns."""
-    state = None if cov is None else GaussianState._computed(means[0], cov)
+    state = None if cov is None else _conditioned(means[0], cov)
     return MeasurementRecord(outcome=outcomes[0], conditioned_state=state)
 
 
@@ -235,10 +247,8 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
 
     ``outcome`` is the one array from outside that reaches the result, so it
     is checked here: an entry beyond ``symplectic.MAX_ENTRY`` raises
-    MalformedInput, and so does a conditioned state that overflows, which
-    that bound rules out for physical states only. The result is built
-    unchecked (``GaussianState._computed``), from the checked state and the
-    update's exactly symmetric covariance.
+    MalformedInput, and so does a conditioned state that overflows
+    (``_conditioned``, as for every sampled result).
     """
     plan, v = _dyne_blocks(state, spec)
     if len(spec.modes) == state.modes:
@@ -249,9 +259,7 @@ def condition(state: GaussianState, spec: DyneSpec, outcome) -> GaussianState:
     _factor(v, plan)
     cov, means = _gaussian_update(state.cov, state.mean[None, :], plan, v,
                                   outcome[None, :])
-    if not (np.isfinite(means).all() and np.isfinite(cov).all()):
-        raise MalformedInput("the conditioned state overflows float64")
-    return GaussianState._computed(means[0], cov)
+    return _conditioned(means[0], cov)
 
 
 def sample_outcome(state: GaussianState, spec: DyneSpec, seed) -> MeasurementRecord:

@@ -268,12 +268,14 @@ def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.5
     The draw is a single exponential, so it does not reach all of Sp(2n, R):
     diag(-2, -1/2) in Sp(2, R) = SL(2, R) has trace < -2 and is no real
     exponential. ``scale`` controls how far from the identity the draw
-    typically lands. Refuses ``n_modes < 1`` with :class:`DimensionMismatch`
-    and a negative or non-finite ``scale`` with :class:`ParamOutOfRange`.
+    typically lands. Refuses, before drawing, ``n_modes < 1`` with
+    :class:`DimensionMismatch`, a NaN or infinite ``scale`` with
+    :class:`MalformedInput` and a negative one with :class:`ParamOutOfRange`.
     """
     _require_modes(n_modes)
-    if not (math.isfinite(scale) and scale >= 0.0):
-        raise ParamOutOfRange(f"scale must be finite and >= 0, got {scale}")
+    _require_entries("scale", scale)
+    if scale < 0.0:
+        raise ParamOutOfRange(f"scale must be >= 0, got {scale}")
     dim = 2 * n_modes
     h = _symmetrized(rng.normal(0.0, scale, size=(dim, dim)))
     return _expm(omega(n_modes) @ h)

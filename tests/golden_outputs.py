@@ -254,7 +254,6 @@ def _write_inputs(directory: Path) -> None:
 
 def regenerate() -> None:
     """Rewrite every golden file from the code on the import path."""
-    os.environ.pop("CVDIST_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

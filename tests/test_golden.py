@@ -30,7 +30,6 @@ def recorded_environment():
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_cli_output_matches_golden(case, recorded_environment, tmp_path, monkeypatch):
-    monkeypatch.delenv("CVDIST_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     for name in case["reads"]:
         shutil.copyfile(GOLDEN / name, tmp_path / name)

@@ -36,6 +36,10 @@ No linter ships with the test dependencies, so these checks read the trees:
 - A covariance is symmetrized at one site: no module writes ``X + X.T`` (or
   ``X.T + X``) outside ``symplectic._symmetrized``, which halves first so
   that a finite matrix with entries near the top of float64 stays finite.
+- A command's only inputs are its argv and the files it names: no module
+  reads the environment, through ``os.environ``, ``os.environb``,
+  ``os.getenv`` or ``os.getenvb``, as an attribute of ``os`` or imported
+  from it.
 """
 
 import ast
@@ -227,6 +231,30 @@ def hand_symmetrizations(source: str) -> list:
     return sorted(hits)
 
 
+#: The names through which ``os`` hands out the environment.
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """(line, dotted name) of each read of the environment: an attribute in
+    ``ENVIRONMENT_READS`` of a name bound to ``os``, or one imported from ``os``."""
+    tree = ast.parse(source)
+    bound_to_os = set()
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound_to_os.update(alias.asname or "os" for alias in node.names
+                               if alias.name == "os" or (alias.name.startswith("os.")
+                                                         and not alias.asname))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            hits.extend((node.lineno, f"os.{alias.name}") for alias in node.names
+                        if alias.name in ENVIRONMENT_READS)
+    hits.extend((node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id in bound_to_os)
+    return sorted(hits)
+
+
 def uncalled_public_names(modules: dict, callers: list) -> list:
     """(module, line, name) of each public definition in ``modules`` (name ->
     source) that no source in ``callers`` references."""
@@ -390,6 +418,31 @@ def test_hand_symmetrization_is_found():
         "    return out.T + out, (s[0] + s[0].T) / 2, d + e\n"
     )
     assert hand_symmetrizations(source) == [5, 9, 9]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_read_is_found():
+    source = (
+        "import os\n"
+        "import os.path\n"
+        "import os as system\n"
+        "import os.path as osp\n"
+        "from os import getenv, path\n"
+        "from os import environb as env\n"
+        "def seed(a, log):\n"
+        "    text = os.environ.get('CVDIST_SEED') or system.getenv('X')\n"
+        "    return path.join(a, text), log.environ, osp.environ, os.getpid()\n"
+    )
+    assert environment_reads(source) == [
+        (5, "os.getenv"),
+        (6, "os.environb"),
+        (8, "os.environ"),
+        (8, "system.getenv"),
+    ]
 
 
 @pytest.mark.parametrize("path", ORACLES, ids=lambda p: p.name)

@@ -595,3 +595,11 @@ def test_condition_refuses_a_state_it_conditions_beyond_float64():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(MalformedInput, match="overflows"):
         condition(state, spec, np.zeros(11))
+
+
+def test_sample_outcome_refuses_a_state_it_conditions_beyond_float64():
+    """The draw conditions the same unphysical state as ``condition`` does,
+    and is refused the same way rather than returning an infinite covariance."""
+    state, spec = _chained_state(1e100)
+    with np.errstate(all="ignore"), pytest.raises(MalformedInput, match="overflows"):
+        sample_outcome(state, spec, 1)

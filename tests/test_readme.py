@@ -21,7 +21,6 @@ def command_lines() -> list:
 
 def test_command_line_examples_run_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("CVDIST_SEED", raising=False)
     lines = command_lines()
     assert lines
     for line in lines:

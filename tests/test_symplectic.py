@@ -171,14 +171,21 @@ def test_random_symplectic_squaring_branch_matches_30_digits(n):
     assert squared >= 3
 
 
-@pytest.mark.parametrize("n_modes, scale, error", [
-    (0, 0.5, DimensionMismatch), (-1, 0.5, DimensionMismatch),
-    (1, float("nan"), ParamOutOfRange), (1, float("inf"), ParamOutOfRange),
-    (1, -0.1, ParamOutOfRange),
-], ids=["zero-modes", "negative-modes", "nan-scale", "inf-scale", "negative-scale"])
-def test_random_symplectic_refuses_out_of_range(rng, n_modes, scale, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("n_modes, scale, error, message", [
+    (0, 0.5, DimensionMismatch, "mode count must be >= 1, got 0"),
+    (-1, 0.5, DimensionMismatch, "mode count must be >= 1, got -1"),
+    (1, float("nan"), MalformedInput, "scale of magnitude nan is outside"),
+    (1, float("inf"), MalformedInput, "scale of magnitude inf is outside"),
+    (1, -0.1, ParamOutOfRange, "scale must be >= 0, got -0.1"),
+    (1, -1.0, ParamOutOfRange, "scale must be >= 0, got -1.0"),
+], ids=["zero-modes", "negative-modes", "nan-scale", "inf-scale", "negative-scale",
+        "minus-one-scale"])
+def test_random_symplectic_refuses_out_of_range(n_modes, scale, error, message):
+    # each refusal comes before the draw: the generator is left where it was
+    rng = np.random.default_rng(7)
+    with pytest.raises(error, match=message):
         random_symplectic(n_modes, rng, scale=scale)
+    assert rng.random() == np.random.default_rng(7).random()
 
 
 @pytest.mark.parametrize("r", [5, 6, 7, 8, 9, 10, 11])
