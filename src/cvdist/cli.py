@@ -10,7 +10,8 @@ fig2 run                 one two-copy protocol evaluation, transcript JSON
 nogo                     no-go sweep/optimize; CSV plus optional certificates
 canon                    canonicalize a pure three-mode state
 
-Exit codes: 0 ok, 2 usage/parse problem, malformed numeric input (an
+Exit codes: 0 ok, 2 usage/parse problem, a file that cannot be read or
+written (any ``OSError``), malformed numeric input (an
 asymmetric covariance, or a number, in a file or on the command line, that
 breaks the one float64-range rule: NaN, inf or above ``MAX_ENTRY`` in
 magnitude, see ``symplectic._require_entries``), a count above its memory
@@ -30,7 +31,8 @@ claim violation (verification failure or an apparent distillation gap, which
 CI should treat as an alarm, not a crash). Each error class carries its exit code and the label printed
 before its message (``cvdist.errors``), so ``main`` has one handler for them.
 
-All file writes are atomic (temp file + rename). A command's only inputs
+All file writes go through ``write_text_atomic`` (temp file + rename; a
+failed write or rename removes the temp file). A command's only inputs
 are its argv and the files it names; no module of cvdist reads the
 environment. Every command is deterministic for a fixed seed: --seed, else
 DEFAULT_SEED. The seeded commands (``channel make``, ``fig1 verify``,
@@ -121,11 +123,16 @@ def _at_most(option: str, value: int, bound: int) -> None:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a temp file and rename, so interrupted runs never leave
-    partial output."""
+    partial output; a write or rename that fails removes the temp file."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")  # if this fails, there is no temp file to remove
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _load_json(path: str) -> dict:
@@ -445,7 +452,7 @@ def main(argv=None) -> int:
     except CvdistError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"input problem: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

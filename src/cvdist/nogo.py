@@ -24,10 +24,11 @@ quant-ph/0307073), giving E_N = max(0, -ln nu~_-). ``protocols.build_fig2``
 runs the same protocol through validated states and stays the reference
 the kernel is tested against; the layout, its party rows and slots, is
 stated once, in ``protocols``, and both paths pick modes by index.
-Array-wide steps (the three 2x2 determinants, the two adjugates, the
-product S G0) are taken in one stacked operation each, so a kernel call
-costs a fixed number of numpy calls per block of up to 128 rows (64 KiB
-per (rows, 8, 8) temporary, see ``_BLOCK_ROWS``).
+``objective`` cuts every batch into blocks of up to 128 rows (64 KiB per
+(rows, 8, 8) temporary, see ``_BLOCK_ROWS``) and takes each array-wide step
+of a block (the three 2x2 determinants, the two adjugates, the product
+S G0) in one stacked operation, so a block costs a fixed number of numpy
+calls.
 
 The objective has max(0, .) kinks where partially transposed symplectic
 eigenvalues cross 1, which makes finite-difference gradients unreliable;
@@ -41,12 +42,17 @@ contraction that the reflection chose. A round evaluates one pending point
 per live start, whatever its step, in one kernel call, and the shrinks of
 failed contractions in one more: the kernel runs once for each evaluation
 that every live start makes, not once for each phase of an iteration. The
-search carries only the live starts, and only those that ended an
-iteration in a round are sorted, each by the argsort of its values that
-scipy takes, and tested for stopping: the stopping test looks at the value
-spread first and at the simplex spread only where that passes. A
-certificate records the best value found and the gap to the input
-entanglement; the no-go claim is that the gap never goes below -1e-6.
+search carries only the live starts. After each round it takes sorted
+copies of their simplices, in which each start that ended an iteration is
+ordered by the argsort of its values that scipy takes and every other
+start keeps its order; only the starts that ended are tested for stopping,
+on the value spread first and on the simplex spread only where that
+passes. Every live start's centroid is then taken from the sorted copy: a
+start still waiting on its expansion or contraction has not moved a
+vertex, so its centroid repeats bit for bit. A pending point is kept by the
+one test that its step names. A certificate records the best value found
+and the gap to the input entanglement; the no-go claim is that the gap
+never goes below -1e-6.
 
 A certificate's ``scope`` names both parts of the evidence. What is searched
 is the Fig. 2 layout (pure-Choi two-copy protocols, the build_fig2 class) at
@@ -182,9 +188,9 @@ class SymplecticParams:
 _EYE4 = np.eye(4)
 
 #: Rows the kernel evaluates at a time. A hundred rows already spread the
-#: fixed cost of a call thin, so a longer batch (the initial simplices,
-#: starts x 21 rows) is evaluated in blocks of this many rows, with the same
-#: bits. At 128 rows each (rows, 8, 8) float64 temporary is 64 KiB, half of
+#: fixed cost of a call thin, so every batch (the initial simplices, starts
+#: x 21 rows, included) is evaluated in blocks of this many rows, with the
+#: same bits. At 128 rows each (rows, 8, 8) float64 temporary is 64 KiB, half of
 #: glibc's default mmap threshold (128 KiB), so the allocator serves it from
 #: its heap instead of mapping fresh pages, and faulting them in, per block.
 _BLOCK_ROWS = 128
@@ -201,10 +207,9 @@ def objective(x: np.ndarray, g0: np.ndarray) -> np.ndarray:
     bits as its rows one at a time.
     """
     x = np.asarray(x, dtype=float).reshape(-1, N_PARAMS)
-    if len(x) <= _BLOCK_ROWS:
-        return _kernel(x, g0)
-    return np.concatenate([_kernel(x[i:i + _BLOCK_ROWS], g0)
-                           for i in range(0, len(x), _BLOCK_ROWS)])
+    # the leading empty array makes an empty batch an empty result
+    return np.concatenate([np.empty(0), *(_kernel(x[i:i + _BLOCK_ROWS], g0)
+                                          for i in range(0, len(x), _BLOCK_ROWS))])
 
 
 def _kernel(x, g0):
@@ -273,20 +278,19 @@ class LockstepResult:
     converged: np.ndarray  # (K,) stopped by xatol and fatol within budget
 
 
-def _sort(sim: np.ndarray, fsim: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sort the vertices of starts ``cols`` in place, ascending in value, as scipy does.
+def _sort(sim: np.ndarray, fsim: np.ndarray, cols: np.ndarray):
+    """Sorted copies of ``sim`` and ``fsim``: the vertices of starts ``cols``
+    ascending in value, as scipy sorts them, and every other start's as they stand.
 
-    ``sim`` is vertex-major, (N + 1, K, N), and ``fsim`` (N + 1, K); the
-    sorted vertices of ``cols``, (N + 1, len(cols), N), are returned too.
-    Each start's order is ``np.argsort`` of its values, as scipy's is; where
-    the values are distinct that is their one sorted order.
+    ``sim`` is vertex-major, (N + 1, K, N), and ``fsim`` (N + 1, K). Each
+    sorted start's order is ``np.argsort`` of its values, as scipy's is;
+    where the values are distinct that is their one sorted order.
     """
-    order = np.argsort(fsim[:, cols], axis=0)
-    flat = order * fsim.shape[1] + cols  # vertex, start -> row of the flattened arrays
-    fsim[:, cols] = fsim.reshape(-1).take(flat)
-    s = sim.reshape(-1, sim.shape[2]).take(flat, axis=0)
-    sim[:, cols] = s
-    return s
+    n1, k = fsim.shape
+    order = np.repeat(np.arange(n1)[:, None], k, axis=1)
+    order[:, cols] = np.argsort(fsim[:, cols], axis=0)
+    flat = order * k + np.arange(k)  # vertex, start -> row of the flattened arrays
+    return sim.reshape(-1, sim.shape[2]).take(flat, axis=0), fsim.reshape(-1).take(flat)
 
 
 def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
@@ -326,7 +330,7 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
     res = LockstepResult(best_x=np.empty_like(x0), best_f=np.empty(k),
                          nfev=np.empty(k, dtype=int), converged=np.zeros(k, dtype=bool))
     # per live start: its index, evaluation count and best point so far, and
-    # its iteration's centroid, step and reflection value
+    # its iteration's step and reflection value
     live = np.arange(k)
     nfev = np.zeros(k, dtype=int)
     best_f = np.full(k, np.inf)
@@ -356,10 +360,10 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
     sim[diag + 1, :, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025).T
     fsim = evaluate_many(live, sim, np.full(k, min(n + 1, max(maxfev, 0))))
     ended = np.arange(k)  # the starts that ended an iteration in the last round
-    _sort(sim, fsim, ended)
-    xbar = np.add.reduce(_sort(sim, fsim, ended)[:-1], 0) / n  # scipy sorts twice
+    sim, fsim = _sort(sim, fsim, ended)  # scipy sorts the initial simplex twice
 
     while True:
+        sim, fsim = _sort(sim, fsim, ended)
         # a start that ended an iteration stops on its budget, or on scipy's
         # tolerances; the x-spread is computed only where the f-spread passes.
         # Each start's values are sorted, so scipy's max |f0 - f_i| <= FATOL is
@@ -380,12 +384,15 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
             go = np.ones(live.size, dtype=bool)
             go[stop] = False
             live, nfev, best_f, best_x = live[go], nfev[go], best_f[go], best_x[go]
-            xbar, step, fxr, fsim = xbar[go], step[go], fxr[go], fsim[:, go]
+            step, fxr, fsim = step[go], fxr[go], fsim[:, go]
             sim = sim.compress(go, axis=1)  # each vertex stays one contiguous slab
         if not live.size:
             break
 
-        # one pending point per live start
+        # one pending point per live start; a start that is waiting on an
+        # expansion or contraction has not moved a vertex since its reflection,
+        # so its centroid comes out with the same bits
+        xbar = np.add.reduce(sim[:-1], 0) / n
         worst = sim[-1]
         x = coef_a[step, None] * xbar - coef_b[step, None] * worst
         f = fun(x)
@@ -400,18 +407,15 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
         below_worst = f < fsim[-1]
         chosen = np.where(f < fsim[0], 1, np.where(f < fsim[-2], 0,
                                                    np.where(below_worst, 2, 3)))
-        keep = np.where(reflected, chosen == 0,
-                        np.where(step == 1, f < fxr,
-                                 np.where(step == 2, f <= fxr, below_worst)))
+        keep = np.choose(step, [chosen == 0, f < fxr, f <= fxr, below_worst])
         failed = ~keep
         pending = reflected & failed & (nfev < maxfev)
         # a failed expansion falls back on its reflection (recomputed: the
         # centroid and the worst vertex have not moved since), a failed
         # contraction on a shrink
         back = failed & (step == 1)
-        if back.any():
-            np.copyto(worst, (1 + rho) * xbar - rho * worst, where=back[:, None])
-            np.copyto(fsim[-1], fxr, where=back)
+        np.copyto(worst, (1 + rho) * xbar - rho * worst, where=back[:, None])
+        np.copyto(fsim[-1], fxr, where=back)
         np.copyto(worst, x, where=keep[:, None])
         np.copyto(fsim[-1], f, where=keep)
         np.copyto(fxr, f, where=pending)
@@ -428,7 +432,6 @@ def minimize(fun, x0: np.ndarray, maxfev: int) -> LockstepResult:
 
         # the starts that ended an iteration begin the next with a reflection
         ended = (~pending).nonzero()[0]
-        xbar[ended] = np.add.reduce(_sort(sim, fsim, ended)[:-1], 0) / n
 
     return res
 
@@ -541,8 +544,7 @@ def optimize(
     def negative_objective(x):
         nonlocal n_nonfinite
         values = objective(x, g0)
-        if not np.isfinite(values).all():
-            n_nonfinite += int(np.count_nonzero(~np.isfinite(values)))
+        n_nonfinite += int(np.count_nonzero(~np.isfinite(values)))
         return -values
 
     rng = np.random.default_rng(seed)

@@ -768,6 +768,22 @@ def test_missing_file_exit_2(tmp_path):
                     str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["entanglement", "logneg", "--state", "{dir}"],
+    ["state", "--kind", "vacuum", "--out", "{dir}"],
+    ["nogo", "--rs", "0.3", "--starts", "2", "--budget", "10", "--csv", "{dir}"],
+    ["nogo", "--rs", "0.3", "--starts", "2", "--budget", "10", "--certificates", "{dir}"],
+], ids=["logneg-state", "state-out", "nogo-csv", "nogo-certificates"])
+def test_file_system_errors_are_input_problems(tmp_path, capsys, argv):
+    # a directory where a file is read or written: one read, three writes
+    target = tmp_path / "target"
+    target.mkdir()
+    assert run_cli([a.format(dir=target) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("input problem: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]  # no *.tmp.* file left
+    assert not any(target.iterdir())
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--state", "[1, 2]"),
     ("--state", '"hello"'),

@@ -40,9 +40,15 @@ No linter ships with the test dependencies, so these checks read the trees:
   reads the environment, through ``os.environ``, ``os.environb``,
   ``os.getenv`` or ``os.getenvb``, as an attribute of ``os`` or imported
   from it.
+- Every file is written at one site: no code outside
+  ``cli.write_text_atomic`` calls ``open`` (the builtin or a method) with a
+  mode string that writes, a pathlib ``write_text`` or ``write_bytes``, or
+  ``os.replace`` or ``os.rename``. That site writes a temp file, renames it
+  over the target and removes it if either step fails.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -235,10 +241,10 @@ def hand_symmetrizations(source: str) -> list:
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
-def environment_reads(source: str) -> list:
-    """(line, dotted name) of each read of the environment: an attribute in
-    ``ENVIRONMENT_READS`` of a name bound to ``os``, or one imported from ``os``."""
-    tree = ast.parse(source)
+def _os_uses(tree: ast.AST, names: set) -> list:
+    """(line, dotted name) of each use of ``os.<name>`` for ``name`` in
+    ``names``: an attribute of a name bound to ``os``, or a name imported from
+    ``os``."""
     bound_to_os = set()
     hits = []
     for node in ast.walk(tree):
@@ -248,11 +254,51 @@ def environment_reads(source: str) -> list:
                                                          and not alias.asname))
         elif isinstance(node, ast.ImportFrom) and node.module == "os":
             hits.extend((node.lineno, f"os.{alias.name}") for alias in node.names
-                        if alias.name in ENVIRONMENT_READS)
+                        if alias.name in names)
     hits.extend((node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+                if isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Name) and node.value.id in bound_to_os)
     return sorted(hits)
+
+
+def environment_reads(source: str) -> list:
+    """(line, dotted name) of each read of the environment: an attribute in
+    ``ENVIRONMENT_READS`` of a name bound to ``os``, or one imported from ``os``."""
+    return _os_uses(ast.parse(source), ENVIRONMENT_READS)
+
+
+#: The one function of ``src/cvdist`` that writes files, and its module.
+WRITER_MODULE, WRITER = "cli.py", "write_text_atomic"
+#: What ``os`` moves files with, and the pathlib methods that write them.
+OS_FILE_MOVES = {"replace", "rename"}
+PATH_WRITES = {"write_text", "write_bytes"}
+
+
+def _writing_mode(node: ast.AST) -> bool:
+    """Whether ``node`` is a string constant made of mode letters, one of
+    which writes (w, x, a or +)."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.fullmatch(r"[rwxabt+]+", node.value) is not None
+            and bool(set(node.value) & set("wxa+")))
+
+
+def file_writes(source: str, writer: str | None = None) -> list:
+    """(line, what) of each file write outside the function named ``writer``:
+    a call of ``open``, by name or as a method, that passes a writing mode
+    string (as ``mode`` or positionally), a call of a name in ``PATH_WRITES``,
+    and a use of ``os`` in ``OS_FILE_MOVES``."""
+    tree = ast.parse(source)
+    hits = _os_uses(tree, OS_FILE_MOVES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            modes = [*node.args, *(kw.value for kw in node.keywords if kw.arg == "mode")]
+            if name in PATH_WRITES or (name == "open" and any(map(_writing_mode, modes))):
+                hits.append((node.lineno, name))
+    spans = [(func.lineno, func.end_lineno) for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) and func.name == writer]
+    return sorted(hit for hit in hits
+                  if not any(first <= hit[0] <= last for first, last in spans))
 
 
 def uncalled_public_names(modules: dict, callers: list) -> list:
@@ -442,6 +488,40 @@ def test_environment_read_is_found():
         (6, "os.environb"),
         (8, "os.environ"),
         (8, "system.getenv"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_writes_files_only_through_the_writer(path):
+    source = path.read_text()
+    if path.name == WRITER_MODULE:  # the exemption names the real writer
+        assert [name for _, name in file_writes(source)] == ["open", "os.replace"]
+    assert file_writes(source, WRITER if path.name == WRITER_MODULE else None) == []
+
+
+def test_file_write_is_found():
+    source = (
+        "import io\n"
+        "import os\n"
+        "from os import rename\n"
+        "from pathlib import Path\n"
+        "def write_text_atomic(path, text):\n"
+        "    with open(path + '.tmp', 'w') as fh:\n"
+        "        fh.write(text)\n"
+        "    os.replace(path + '.tmp', path)\n"
+        "def report(path, text, log):\n"
+        "    log.write_text(open(path).read(), open(path, 'rb'), text.replace('a', 'b'))\n"
+        "    open(path, mode='a'), io.open(path, 'x'), Path(path).open('r+')\n"
+        "    Path(path).write_bytes(text), os.rename(path, 'w')\n"
+    )
+    assert file_writes(source, "write_text_atomic") == [
+        (3, "os.rename"),
+        (10, "write_text"),
+        (11, "open"),
+        (11, "open"),
+        (11, "open"),
+        (12, "os.rename"),
+        (12, "write_bytes"),
     ]
 
 
